@@ -16,11 +16,13 @@ is the exact norm loss and the usual 0.1 guard applies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import expm
 
+from .fock import NumericGuardError
+from .gutzwiller import SiteOperators
 from .trajectory import DP_GUARD, StepSizeError, trajectory_rng
 
 # kappa parameterizes the ancilla loss so that the eliminated jump rate
@@ -35,14 +37,6 @@ P_EXCITED = SIGMA_PLUS @ SIGMA_MINUS
 P_GROUND = np.eye(2, dtype=complex) - P_EXCITED
 
 
-def _mode_ops(n_max: int):
-    d = n_max + 1
-    a = np.zeros((d, d))
-    for n in range(1, d):
-        a[n - 1, n] = math.sqrt(n)
-    return a.astype(complex)
-
-
 @dataclass(frozen=True)
 class CircuitConfig:
     g_eff: float = 1.0
@@ -52,7 +46,6 @@ class CircuitConfig:
     dt: float = None
     seed: int = 0
     n_max: int = 4
-    record_every: int = 0     # 0: no dense state recording
 
     def __post_init__(self):
         if self.kappa <= 0 or self.g_eff < 0:
@@ -77,10 +70,8 @@ class Click:
 
 @dataclass
 class CircuitTrajectory:
-    config: CircuitConfig
     clicks: list
     final_state: np.ndarray
-    records: list = field(default_factory=list)   # (t, state) if requested
     click_entropy_steps: list = field(default_factory=list)  # (t, S_before, S_after)
 
 
@@ -90,9 +81,8 @@ class _JumpEngine:
     def __init__(self, h_nonherm: np.ndarray, jump_op: np.ndarray, dt: float):
         self.propagator = expm(-1j * h_nonherm * dt)
         self.jump_op = jump_op
-        self.dt = dt
 
-    def step(self, psi, rng, t):
+    def step(self, psi, rng):
         phi = self.propagator @ psi
         dp = 1.0 - float(np.real(np.vdot(phi, phi)))
         if dp > DP_GUARD:
@@ -105,7 +95,7 @@ class _JumpEngine:
             out = self.jump_op @ phi
             nrm = np.linalg.norm(out)
             if nrm == 0.0:
-                raise StepSizeError("click with zero-amplitude decay channel")
+                raise NumericGuardError("click with zero-amplitude decay channel")
             return out / nrm, True
         return phi / np.linalg.norm(phi), False
 
@@ -122,7 +112,7 @@ def _pair_entropy(psi: np.ndarray, n_max: int) -> float:
 
 def phaselock_hamiltonian(cfg: CircuitConfig):
     """Composite (cavity1 x cavity2 x ancilla) Hamiltonian and decay op."""
-    a = _mode_ops(cfg.n_max)
+    a = SiteOperators(cfg.n_max).a
     eye = np.eye(cfg.n_max + 1, dtype=complex)
     a1 = np.kron(np.kron(a, eye), np.eye(2))
     a2 = np.kron(np.kron(eye, a), np.eye(2))
@@ -165,14 +155,9 @@ def run_phaselock_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray = None,
     rng = trajectory_rng(cfg.seed, traj_index)
     t = 0.0
     clicks = []
-    records = []
     entropy_steps = []
-    step_i = 0
     while t < cfg.t_max - 0.5 * dt:
-        if cfg.record_every and step_i % cfg.record_every == 0:
-            records.append((t, psi.copy()))
-        s_before = None
-        new, clicked = engine.step(psi, rng, t)
+        new, clicked = engine.step(psi, rng)
         if clicked:
             s_before = _pair_entropy(psi, cfg.n_max)
             s_after = _pair_entropy(new, cfg.n_max)
@@ -180,16 +165,15 @@ def run_phaselock_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray = None,
             entropy_steps.append((t + dt, s_before, s_after))
         psi = new
         t += dt
-        step_i += 1
         if stop_after_clicks is not None and len(clicks) >= stop_after_clicks:
             break
-    return CircuitTrajectory(config=cfg, clicks=clicks, final_state=psi,
-                             records=records, click_entropy_steps=entropy_steps)
+    return CircuitTrajectory(clicks=clicks, final_state=psi,
+                             click_entropy_steps=entropy_steps)
 
 
 @dataclass
 class DephasingOutcome:
-    trajectory: CircuitTrajectory
+    clicks: list
     collapsed_to: int         # dominant cavity number state at t_max
     dominant_weight: float
     click_count: int
@@ -199,8 +183,7 @@ class DephasingOutcome:
 def run_dephasing_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray,
                           traj_index: int = 0) -> DephasingOutcome:
     """Unravel a single cavity coupled to a lossy qubit via g n sigma_x."""
-    a = _mode_ops(cfg.n_max)
-    nop = a.conj().T @ a
+    nop = SiteOperators(cfg.n_max).n
     sx = SIGMA_PLUS + SIGMA_MINUS
     H = cfg.g_eff * np.kron(nop, sx)
     sm = np.kron(np.eye(cfg.n_max + 1, dtype=complex), SIGMA_MINUS)
@@ -214,26 +197,19 @@ def run_dephasing_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray,
     psi /= np.linalg.norm(psi)
     t = 0.0
     clicks = []
-    records = []
     max_na = 0.0
-    step_i = 0
     n_anc = np.kron(np.eye(cfg.n_max + 1), P_EXCITED)
     while t < cfg.t_max - 0.5 * dt:
-        if cfg.record_every and step_i % cfg.record_every == 0:
-            records.append((t, psi.copy()))
-        psi, clicked = engine.step(psi, rng, t)
+        psi, clicked = engine.step(psi, rng)
         if clicked:
             clicks.append(Click(time=t + dt, channel="ancilla_decay"))
         na = float(np.real(np.vdot(psi, n_anc @ psi)))
         max_na = max(max_na, na)
         t += dt
-        step_i += 1
     pops = np.abs(psi.reshape(cfg.n_max + 1, 2)) ** 2
     cav_pops = pops.sum(axis=1)
     winner = int(np.argmax(cav_pops))
-    traj = CircuitTrajectory(config=cfg, clicks=clicks, final_state=psi,
-                             records=records)
-    return DephasingOutcome(trajectory=traj, collapsed_to=winner,
+    return DephasingOutcome(clicks=clicks, collapsed_to=winner,
                             dominant_weight=float(cav_pops[winner]),
                             click_count=len(clicks),
                             max_ancilla_occupation=max_na)
@@ -289,7 +265,7 @@ def _censored_exponential_mle(click_times, n_censored, horizon,
     return float(math.exp(res.x[0]))
 
 
-def first_click_rate(cfg: CircuitConfig, n_traj: int, horizon_rates: float = 8.0):
+def first_click_rate(cfg: CircuitConfig, n_traj: int):
     """Initial first-ancilla-click rate from |1,1>, from a censored
     exponential fit of the first-click times.
 
@@ -297,13 +273,11 @@ def first_click_rate(cfg: CircuitConfig, n_traj: int, horizon_rates: float = 8.0
     phase-lock jump applied to |1,1>).
     """
     predicted = 4.0 * cfg.reduced_rate
-    horizon = horizon_rates / predicted
+    horizon = 8.0 / predicted   # censor after eight predicted mean waits
+    run_cfg = replace(cfg, t_max=horizon)
     click_times = []
     n_censored = 0
     for i in range(n_traj):
-        run_cfg = CircuitConfig(g_eff=cfg.g_eff, h_eff=cfg.h_eff, kappa=cfg.kappa,
-                                t_max=horizon, dt=cfg.dt, seed=cfg.seed,
-                                n_max=cfg.n_max)
         traj = run_phaselock_circuit(run_cfg, traj_index=i, stop_after_clicks=1)
         if traj.clicks:
             click_times.append(traj.clicks[0].time)

@@ -20,7 +20,6 @@ class CftFit:
     s0: float
     c_stderr: float
     s0_stderr: float
-    covariance: np.ndarray   # 2x2 over (c, s0)
     residual_rms: float
     l_min: int
     l_max: int
@@ -71,7 +70,7 @@ def fit_profile(profile: EntropyProfile, l_min: int = None, l_max: int = None,
     return CftFit(c=float(theta[0]), s0=float(theta[1]),
                   c_stderr=float(np.sqrt(cov[0, 0])),
                   s0_stderr=float(np.sqrt(cov[1, 1])),
-                  covariance=cov, residual_rms=rms,
+                  residual_rms=rms,
                   l_min=int(l_min), l_max=int(l_max))
 
 

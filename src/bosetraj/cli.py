@@ -5,8 +5,10 @@ ancilla, fit.  Options come from an optional JSON config file with CLI
 flags taking precedence.  Every run writes manifest.json before any
 compute starts, so crashed runs still carry full provenance.
 
-Exit codes: 0 success, 2 validation error, 3 numeric guard tripped,
-4 acceptance-comparison failure.
+Exit codes: 0 success, 2 validation error (bad flag, config key or
+value), 3 numeric guard tripped (NumericGuardError, LinAlgError,
+ArpackError), 4 acceptance-comparison failure.  Any other exception
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -16,29 +18,26 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError
 
 from . import __version__
 from .cftfit import fit_profile
 from .entropy import EntropyProfile, average_profile
-from .fock import build_basis, build_bec_dark_state
+from .fock import NumericGuardError, build_basis, build_bec_dark_state
 from .gutzwiller import GwConfig, order_parameter_sweep
 from .lindblad import compare_with_ensemble, default_observables, evolve_lindblad
-from .trajectory import (JumpChannels, MonitoringConfig, StepSizeError,
-                         default_dt, default_initial_state, run_ensemble)
+from .trajectory import (JumpChannels, MonitoringConfig, default_dt,
+                         default_initial_state, run_ensemble)
 from . import ancilla as anc
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 EXIT_COMPARISON = 4
-
-
-class ValidationError(ValueError):
-    pass
 
 
 def _output_root() -> Path:
@@ -70,7 +69,6 @@ def write_manifest(outdir: Path, spec: dict):
     manifest = {"version": __version__, "spec": recorded}
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-    return manifest
 
 
 def _append_manifest(outdir: Path, extra: dict):
@@ -86,7 +84,7 @@ def resolve_rates(spec: dict):
     has_gamma = spec.get("gamma") is not None
     has_rates = spec.get("rate_phaselock") is not None or spec.get("rate_dephase") is not None
     if has_gamma and has_rates:
-        raise ValidationError("give either gamma or (rate_phaselock, rate_dephase), not both")
+        raise ValueError("give either gamma or (rate_phaselock, rate_dephase), not both")
     if has_gamma:
         return 1.0, float(spec["gamma"])
     lam = float(spec.get("rate_phaselock", 1.0))
@@ -100,15 +98,15 @@ def build_model(spec: dict):
     n_max = int(spec.get("n_max", min(N, 4)))
     basis = build_basis(L, N, n_max)
     lam, gam = resolve_rates(spec)
-    channels = JumpChannels(basis, lam, gam)
     dt = spec.get("dt")
     if dt is None:
-        dt = default_dt(channels, target_dp=float(spec.get("target_dp", 1e-3)))
+        dt = default_dt(JumpChannels(basis, lam, gam),
+                        target_dp=float(spec.get("target_dp", 1e-3)))
     cfg = MonitoringConfig(rate_phaselock=lam, rate_dephase=gam, dt=float(dt),
                            t_max=float(spec.get("t_max", 10.0)),
                            seed=int(spec.get("seed", 0)),
                            snapshot_times=tuple(spec.get("snapshot_times", [])))
-    return basis, channels, cfg
+    return basis, cfg
 
 
 def initial_state(spec: dict, basis):
@@ -117,12 +115,7 @@ def initial_state(spec: dict, basis):
         return default_initial_state(basis)
     if name == "dark":
         return build_bec_dark_state(basis)
-    raise ValidationError(f"unknown initial_state {name!r}")
-
-
-def _gamma_of(cfg) -> float:
-    g = cfg.reduced_dephasing
-    return g if np.isfinite(g) else -1.0
+    raise ValueError(f"unknown initial_state {name!r}")
 
 
 def _profile_rows(profile: EntropyProfile):
@@ -132,12 +125,21 @@ def _profile_rows(profile: EntropyProfile):
                alpha, m, s, profile.M)
 
 
+def _fit_record(profile: EntropyProfile, fit) -> dict:
+    return {"gamma": profile.gamma, "L": profile.L, "t": profile.t,
+            "kind": profile.kind, "alpha": profile.alpha, "c": fit.c,
+            "s0": fit.s0, "c_stderr": fit.c_stderr, "s0_stderr": fit.s0_stderr,
+            "residual_rms": fit.residual_rms, "l_min": fit.l_min,
+            "l_max": fit.l_max}
+
+
 PROFILE_HEADER = ["gamma", "L", "t", "l", "kind", "alpha", "mean", "stderr", "M"]
 OBS_HEADER = ["t", "trajectory_id", "observable_name", "value_re", "value_im"]
 
 
-def _write_observables(outdir: Path, ensemble, observables):
+def _write_observables(outdir: Path, ensemble):
     rows = []
+    observables = default_observables(ensemble.basis)
     for t in ensemble.snapshot_times:
         states = ensemble.states_at(t)
         for name, op in observables.items():
@@ -148,19 +150,16 @@ def _write_observables(outdir: Path, ensemble, observables):
 
 
 def cmd_trajectories(spec: dict, outdir: Path) -> int:
-    basis, channels, cfg = build_model(spec)
+    basis, cfg = build_model(spec)
     if not cfg.snapshot_times:
         times = np.linspace(0.0, cfg.t_max, int(spec.get("n_snapshots", 21)))
-        cfg = MonitoringConfig(rate_phaselock=cfg.rate_phaselock,
-                               rate_dephase=cfg.rate_dephase, dt=cfg.dt,
-                               t_max=cfg.t_max, seed=cfg.seed,
-                               snapshot_times=tuple(times))
+        cfg = replace(cfg, snapshot_times=tuple(times))
     write_manifest(outdir, spec | {"resolved_dt": cfg.dt})
     psi0 = initial_state(spec, basis)
     M = int(spec.get("M", 100))
     ensemble = run_ensemble(basis, psi0, cfg, M, workers=int(spec.get("workers", 1)))
-    _write_observables(outdir, ensemble, default_observables(basis))
-    gamma = _gamma_of(cfg)
+    _write_observables(outdir, ensemble)
+    gamma = cfg.reduced_dephasing if cfg.rate_phaselock else -1.0  # -1: Lambda = 0
     prof_rows = []
     for t in ensemble.snapshot_times:
         prof = average_profile(ensemble.states_at(t), basis, gamma, t)
@@ -173,7 +172,7 @@ def cmd_trajectories(spec: dict, outdir: Path) -> int:
 def cmd_entropy_scan(spec: dict, outdir: Path) -> int:
     gammas = spec.get("gamma_grid")
     if not gammas:
-        raise ValidationError("entropy-scan needs a gamma_grid")
+        raise ValueError("entropy-scan needs a gamma_grid")
     write_manifest(outdir, spec)
     alphas = spec.get("renyi_orders", [])
     prof_rows = []
@@ -182,12 +181,9 @@ def cmd_entropy_scan(spec: dict, outdir: Path) -> int:
         sub = dict(spec)
         sub.pop("gamma_grid", None)
         sub["gamma"] = gamma
-        basis, channels, cfg = build_model(sub)
+        basis, cfg = build_model(sub)
         t_obs = cfg.t_max
-        cfg = MonitoringConfig(rate_phaselock=cfg.rate_phaselock,
-                               rate_dephase=cfg.rate_dephase, dt=cfg.dt,
-                               t_max=cfg.t_max, seed=cfg.seed,
-                               snapshot_times=(t_obs,))
+        cfg = replace(cfg, snapshot_times=(t_obs,))
         psi0 = initial_state(sub, basis)
         ensemble = run_ensemble(basis, psi0, cfg, int(spec.get("M", 100)),
                                 workers=int(spec.get("workers", 1)))
@@ -198,11 +194,7 @@ def cmd_entropy_scan(spec: dict, outdir: Path) -> int:
             prof_rows.extend(_profile_rows(prof))
             fit = fit_profile(prof, l_min=spec.get("fit_l_min"),
                               l_max=spec.get("fit_l_max"))
-            fits.append({"gamma": gamma, "L": basis.L, "t": t_obs, "kind": kind,
-                         "alpha": alpha, "c": fit.c, "s0": fit.s0,
-                         "c_stderr": fit.c_stderr, "s0_stderr": fit.s0_stderr,
-                         "residual_rms": fit.residual_rms,
-                         "l_min": fit.l_min, "l_max": fit.l_max})
+            fits.append(_fit_record(prof, fit))
     write_csv(outdir / "profile.csv", PROFILE_HEADER, prof_rows)
     with open(outdir / "fits.json", "w") as fh:
         json.dump(fits, fh, indent=2)
@@ -225,11 +217,9 @@ def cmd_gutzwiller(spec: dict, outdir: Path) -> int:
 
 
 def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
-    basis, channels, cfg = build_model(spec)
+    basis, cfg = build_model(spec)
     times = tuple(spec.get("snapshot_times") or (0.5, 1.0, 2.0, 5.0))
-    cfg = MonitoringConfig(rate_phaselock=cfg.rate_phaselock,
-                           rate_dephase=cfg.rate_dephase, dt=cfg.dt,
-                           t_max=max(times), seed=cfg.seed, snapshot_times=times)
+    cfg = replace(cfg, t_max=max(times), snapshot_times=times)
     write_manifest(outdir, spec | {"resolved_dt": cfg.dt})
     psi0 = initial_state(spec, basis)
     ensemble = run_ensemble(basis, psi0, cfg, int(spec.get("M", 2000)),
@@ -238,7 +228,7 @@ def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
     series = evolve_lindblad(basis, rho0, cfg.rate_phaselock, cfg.rate_dephase,
                              ensemble.snapshot_times)
     report = compare_with_ensemble(series, ensemble)
-    _write_observables(outdir, ensemble, default_observables(basis))
+    _write_observables(outdir, ensemble)
     with open(outdir / "comparison.json", "w") as fh:
         json.dump({"passed": report.passed, "max_abs_z": report.max_abs_z,
                    "z_scores": {k: list(v) for k, v in report.z_scores.items()}},
@@ -249,10 +239,11 @@ def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
 def cmd_ancilla(spec: dict, outdir: Path) -> int:
     write_manifest(outdir, spec)
     scheme = spec.get("scheme", "dephasing")
-    n_traj = int(spec.get("M", 100))
     seed = int(spec.get("seed", 0))
+    g = float(spec.get("g_eff", 1.0))
+    # each scheme gives its circuit config and a per-trajectory run that
+    # returns (clicks, outcome fields)
     if scheme == "dephasing":
-        g = float(spec.get("g_eff", 1.0))
         target = float(spec.get("rate_dephase", 1.0))
         kappa = float(spec.get("kappa", 500.0 * g ** 2 / target))
         n1, n2 = int(spec.get("n1", 1)), int(spec.get("n2", 3))
@@ -260,46 +251,45 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
                                 n_max=max(n2 + 1, 4),
                                 t_max=float(spec.get("t_max", 10.0 / target)))
         psi0 = anc.superposition_cavity_state(n1, n2, cfg.n_max)
-        rows, outcomes = [], []
-        for i in range(n_traj):
+
+        def run(i):
             out = anc.run_dephasing_circuit(cfg, psi0, traj_index=i)
-            for c in out.trajectory.clicks:
-                rows.append((c.time, c.channel))
-            outcomes.append({"trajectory": i, "collapsed_to": out.collapsed_to,
-                             "dominant_weight": out.dominant_weight,
-                             "click_count": out.click_count})
-        write_csv(outdir / "clicks.csv", ["t", "channel"], rows)
-        with open(outdir / "outcomes.json", "w") as fh:
-            json.dump(outcomes, fh, indent=2)
-        return EXIT_OK
-    if scheme == "phaselock":
-        g = float(spec.get("g_eff", 1.0))
+            return out.clicks, {
+                "collapsed_to": out.collapsed_to,
+                "dominant_weight": out.dominant_weight,
+                "click_count": out.click_count}
+    elif scheme == "phaselock":
         kappa = float(spec.get("kappa", 50.0 * g))
         cfg = anc.CircuitConfig(g_eff=g, kappa=kappa, seed=seed,
                                 h_eff=float(spec.get("h_eff", 0.0)),
                                 n_max=int(spec.get("n_max", 4)),
                                 t_max=float(spec.get("t_max", 2.0 * kappa / g ** 2)))
-        rows, outcomes = [], []
-        for i in range(n_traj):
+
+        def run(i):
             traj = anc.run_phaselock_circuit(cfg, traj_index=i)
-            for c in traj.clicks:
-                rows.append((c.time, c.channel))
-            outcomes.append({"trajectory": i, "click_count": len(traj.clicks),
-                             "final_entropy": anc._pair_entropy(traj.final_state,
-                                                                cfg.n_max)})
-        write_csv(outdir / "clicks.csv", ["t", "channel"], rows)
-        with open(outdir / "outcomes.json", "w") as fh:
-            json.dump(outcomes, fh, indent=2)
-        return EXIT_OK
-    raise ValidationError(f"unknown ancilla scheme {scheme!r}")
+            return traj.clicks, {
+                "click_count": len(traj.clicks),
+                "final_entropy": anc._pair_entropy(traj.final_state, cfg.n_max)}
+    else:
+        raise ValueError(f"unknown ancilla scheme {scheme!r}")
+    rows, outcomes = [], []
+    for i in range(int(spec.get("M", 100))):
+        clicks, outcome = run(i)
+        rows.extend((c.time, c.channel) for c in clicks)
+        outcomes.append({"trajectory": i} | outcome)
+    write_csv(outdir / "clicks.csv", ["t", "channel"], rows)
+    with open(outdir / "outcomes.json", "w") as fh:
+        json.dump(outcomes, fh, indent=2)
+    return EXIT_OK
 
 
 def cmd_fit(spec: dict, outdir: Path) -> int:
     src = spec.get("profile_csv")
     if not src or not Path(src).exists():
-        raise ValidationError("fit needs an existing profile_csv")
+        raise ValueError("fit needs an existing profile_csv")
     write_manifest(outdir, spec)
-    rows = list(csv.DictReader(open(src)))
+    with open(src) as fh:
+        rows = list(csv.DictReader(fh))
     groups = {}
     for r in rows:
         key = (float(r["gamma"]), int(r["L"]), float(r["t"]), r["kind"],
@@ -317,10 +307,7 @@ def cmd_fit(spec: dict, outdir: Path) -> int:
             M=int(rs[0]["M"]))
         fit = fit_profile(prof, l_min=spec.get("fit_l_min"),
                           l_max=spec.get("fit_l_max"))
-        fits.append({"gamma": gamma, "L": L, "t": t, "kind": kind, "alpha": prof.alpha,
-                     "c": fit.c, "s0": fit.s0, "c_stderr": fit.c_stderr,
-                     "s0_stderr": fit.s0_stderr, "residual_rms": fit.residual_rms,
-                     "l_min": fit.l_min, "l_max": fit.l_max})
+        fits.append(_fit_record(prof, fit))
     with open(outdir / "fits.json", "w") as fh:
         json.dump(fits, fh, indent=2)
     return EXIT_OK
@@ -335,7 +322,9 @@ COMMANDS = {
     "fit": cmd_fit,
 }
 
-_FLAG_TYPES = {
+# every option, as a CLI flag (--t-max) and as a config-file key (t_max);
+# list options are comma-separated on the command line
+OPTIONS = {
     "L": int, "N": int, "n_max": int, "M": int, "seed": int, "workers": int,
     "n_snapshots": int, "fit_l_min": int, "fit_l_max": int,
     "n1": int, "n2": int,
@@ -343,7 +332,33 @@ _FLAG_TYPES = {
     "dt": float, "t_max": float, "target_dp": float, "g_eff": float,
     "h_eff": float, "kappa": float, "alpha_threshold": float,
     "initial_state": str, "scheme": str, "profile_csv": str,
+    "gamma_grid": list, "renyi_orders": list, "snapshot_times": list,
 }
+
+
+def _float_list(text: str) -> list:
+    return [float(x) for x in text.split(",") if x]
+
+
+def _has_type(v, typ) -> bool:
+    # a JSON int is a valid float; a JSON bool is not a number
+    if typ is list:
+        return type(v) is list and all(_has_type(x, float) for x in v)
+    return type(v) in ((int, float) if typ is float else (typ,))
+
+
+def _check_config(config) -> dict:
+    """Reject unknown config-file keys and values of the wrong type, so a
+    typo cannot fall back to a default unnoticed."""
+    if not isinstance(config, dict):
+        raise ValueError("config file must hold a JSON object")
+    for key, v in config.items():
+        if key not in OPTIONS:
+            raise ValueError(f"unknown config key {key!r}")
+        if not _has_type(v, OPTIONS[key]):
+            raise ValueError(f"config key {key!r} needs "
+                             f"{OPTIONS[key].__name__}, got {v!r}")
+    return config
 
 
 def build_parser():
@@ -353,14 +368,10 @@ def build_parser():
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--outdir", help="output directory (default under "
                                     "$BOSETRAJ_OUTPUT or ./runs)")
-    for name, typ in _FLAG_TYPES.items():
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ)
-    p.add_argument("--gamma-grid", dest="gamma_grid",
-                   help="comma-separated reduced dephasing rates")
-    p.add_argument("--renyi-orders", dest="renyi_orders",
-                   help="comma-separated Renyi orders for entropy-scan")
-    p.add_argument("--snapshot-times", dest="snapshot_times",
-                   help="comma-separated observation times")
+    for name, typ in OPTIONS.items():
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name,
+                       type=_float_list if typ is list else typ,
+                       help="comma-separated numbers" if typ is list else None)
     return p
 
 
@@ -368,30 +379,28 @@ def parse_spec(argv):
     args = build_parser().parse_args(argv)
     spec = {}
     if args.config:
-        spec.update(json.loads(Path(args.config).read_text()))
-    for name in _FLAG_TYPES:
+        spec.update(_check_config(json.loads(Path(args.config).read_text())))
+    for name in OPTIONS:
         v = getattr(args, name)
         if v is not None:
             spec[name] = v
-    for name in ("gamma_grid", "renyi_orders", "snapshot_times"):
-        v = getattr(args, name)
-        if v is not None:
-            spec[name] = [float(x) for x in v.split(",") if x]
     spec["command"] = args.command
     outdir = Path(args.outdir) if args.outdir else _output_root() / args.command
     return args.command, spec, outdir
 
 
 def main(argv=None) -> int:
-    command, spec, outdir = parse_spec(argv if argv is not None else sys.argv[1:])
     try:
+        command, spec, outdir = parse_spec(
+            argv if argv is not None else sys.argv[1:])
         return COMMANDS[command](spec, outdir)
-    except (ValidationError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (StepSizeError, RuntimeError) as e:
+    # LinAlgError is a ValueError, so the numeric guards come first
+    except (NumericGuardError, np.linalg.LinAlgError, ArpackError) as e:
         print(f"numeric guard: {e}", file=sys.stderr)
         return EXIT_GUARD
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, StateVector
+from .fock import FockBasis, NumericGuardError, StateVector
 
 EIG_TOL = -1e-10
 
 
 @dataclass
 class ReducedDM:
-    cut: int                 # subsystem = sites 1..cut
-    left_states: tuple       # occupations of the left sites, lexicographic
+    left_states: tuple       # occupations of the kept sites, lexicographic
     matrix: np.ndarray       # dense Hermitian, trace 1
 
 
@@ -44,6 +43,8 @@ def _cut_blocks(basis: FockBasis, l: int):
     """Per-left-particle-number index maps for the bipartition at l."""
     if l in basis._cut_cache:
         return basis._cut_cache[l]
+    if not 1 <= l <= basis.L - 1:
+        raise ValueError(f"cut {l} out of range [1, {basis.L - 1}]")
     left_states = _left_occupations(l, basis.n_max, min(basis.N, l * basis.n_max))
     left_index = {s: i for i, s in enumerate(left_states)}
     blocks = {}  # left total -> (left global indices, right index map, entry list)
@@ -74,56 +75,19 @@ def _block_matrices(psi: StateVector, l: int):
         yield B, glob
 
 
-def reduce_state(psi: StateVector, l: int, side: str = "left") -> ReducedDM:
-    """Partial trace of a normalized pure state at the cut after site l.
-
-    side="left" keeps sites 1..l; side="right" keeps sites l+1..L (the
-    complement, with the same Schmidt spectrum by purity).
-    """
-    basis = psi.basis
-    if not 1 <= l <= basis.L - 1:
-        raise ValueError(f"cut {l} out of range [1, {basis.L - 1}]")
-    if side == "right":
-        return _reduce_right(psi, l)
-    if side != "left":
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    left_states, _ = _cut_blocks(basis, l)
+def reduce_state(psi: StateVector, l: int) -> ReducedDM:
+    """Partial trace of a normalized pure state at the cut after site l,
+    keeping sites 1..l."""
+    left_states, _ = _cut_blocks(psi.basis, l)
     rho = np.zeros((len(left_states), len(left_states)), dtype=np.complex128)
     for B, glob in _block_matrices(psi, l):
         rho[np.ix_(glob, glob)] = B @ B.conj().T
-    return ReducedDM(cut=l, left_states=left_states, matrix=rho)
-
-
-def _reduce_right(psi: StateVector, l: int) -> ReducedDM:
-    """Keep sites l+1..L, tracing out the left block.  Independent code
-    path from the left reduction (B† B instead of B B†) so the two sides
-    cross-check each other."""
-    basis = psi.basis
-    n_right = basis.L - l
-    right_states = _left_occupations(n_right, basis.n_max,
-                                     min(basis.N, n_right * basis.n_max))
-    right_index = {s: i for i, s in enumerate(right_states)}
-    _, compiled = _cut_blocks(basis, l)
-    rho = np.zeros((len(right_states), len(right_states)), dtype=np.complex128)
-    # rebuild the per-block right-occupation lists to place B† B globally
-    blocks_right = {}
-    for k, occ in enumerate(basis.states):
-        s = sum(occ[:l])
-        blocks_right.setdefault(s, {}).setdefault(occ[l:], None)
-    for (nl, nr, li, ri, kk, glob_l), s in zip(compiled, sorted(blocks_right)):
-        B = np.zeros((nl, nr), dtype=np.complex128)
-        B[li, ri] = psi.amplitudes[kk]
-        glob_r = np.array([right_index[occ] for occ in blocks_right[s]])
-        rho[np.ix_(glob_r, glob_r)] = B.conj().T @ B
-    return ReducedDM(cut=l, left_states=right_states, matrix=rho)
+    return ReducedDM(left_states=left_states, matrix=rho)
 
 
 def schmidt_spectrum(psi: StateVector, l: int) -> np.ndarray:
     """Eigenvalues of the reduced density matrix (squared Schmidt
     coefficients), without materializing rho_A."""
-    basis = psi.basis
-    if not 1 <= l <= basis.L - 1:
-        raise ValueError(f"cut {l} out of range [1, {basis.L - 1}]")
     vals = []
     for B, _ in _block_matrices(psi, l):
         vals.append(np.linalg.svd(B, compute_uv=False) ** 2)
@@ -132,8 +96,9 @@ def schmidt_spectrum(psi: StateVector, l: int) -> np.ndarray:
 
 def _clean_spectrum(p: np.ndarray) -> np.ndarray:
     if p.min() < EIG_TOL:
-        raise ValueError(f"reduced density matrix has eigenvalue {p.min():.3g} "
-                         f"below {EIG_TOL}: upstream state is corrupted")
+        raise NumericGuardError(f"reduced density matrix has eigenvalue "
+                                f"{p.min():.3g} below {EIG_TOL}: upstream "
+                                f"state is corrupted")
     return np.clip(p, 0.0, 1.0)
 
 

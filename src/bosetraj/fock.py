@@ -16,6 +16,11 @@ import numpy as np
 import scipy.sparse as sp
 
 
+class NumericGuardError(RuntimeError):
+    """A numerical guard tripped: a step, norm, trace or spectrum left its
+    trusted range, so the result would be wrong rather than the input."""
+
+
 class JumpKind(Enum):
     PHASE_LOCK = "phase_lock"
     DEPHASE = "dephase"
@@ -39,10 +44,6 @@ class FockBasis:
     @property
     def dim(self) -> int:
         return len(self.states)
-
-    def occupations(self) -> np.ndarray:
-        """(dim, L) integer array of all occupation vectors."""
-        return np.array(self.states, dtype=np.int64)
 
     def __repr__(self):
         return f"FockBasis(L={self.L}, N={self.N}, n_max={self.n_max}, dim={self.dim})"
@@ -98,9 +99,6 @@ class StateVector:
         self.amplitudes /= n
         return self
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.basis, self.amplitudes.copy())
-
 
 def fock_state(basis: FockBasis, occupation) -> StateVector:
     """Basis state |n_1 ... n_L>."""
@@ -113,31 +111,23 @@ def fock_state(basis: FockBasis, occupation) -> StateVector:
 class SparseOperator:
     """Sparse matrix acting within one Fock sector."""
 
-    def __init__(self, basis: FockBasis, matrix: sp.spmatrix,
-                 hermitian: bool = False, number_conserving: bool = True):
+    def __init__(self, basis: FockBasis, matrix: sp.spmatrix):
         self.basis = basis
         self.matrix = sp.csr_matrix(matrix, dtype=np.complex128)
-        self.hermitian = hermitian
-        self.number_conserving = number_conserving
-
-    def dagger(self) -> "SparseOperator":
-        return SparseOperator(self.basis, self.matrix.conj().T.tocsr(),
-                              hermitian=self.hermitian,
-                              number_conserving=self.number_conserving)
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
 
-def _entries_to_operator(basis, entries, hermitian=False):
+def _entries_to_operator(basis, entries):
     if not entries:
         mat = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
-        return SparseOperator(basis, mat, hermitian=hermitian)
+        return SparseOperator(basis, mat)
     rows, cols, vals = zip(*entries)
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim),
                         dtype=np.complex128).tocsr()
     mat.sum_duplicates()
-    return SparseOperator(basis, mat, hermitian=hermitian)
+    return SparseOperator(basis, mat)
 
 
 def _hop_entries(basis, p, q, sign=1.0):
@@ -166,8 +156,7 @@ def build_hopping(basis: FockBasis, i: int, j: int) -> SparseOperator:
     for s in (i, j):
         if not 1 <= s <= basis.L:
             raise ValueError(f"site index {s} out of range [1, {basis.L}]")
-    return _entries_to_operator(basis, _hop_entries(basis, i - 1, j - 1),
-                                hermitian=(i == j))
+    return _entries_to_operator(basis, _hop_entries(basis, i - 1, j - 1))
 
 
 def build_number(basis: FockBasis, j: int) -> SparseOperator:
@@ -193,7 +182,7 @@ def build_jump(kind: JumpKind, j: int, basis: FockBasis) -> SparseOperator:
         for p in (p0, p0 + 1):
             for q, sign in ((p0, 1.0), (p0 + 1, -1.0)):
                 entries.extend(_hop_entries(basis, p, q, sign))
-        return _entries_to_operator(basis, entries, hermitian=False)
+        return _entries_to_operator(basis, entries)
     raise TypeError(f"unknown jump kind {kind!r}")
 
 

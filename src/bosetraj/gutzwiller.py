@@ -16,20 +16,21 @@ instead ends at a fold that still drifts down (about 3.25 at n_max = 16,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .fock import NumericGuardError
+
 TRACE_TOL = 1e-6
+ALPHA_TOL = 1e-8      # steady-state criterion on |alpha| drift over 1/Lambda
+RECORD_EVERY = 20     # steps between recorded (t, alpha) points
 
 
 @dataclass
 class SingleSiteDM:
     n_max: int
     matrix: np.ndarray
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,6 @@ class GwConfig:
     n_max: int = 8
     dt: float = 0.005
     t_max: float = 400.0
-    alpha_tol: float = 1e-8       # steady-state criterion on |alpha| drift
-    record_every: int = 20
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -154,20 +153,21 @@ def evolve(cfg: GwConfig, rho0: SingleSiteDM = None, store_rhos: bool = False,
         k += 1
         drift = abs(np.trace(rho).real - 1.0)
         if drift > TRACE_TOL:
-            raise RuntimeError(f"trace drift {drift:.3g} at t={t:.3g}: "
-                               f"integration step too large")
+            raise NumericGuardError(f"trace drift {drift:.3g} at t={t:.3g}: "
+                                    f"integration step too large")
         al = np.trace(rho @ ops.a)
         alpha_hist.append(abs(al))
-        if k % cfg.record_every == 0 or k == n_steps:
+        if stop_when_steady and len(alpha_hist) > window:
+            alpha_hist.pop(0)
+            converged = bool(max(alpha_hist) - min(alpha_hist) < ALPHA_TOL)
+        # the step the run stops on is always recorded
+        if converged or k % RECORD_EVERY == 0 or k == n_steps:
             times.append(t)
             alphas.append(al)
             if store_rhos:
                 rhos.append(rho.copy())
-        if stop_when_steady and len(alpha_hist) > window:
-            alpha_hist.pop(0)
-            if max(alpha_hist) - min(alpha_hist) < cfg.alpha_tol:
-                converged = True
-                break
+        if converged:
+            break
     return GwEvolution(times=np.array(times), alphas=np.array(alphas),
                        final=SingleSiteDM(rho0.n_max, rho),
                        converged=converged, rhos=rhos)
@@ -210,24 +210,16 @@ class SweepResult:
     gamma_c: float
 
 
-def order_parameter_sweep(gammas, template: GwConfig = None,
+def order_parameter_sweep(gammas, template: GwConfig,
                           alpha_threshold: float = 1e-3,
                           bisection_steps: int = 6) -> SweepResult:
     """Steady-state |alpha| per reduced dephasing rate, with the critical
     point refined by bisection between the last ordered and first
     disordered grid points."""
-    if template is None:
-        template = GwConfig()
     gammas = sorted(gammas)
 
     def steady(gamma):
-        cfg = GwConfig(rate_phaselock=template.rate_phaselock,
-                       rate_dephase=gamma * template.rate_phaselock,
-                       filling=template.filling, n_max=template.n_max,
-                       dt=template.dt, t_max=template.t_max,
-                       alpha_tol=template.alpha_tol,
-                       record_every=template.record_every)
-        ev = evolve(cfg)
+        ev = evolve(replace(template, rate_dephase=gamma * template.rate_phaselock))
         return abs(ev.alphas[-1]), ev.converged, ev.times[-1]
 
     points = []

@@ -13,22 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FockBasis, JumpKind, build_hopping, build_jump)
+from .fock import (FockBasis, JumpKind, NumericGuardError, build_hopping,
+                   build_jump)
 
 TRACE_TOL = 1e-6
 MAX_DENSE_DIM = 600
-
-
-@dataclass
-class FullDM:
-    basis: FockBasis
-    matrix: np.ndarray
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+Z_MAX = 3.0           # |z| at which a trajectory mean disagrees with the oracle
 
 
 def sector_jump_operators(basis: FockBasis):
@@ -49,9 +39,6 @@ class LindbladGenerator:
         if basis.dim > MAX_DENSE_DIM:
             raise ValueError(f"sector dim {basis.dim} too large for the dense "
                              f"oracle (cap {MAX_DENSE_DIM})")
-        self.basis = basis
-        self.rate_phaselock = rate_phaselock
-        self.rate_dephase = rate_dephase
         d_ops, c_ops = sector_jump_operators(basis)
         self.channels = []
         for b in d_ops:
@@ -66,10 +53,6 @@ class LindbladGenerator:
                 continue
             out += rate * _dissipator(b, bd, bdb, rho)
         return out
-
-
-def lindblad_rhs(rho: FullDM, rate_phaselock: float, rate_dephase: float) -> np.ndarray:
-    return LindbladGenerator(rho.basis, rate_phaselock, rate_dephase).rhs(rho.matrix)
 
 
 @dataclass
@@ -93,13 +76,11 @@ def default_observables(basis: FockBasis) -> dict:
 
 
 def evolve_lindblad(basis: FockBasis, rho0: np.ndarray, rate_phaselock: float,
-                    rate_dephase: float, times, dt: float = None,
-                    observables: dict = None) -> OracleSeries:
+                    rate_dephase: float, times, dt: float = None) -> OracleSeries:
     """RK4 integration, observables recorded at the requested times
     (which are snapped onto the step grid)."""
     gen = LindbladGenerator(basis, rate_phaselock, rate_dephase)
-    if observables is None:
-        observables = default_observables(basis)
+    observables = default_observables(basis)
     times = np.sort(np.asarray(times, dtype=float))
     if dt is None:
         # keep the fastest channel well resolved
@@ -132,8 +113,8 @@ def evolve_lindblad(basis: FockBasis, rho0: np.ndarray, rate_phaselock: float,
         t += dt
         drift = abs(np.trace(rho).real - 1.0)
         if drift > TRACE_TOL:
-            raise RuntimeError(f"trace drift {drift:.3g} at t={t:.3g}: "
-                               f"integration step too large")
+            raise NumericGuardError(f"trace drift {drift:.3g} at t={t:.3g}: "
+                                    f"integration step too large")
     return OracleSeries(basis=basis, rate_phaselock=rate_phaselock,
                         rate_dephase=rate_dephase, times=np.array(rec_times),
                         observables={k: np.array(v) for k, v in out.items()},
@@ -142,14 +123,12 @@ def evolve_lindblad(basis: FockBasis, rho0: np.ndarray, rate_phaselock: float,
 
 @dataclass
 class ComparisonReport:
-    times: np.ndarray
     z_scores: dict        # observable name -> array over times
     max_abs_z: float
     passed: bool
 
 
-def compare_with_ensemble(series: OracleSeries, ensemble, observables: dict = None,
-                          z_max: float = 3.0) -> ComparisonReport:
+def compare_with_ensemble(series: OracleSeries, ensemble) -> ComparisonReport:
     """z = (ensemble mean - oracle) / stderr per observable and checkpoint.
 
     `ensemble` is a trajectory EnsembleResult with snapshot states at the
@@ -161,8 +140,7 @@ def compare_with_ensemble(series: OracleSeries, ensemble, observables: dict = No
             or ensemble.basis.states != series.basis.states):
         raise ValueError("oracle and ensemble were produced from different "
                          "configurations")
-    if observables is None:
-        observables = default_observables(series.basis)
+    observables = default_observables(series.basis)
     z_scores = {}
     worst = 0.0
     for name, op in observables.items():
@@ -182,5 +160,5 @@ def compare_with_ensemble(series: OracleSeries, ensemble, observables: dict = No
         zs = np.array(zs)
         z_scores[name] = zs
         worst = max(worst, float(np.max(np.abs(zs))))
-    return ComparisonReport(times=series.times, z_scores=z_scores,
-                            max_abs_z=worst, passed=worst < z_max)
+    return ComparisonReport(z_scores=z_scores, max_abs_z=worst,
+                            passed=worst < Z_MAX)

@@ -20,13 +20,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fock import FockBasis, JumpKind, StateVector, build_jump, fock_state
+from .fock import (FockBasis, JumpKind, NumericGuardError, StateVector,
+                   build_jump, fock_state)
 
 DP_GUARD = 0.1
 CHANNEL_EPS = 1e-14
 
 
-class StepSizeError(RuntimeError):
+class StepSizeError(NumericGuardError):
     """Per-step jump probability exceeded the first-order-scheme guard."""
 
 
@@ -68,7 +69,6 @@ class JumpRecord:
 
 @dataclass
 class Trajectory:
-    config: MonitoringConfig
     jumps: list
     snapshots: list            # (time, amplitude array) pairs
     final_state: np.ndarray
@@ -85,8 +85,6 @@ class JumpChannels:
 
     def __init__(self, basis: FockBasis, rate_phaselock: float, rate_dephase: float):
         self.basis = basis
-        self.rate_phaselock = rate_phaselock
-        self.rate_dephase = rate_dephase
         self.ops = []       # (kind, site, csr matrix), fixed channel order
         self.rates = []
         for j in range(1, basis.L):
@@ -113,8 +111,6 @@ class JumpChannels:
         call; unlike an all-ones start it also overlaps the
         reflection-odd sector.
         """
-        if self.basis.dim == 1:
-            return float(2.0 * self.decay.toarray()[0, 0])
         if self.basis.dim <= 64:
             return float(np.linalg.eigvalsh(2.0 * self.decay.toarray())[-1])
         v0 = np.random.default_rng(0).standard_normal(self.basis.dim)
@@ -166,7 +162,7 @@ def step(psi: np.ndarray, channels: JumpChannels, dt: float, rng, t: float = 0.0
         jumped[k] = bp
     total = weights.sum()
     if total <= 0.0:
-        raise StepSizeError("jump selected but every channel amplitude is zero")
+        raise NumericGuardError("jump selected but every channel amplitude is zero")
     u = (r / dp_total) * total
     k = int(np.searchsorted(np.cumsum(weights), u, side="right"))
     k = min(k, len(weights) - 1)
@@ -176,7 +172,7 @@ def step(psi: np.ndarray, channels: JumpChannels, dt: float, rng, t: float = 0.0
     out = jumped[k]
     nrm = np.linalg.norm(out)
     if nrm == 0.0:
-        raise StepSizeError("post-jump state has zero norm")
+        raise NumericGuardError("post-jump state has zero norm")
     return out / nrm, JumpRecord(time=t, kind=kind, site=j)
 
 
@@ -211,8 +207,8 @@ def run_trajectory(basis: FockBasis, psi0: StateVector, cfg: MonitoringConfig,
             jumps.append(jump)
         t += cfg.dt
         n_steps += 1
-    return Trajectory(config=cfg, jumps=jumps, snapshots=snapshots,
-                      final_state=psi, n_steps=n_steps)
+    return Trajectory(jumps=jumps, snapshots=snapshots, final_state=psi,
+                      n_steps=n_steps)
 
 
 @dataclass
@@ -229,15 +225,6 @@ class EnsembleResult:
         if abs(key - t) > 1e-9 + 0.51 * self.config.dt:
             raise KeyError(f"no snapshot near t={t}; have {sorted(self.states)}")
         return self.states[key]
-
-    def mean_expectation(self, op, t: float):
-        """(mean, standard error) of <op> over trajectories at snapshot t."""
-        states = self.states_at(t)
-        vals = np.einsum("ti,ij,tj->t", states.conj(), op.matrix.toarray(), states)
-        vals = np.real_if_close(vals, tol=1e6)
-        mean = vals.mean()
-        stderr = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-        return mean, stderr
 
 
 _WORKER_CTX = {}

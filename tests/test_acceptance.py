@@ -53,6 +53,7 @@ from bosetraj.ancilla import (
 )
 from bosetraj.lindblad import compare_with_ensemble, evolve_lindblad
 from bosetraj.trajectory import JumpChannels, default_dt
+from oracles import reduce_right
 
 
 def _report(num, title, checks, elapsed):
@@ -117,10 +118,10 @@ def test_criterion_03_entropy_properties():
                 s_2 = state_entropy(psi, l, kind="renyi", alpha=2.0)
                 # same cut, computed from the complementary (L-l)-site
                 # factor: exact for every pure trajectory state
-                mirror = von_neumann(reduce_state(psi, l, "right"))
+                mirror = von_neumann(reduce_right(psi, l))
                 cut_asym = max(cut_asym, abs(s_vn - mirror))
-                dim = min(reduce_state(psi, l, "left").matrix.shape[0],
-                          reduce_state(psi, l, "right").matrix.shape[0])
+                dim = min(reduce_state(psi, l).matrix.shape[0],
+                          reduce_right(psi, l).matrix.shape[0])
                 order_ok &= s_2 <= s_vn + 1e-12 <= np.log(dim) + 1e-12
     rng = np.random.default_rng(0)
     limit_dev = 0.0

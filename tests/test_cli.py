@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackError
 
+from bosetraj import cli, entropy
 from bosetraj.cli import (
     EXIT_COMPARISON,
     EXIT_GUARD,
@@ -27,6 +29,12 @@ def run_cli(tmp_path, *args):
     outdir = tmp_path / "out"
     code = main([*args, "--outdir", str(outdir)])
     return code, outdir
+
+
+def raiser(exc):
+    def raise_exc(*args, **kwargs):
+        raise exc
+    return raise_exc
 
 
 def read_csv(path):
@@ -81,6 +89,25 @@ class TestTrajectories:
                           "--gamma", "1.0", "--M", "1", "--dt", "1.0",
                           "--t-max", "5.0")
         assert code == EXIT_GUARD
+
+    @pytest.mark.parametrize("patched", [
+        lambda psi, l: np.array([1.2, -0.2]),     # corrupted spectrum guard
+        raiser(np.linalg.LinAlgError("SVD did not converge")),
+        raiser(ArpackError(-9999)),
+    ], ids=["corrupted_spectrum", "linalg_error", "arpack_error"])
+    def test_numeric_failures_exit_guard(self, tmp_path, monkeypatch, patched):
+        monkeypatch.setattr(entropy, "schmidt_spectrum", patched)
+        code, _ = run_cli(tmp_path, "trajectories", "--L", "2", "--gamma",
+                          "1.0", "--M", "1", "--t-max", "0.1",
+                          "--n-snapshots", "2")
+        assert code == EXIT_GUARD
+
+    def test_other_errors_propagate(self, tmp_path, monkeypatch):
+        # a programming error is neither validation nor a numeric guard
+        monkeypatch.setattr(cli, "average_profile", raiser(RuntimeError("bug")))
+        with pytest.raises(RuntimeError, match="bug"):
+            run_cli(tmp_path, "trajectories", "--L", "2", "--gamma", "1.0",
+                    "--M", "1", "--t-max", "0.1", "--n-snapshots", "2")
 
     def test_manifest_written_before_compute(self, tmp_path):
         code, outdir = run_cli(tmp_path, "trajectories", "--L", "3",
@@ -198,6 +225,22 @@ class TestConfigFile:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["spec"]["M"] == 3
         assert manifest["spec"]["L"] == 3
+
+    @pytest.mark.parametrize("bad,key", [
+        ({"t-max": 0.1, "n_snapshot": 2}, "t-max"),   # typos of t_max etc.
+        ({"gamma_grid": "0.5,2"}, "gamma_grid"),
+        ({"L": 2.0}, "L"),
+        ({"gamma": True}, "gamma"),
+    ])
+    def test_bad_config_rejected(self, tmp_path, capsys, bad, key):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"L": 2, "gamma": 1, "M": 1,
+                                        "t_max": 0.1, "n_snapshots": 2} | bad))
+        code = main(["trajectories", "--config", str(cfg_file),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_output_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BOSETRAJ_OUTPUT", str(tmp_path / "envroot"))

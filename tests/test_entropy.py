@@ -24,6 +24,8 @@ from bosetraj import (
     von_neumann,
     average_profile,
 )
+from bosetraj.fock import NumericGuardError
+from oracles import reduce_right
 
 
 def random_state(basis, seed):
@@ -64,8 +66,8 @@ class TestReduceAgainstDense:
         basis = build_basis(L=4, N=4, n_max=3)
         psi = random_state(basis, seed=0)
         for l in range(1, 4):
-            for side in ("left", "right"):
-                rdm = reduce_state(psi, l, side=side)
+            for reduce in (reduce_state, reduce_right):
+                rdm = reduce(psi, l)
                 assert np.trace(rdm.matrix).real == pytest.approx(1.0, abs=1e-12)
                 np.testing.assert_allclose(rdm.matrix,
                                            rdm.matrix.conj().T, atol=1e-12)
@@ -76,13 +78,13 @@ class TestReduceAgainstDense:
         basis = build_basis(L=5, N=5, n_max=2)
         psi = random_state(basis, seed=4)
         for l in range(1, 5):
-            sl = np.sort(np.linalg.eigvalsh(reduce_state(psi, l, "left").matrix))
-            sr = np.sort(np.linalg.eigvalsh(reduce_state(psi, l, "right").matrix))
+            sl = np.sort(np.linalg.eigvalsh(reduce_state(psi, l).matrix))
+            sr = np.sort(np.linalg.eigvalsh(reduce_right(psi, l).matrix))
             nl, nr = len(sl), len(sr)
             k = min(nl, nr)
             np.testing.assert_allclose(sl[-k:], sr[-k:], atol=1e-10)
-            assert von_neumann(reduce_state(psi, l, "left")) == pytest.approx(
-                von_neumann(reduce_state(psi, l, "right")), abs=1e-10)
+            assert von_neumann(reduce_state(psi, l)) == pytest.approx(
+                von_neumann(reduce_right(psi, l)), abs=1e-10)
 
     def test_cut_out_of_range(self):
         basis = build_basis(L=3, N=3, n_max=2)
@@ -188,7 +190,7 @@ class TestEntropyFunctions:
         assert near == pytest.approx(s_vn, abs=1e-4)
 
     def test_corrupted_spectrum_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericGuardError):
             von_neumann(np.array([1.1, -0.1]))
 
 

@@ -147,7 +147,7 @@ class TestApplyExpectation:
     def test_identity(self):
         b = build_basis(3, 3, 2)
         import scipy.sparse as sp
-        ident = SparseOperator(b, sp.eye(b.dim), hermitian=True)
+        ident = SparseOperator(b, sp.eye(b.dim))
         rng = np.random.default_rng(0)
         psi = StateVector(b, rng.normal(size=b.dim) + 1j * rng.normal(size=b.dim))
         psi.normalize()
@@ -173,7 +173,7 @@ class TestApplyExpectation:
         b = build_basis(2, 2, 2)
         psi = fock_state(b, (1, 1))
         d = build_jump(JumpKind.PHASE_LOCK, 1, b)
-        dtd = SparseOperator(b, d.matrix.conj().T @ d.matrix, hermitian=True)
+        dtd = SparseOperator(b, d.matrix.conj().T @ d.matrix)
         val = expectation(dtd, psi)
         assert val.real == pytest.approx(4.0)
         assert abs(val.imag) < 1e-12
@@ -185,7 +185,7 @@ class TestApplyExpectation:
         psi = fock_state(b, (1, 1, 1, 1))
         for j in range(1, 5):
             c = build_jump(JumpKind.DEPHASE, j, b)
-            ctc = SparseOperator(b, c.matrix.conj().T @ c.matrix, hermitian=True)
+            ctc = SparseOperator(b, c.matrix.conj().T @ c.matrix)
             assert expectation(ctc, psi).real == pytest.approx(1.0)
 
     def test_basis_mismatch(self):

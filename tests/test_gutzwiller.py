@@ -8,6 +8,7 @@ generator against an independent dense computation.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,6 +182,19 @@ class TestEvolve:
             ev = evolve(cfg, rho0, stop_when_steady=False)
             finals.append(ev.final.matrix)
         assert np.linalg.norm(finals[0] - finals[1]) < 1e-6
+
+    @pytest.mark.parametrize("gamma", [0.0, 6.0])
+    def test_reports_the_stopping_step(self, gamma):
+        # an early convergence stop still records the state it stopped on
+        cfg = GwConfig(rate_phaselock=1.0, rate_dephase=gamma, n_max=8,
+                       dt=0.01, t_max=100.0)
+        ev = evolve(cfg)
+        assert ev.converged
+        a = SiteOperators(8).a
+        assert abs(ev.alphas[-1]) == abs(np.trace(ev.final.matrix @ a))
+        # rerunning to times[-1] without the stop reaches the same state
+        rerun = evolve(replace(cfg, t_max=ev.times[-1]), stop_when_steady=False)
+        np.testing.assert_array_equal(rerun.final.matrix, ev.final.matrix)
 
     def test_trace_guard_trips_on_absurd_step(self):
         cfg = GwConfig(rate_phaselock=1.0, rate_dephase=0.0,

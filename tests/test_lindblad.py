@@ -20,12 +20,10 @@ from bosetraj import (
     run_ensemble,
 )
 from bosetraj.lindblad import (
-    FullDM,
     LindbladGenerator,
     compare_with_ensemble,
     default_observables,
     evolve_lindblad,
-    lindblad_rhs,
     sector_jump_operators,
 )
 
@@ -42,7 +40,7 @@ class TestGenerator:
     def test_trace_and_hermiticity(self):
         basis = build_basis(L=3, N=3, n_max=3)
         rho = random_dm(basis, seed=0)
-        rhs = lindblad_rhs(FullDM(basis, rho), 1.0, 0.7)
+        rhs = LindbladGenerator(basis, 1.0, 0.7).rhs(rho)
         assert abs(np.trace(rhs)) < 1e-12
         np.testing.assert_allclose(rhs, rhs.conj().T, atol=1e-12)
 
@@ -51,7 +49,7 @@ class TestGenerator:
         basis = build_basis(L=4, N=4, n_max=4)
         dark = build_bec_dark_state(basis).amplitudes
         rho = np.outer(dark, dark.conj())
-        rhs = lindblad_rhs(FullDM(basis, rho), 1.0, 0.0)
+        rhs = LindbladGenerator(basis, 1.0, 0.0).rhs(rho)
         assert np.abs(rhs).max() < 1e-12
 
     def test_fock_diagonal_fixed_under_pure_dephasing(self):
@@ -61,7 +59,7 @@ class TestGenerator:
         rng = np.random.default_rng(1)
         p = rng.random(basis.dim)
         rho = np.diag(p / p.sum()).astype(complex)
-        rhs = lindblad_rhs(FullDM(basis, rho), 0.0, 2.0)
+        rhs = LindbladGenerator(basis, 0.0, 2.0).rhs(rho)
         assert np.abs(rhs).max() < 1e-12
 
     def test_dimension_cap(self):
