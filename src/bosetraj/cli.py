@@ -98,15 +98,15 @@ def build_model(spec: dict):
     n_max = int(spec.get("n_max", min(N, 4)))
     basis = build_basis(L, N, n_max)
     lam, gam = resolve_rates(spec)
+    channels = JumpChannels(basis, lam, gam)
     dt = spec.get("dt")
     if dt is None:
-        dt = default_dt(JumpChannels(basis, lam, gam),
-                        target_dp=float(spec.get("target_dp", 1e-3)))
+        dt = default_dt(channels, target_dp=float(spec.get("target_dp", 1e-3)))
     cfg = MonitoringConfig(rate_phaselock=lam, rate_dephase=gam, dt=float(dt),
                            t_max=float(spec.get("t_max", 10.0)),
                            seed=int(spec.get("seed", 0)),
                            snapshot_times=tuple(spec.get("snapshot_times", [])))
-    return basis, cfg
+    return basis, cfg, channels
 
 
 def initial_state(spec: dict, basis):
@@ -150,14 +150,14 @@ def _write_observables(outdir: Path, ensemble):
 
 
 def cmd_trajectories(spec: dict, outdir: Path) -> int:
-    basis, cfg = build_model(spec)
+    basis, cfg, channels = build_model(spec)
     if not cfg.snapshot_times:
         times = np.linspace(0.0, cfg.t_max, int(spec.get("n_snapshots", 21)))
         cfg = replace(cfg, snapshot_times=tuple(times))
     write_manifest(outdir, spec | {"resolved_dt": cfg.dt})
     psi0 = initial_state(spec, basis)
     M = int(spec.get("M", 100))
-    ensemble = run_ensemble(basis, psi0, cfg, M, workers=int(spec.get("workers", 1)))
+    ensemble = run_ensemble(basis, psi0, cfg, M, int(spec.get("workers", 1)), channels)
     _write_observables(outdir, ensemble)
     gamma = cfg.reduced_dephasing if cfg.rate_phaselock else -1.0  # -1: Lambda = 0
     prof_rows = []
@@ -178,15 +178,14 @@ def cmd_entropy_scan(spec: dict, outdir: Path) -> int:
     prof_rows = []
     fits = []
     for gamma in gammas:
-        sub = dict(spec)
-        sub.pop("gamma_grid", None)
-        sub["gamma"] = gamma
-        basis, cfg = build_model(sub)
+        sub = {k: v for k, v in spec.items() if k != "gamma_grid"} | {"gamma": gamma}
+        basis, cfg, channels = build_model(sub)
         t_obs = cfg.t_max
         cfg = replace(cfg, snapshot_times=(t_obs,))
         psi0 = initial_state(sub, basis)
         ensemble = run_ensemble(basis, psi0, cfg, int(spec.get("M", 100)),
-                                workers=int(spec.get("workers", 1)))
+                                int(spec.get("workers", 1)), channels)
+        del channels   # freed before the next gamma builds its own: peak memory
         states = ensemble.states_at(t_obs)
         kinds = [("vn", None)] + [("renyi", a) for a in alphas]
         for kind, alpha in kinds:
@@ -217,13 +216,13 @@ def cmd_gutzwiller(spec: dict, outdir: Path) -> int:
 
 
 def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
-    basis, cfg = build_model(spec)
+    basis, cfg, channels = build_model(spec)
     times = tuple(spec.get("snapshot_times") or (0.5, 1.0, 2.0, 5.0))
     cfg = replace(cfg, t_max=max(times), snapshot_times=times)
     write_manifest(outdir, spec | {"resolved_dt": cfg.dt})
     psi0 = initial_state(spec, basis)
     ensemble = run_ensemble(basis, psi0, cfg, int(spec.get("M", 2000)),
-                            workers=int(spec.get("workers", 1)))
+                            int(spec.get("workers", 1)), channels)
     rho0 = np.outer(psi0.amplitudes, psi0.amplitudes.conj())
     series = evolve_lindblad(basis, rho0, cfg.rate_phaselock, cfg.rate_dephase,
                              ensemble.snapshot_times)
@@ -379,7 +378,11 @@ def parse_spec(argv):
     args = build_parser().parse_args(argv)
     spec = {}
     if args.config:
-        spec.update(_check_config(json.loads(Path(args.config).read_text())))
+        try:
+            text = Path(args.config).read_text()
+        except OSError as e:
+            raise ValueError(f"cannot read config file: {e}") from e
+        spec.update(_check_config(json.loads(text)))
     for name in OPTIONS:
         v = getattr(args, name)
         if v is not None:

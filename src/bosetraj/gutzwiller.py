@@ -16,11 +16,15 @@ instead ends at a fold that still drifts down (about 3.25 at n_max = 16,
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fock import NumericGuardError
+from .superop import anticommutator, dissipator, sandwich
 
 TRACE_TOL = 1e-6
 ALPHA_TOL = 1e-8      # steady-state criterion on |alpha| drift over 1/Lambda
@@ -53,53 +57,47 @@ class SiteOperators:
     """Dense single-mode ladder operators at cutoff n_max."""
 
     def __init__(self, n_max: int):
-        d = n_max + 1
-        a = np.zeros((d, d))
-        for n in range(1, d):
-            a[n - 1, n] = math.sqrt(n)
-        self.a = a.astype(complex)
+        self.a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1).astype(complex)
         self.ad = self.a.conj().T
         self.n = self.ad @ self.a
         self.a2 = self.a @ self.a
-        self.adad = self.ad @ self.ad
-        self.ad_a_ad = self.ad @ self.a @ self.ad
-        self.ad_ad_a = self.ad @ self.ad @ self.a
         self.ad_a2 = self.ad @ self.a2
 
-
-def _dissipator(X, rho):
-    XdX = X.conj().T @ X
-    return X @ rho @ X.conj().T - 0.5 * (XdX @ rho + rho @ XdX)
-
-
-def liouvillian_pl(rho: np.ndarray, ops: SiteOperators, filling: float = 1.0):
-    """Mean-field phase-locking generator (diagonal part plus the
-    moment-coupled part and its adjoint)."""
-    a, ad, n = ops.a, ops.ad, ops.n
-    out = (filling * _dissipator(ad, rho)
-           + (filling + 1.0) * _dissipator(a, rho)
-           + _dissipator(n, rho))
-    m_a = np.trace(rho @ a)
-    m_a2 = np.trace(rho @ ops.a2)
-    m_mixed = 0.5 * (np.trace(rho @ ops.ad_a_ad) + np.trace(rho @ ops.ad_ad_a))
-    Le = (m_mixed * (rho @ a - a @ rho)
-          - m_a2 * (ad @ rho @ ad - 0.5 * (ops.adad @ rho + rho @ ops.adad))
-          + m_a * (n @ rho @ ad
-                   - 0.5 * (ops.ad_ad_a @ rho + rho @ ops.ad_ad_a)
-                   - ad @ rho @ ad @ a
-                   + 0.5 * (ops.ad_a_ad @ rho + rho @ ops.ad_a_ad)))
-    return out + Le + Le.conj().T
+    @cached_property
+    def generator(self):
+        """Sparse (3 + 6 d^2) x d^2 matrix on vec(rho), one per cutoff: rows
+        for the moments (<a†aa† + a†a†a>/2, <aa>, <a>), then the rate-free
+        blocks D[a†], D[a], D[n] and the three maps those moments multiply."""
+        return _site_generator(len(self.a) - 1)
 
 
-def liouvillian_dp(rho: np.ndarray, ops: SiteOperators):
-    """Number-operator dissipator; populations untouched, coherences
-    rho_nm decay at rate (n-m)^2/2."""
-    return _dissipator(ops.n, rho)
+@cache
+def _site_generator(n_max: int):
+    ops = SiteOperators(n_max)      # every map here is real
+    a, ad, n, a2 = ops.a.real, ops.ad.real, ops.n.real, ops.a2.real
+    adad, ad_a_ad, ad_ad_a = ad @ ad, n @ ad, ad @ n
+    eye = np.eye(n_max + 1)
+    return sp.csr_matrix(np.vstack([   # <X> = vec(X^T) . vec(rho)
+        (0.5 * (ad_a_ad + ad_ad_a)).T.ravel(), a2.T.ravel(), a.T.ravel(),
+        dissipator(ad), dissipator(a), dissipator(n),
+        sandwich(eye, a) - sandwich(a, eye),
+        0.5 * anticommutator(adad) - sandwich(ad, ad),
+        sandwich(n, ad) - sandwich(ad, n)
+        + 0.5 * (anticommutator(ad_a_ad) - anticommutator(ad_ad_a))]))
 
 
 def meanfield_rhs(rho, ops, cfg: GwConfig):
-    return (2.0 * cfg.rate_phaselock * liouvillian_pl(rho, ops, cfg.filling)
-            + cfg.rate_dephase * liouvillian_dp(rho, ops))
+    """2 Lambda (f D[a†] + (f + 1) D[a] + D[n] + Le + Le†) + Gamma D[n] at
+    filling f, Le being the moment-weighted sum of the last three blocks
+    of ops.generator: one matvec and a combine."""
+    d = rho.shape[0]
+    lam2 = 2.0 * cfg.rate_phaselock
+    y = ops.generator @ rho.reshape(-1)
+    blocks = y[3:].reshape(6, d * d)
+    weights = np.array([lam2 * cfg.filling, lam2 * (cfg.filling + 1.0),
+                        lam2 + cfg.rate_dephase])
+    le = ((lam2 * y[:3]) @ blocks[3:]).reshape(d, d)
+    return (weights @ blocks[:3]).reshape(d, d) + le + le.conj().T
 
 
 def coherent_dm(alpha: complex, n_max: int) -> np.ndarray:
@@ -128,38 +126,39 @@ class GwEvolution:
 
 def evolve(cfg: GwConfig, rho0: SingleSiteDM = None, store_rhos: bool = False,
            stop_when_steady: bool = True) -> GwEvolution:
-    """Fixed-step RK4 integration with stage-refreshed moments."""
+    """Fixed-step RK4 of meanfield_rhs (moments refreshed every stage),
+    recording (t, alpha) every RECORD_EVERY steps and on the last step.
+    With stop_when_steady it stops once |alpha| varied by < ALPHA_TOL over
+    the last 1/Lambda; a trace drift > TRACE_TOL raises NumericGuardError."""
     if rho0 is None:
         rho0 = default_initial_dm(cfg)
     ops = SiteOperators(rho0.n_max)
     rho = rho0.matrix.copy()
     dt = cfg.dt
     t = 0.0
-    times, alphas, rhos = [0.0], [np.trace(rho @ ops.a)], []
-    if store_rhos:
-        rhos.append(rho.copy())
+    times, alphas = [0.0], [np.trace(rho @ ops.a)]
+    rhos = [rho.copy()] if store_rhos else []
     window = max(1, int(round(1.0 / max(cfg.rate_phaselock, 1e-12) / dt)))
-    alpha_hist = [abs(alphas[0])]
+    hist = deque([abs(alphas[0])], maxlen=window)   # |alpha| over the window
     converged = False
-    k = 0
     n_steps = int(round(cfg.t_max / dt))
-    while k < n_steps:
+    for k in range(1, n_steps + 1):
         k1 = meanfield_rhs(rho, ops, cfg)
         k2 = meanfield_rhs(rho + 0.5 * dt * k1, ops, cfg)
         k3 = meanfield_rhs(rho + 0.5 * dt * k2, ops, cfg)
         k4 = meanfield_rhs(rho + dt * k3, ops, cfg)
         rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
-        k += 1
         drift = abs(np.trace(rho).real - 1.0)
         if drift > TRACE_TOL:
             raise NumericGuardError(f"trace drift {drift:.3g} at t={t:.3g}: "
                                     f"integration step too large")
         al = np.trace(rho @ ops.a)
-        alpha_hist.append(abs(al))
-        if stop_when_steady and len(alpha_hist) > window:
-            alpha_hist.pop(0)
-            converged = bool(max(alpha_hist) - min(alpha_hist) < ALPHA_TOL)
+        hist.append(abs(al))
+        # the window's range is at least its end points' gap: scan it only then
+        if (stop_when_steady and k >= window
+                and abs(hist[-1] - hist[0]) < ALPHA_TOL):
+            converged = bool(max(hist) - min(hist) < ALPHA_TOL)
         # the step the run stops on is always recorded
         if converged or k % RECORD_EVERY == 0 or k == n_steps:
             times.append(t)

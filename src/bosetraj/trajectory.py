@@ -230,9 +230,9 @@ class EnsembleResult:
 _WORKER_CTX = {}
 
 
-def _worker_init(basis, cfg):
+def _worker_init(basis, cfg, channels):
     _WORKER_CTX["basis"] = basis
-    _WORKER_CTX["channels"] = JumpChannels(basis, cfg.rate_phaselock, cfg.rate_dephase)
+    _WORKER_CTX["channels"] = channels
     _WORKER_CTX["cfg"] = cfg
 
 
@@ -246,14 +246,16 @@ def _worker_run(args):
 
 
 def run_ensemble(basis: FockBasis, psi0: StateVector, cfg: MonitoringConfig,
-                 M: int, workers: int = 1) -> EnsembleResult:
+                 M: int, workers: int = 1,
+                 channels: JumpChannels = None) -> EnsembleResult:
     """M independent trajectories; aggregation order is by trajectory
     index, so results are identical for any worker count."""
     if M < 1:
         raise ValueError("need at least one trajectory")
+    if channels is None:
+        channels = JumpChannels(basis, cfg.rate_phaselock, cfg.rate_dephase)
     results = [None] * M
     if workers <= 1:
-        channels = JumpChannels(basis, cfg.rate_phaselock, cfg.rate_dephase)
         for i in range(M):
             traj = run_trajectory(basis, psi0, cfg, channels=channels, traj_index=i)
             results[i] = (traj.snapshots, len(traj.jumps))
@@ -261,7 +263,7 @@ def run_ensemble(basis: FockBasis, psi0: StateVector, cfg: MonitoringConfig,
         ctx = mp.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
                                  initializer=_worker_init,
-                                 initargs=(basis, cfg)) as pool:
+                                 initargs=(basis, cfg, channels)) as pool:
             for i, snaps, nj in pool.map(
                     _worker_run, ((i, psi0.amplitudes) for i in range(M)),
                     chunksize=max(1, M // (workers * 8))):

@@ -231,11 +231,15 @@ class TestConfigFile:
         ({"gamma_grid": "0.5,2"}, "gamma_grid"),
         ({"L": 2.0}, "L"),
         ({"gamma": True}, "gamma"),
+        (None, None),                                 # no such config file
     ])
     def test_bad_config_rejected(self, tmp_path, capsys, bad, key):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"L": 2, "gamma": 1, "M": 1,
-                                        "t_max": 0.1, "n_snapshots": 2} | bad))
+        if bad is None:
+            key = str(cfg_file)
+        else:
+            cfg_file.write_text(json.dumps({"L": 2, "gamma": 1, "M": 1,
+                                            "t_max": 0.1, "n_snapshots": 2} | bad))
         code = main(["trajectories", "--config", str(cfg_file),
                      "--outdir", str(tmp_path / "out")])
         assert code == EXIT_VALIDATION

@@ -20,12 +20,11 @@ from bosetraj.gutzwiller import (
     coherent_dm,
     default_initial_dm,
     evolve,
-    liouvillian_dp,
-    liouvillian_pl,
     meanfield_rhs,
     order_parameter_consistency,
     order_parameter_sweep,
 )
+from oracles import matrix_dissipator, meanfield_generator
 
 
 def random_dm(n_max, support, seed):
@@ -34,6 +33,11 @@ def random_dm(n_max, support, seed):
     rho = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     rho[:support, :support] = X @ X.conj().T
     return rho / np.trace(rho)
+
+
+def phaselock_only(n_max, filling=1.0):
+    """Config whose meanfield_rhs is the bare phase-lock part (2 Lambda = 1)."""
+    return GwConfig(rate_phaselock=0.5, filling=filling, n_max=n_max)
 
 
 def exact_two_site_trace(rho1, rho2, n_max):
@@ -62,7 +66,8 @@ class TestGeneratorOracle:
         ops = SiteOperators(n_max)
         filling = np.trace(rho @ ops.n).real
         exact = exact_two_site_trace(rho, rho, n_max)
-        model = 2.0 * liouvillian_pl(rho, ops, filling)
+        cfg = GwConfig(rate_phaselock=1.0, filling=filling, n_max=n_max)
+        model = meanfield_rhs(rho, ops, cfg)
         np.testing.assert_allclose(model, exact, atol=1e-12)
 
     def test_fixed_unit_filling_differs_off_filling(self):
@@ -72,7 +77,7 @@ class TestGeneratorOracle:
         rho = random_dm(n_max, support=4, seed=3)
         ops = SiteOperators(n_max)
         exact = exact_two_site_trace(rho, rho, n_max)
-        model_fixed = 2.0 * liouvillian_pl(rho, ops, 1.0)
+        model_fixed = meanfield_rhs(rho, ops, GwConfig(n_max=n_max))
         assert np.linalg.norm(model_fixed - exact) > 0.1
 
     def test_trace_and_hermiticity_preserved(self):
@@ -89,8 +94,9 @@ class TestGeneratorOracle:
         rho = random_dm(n_max, support=5, seed=5)
         ops = SiteOperators(n_max)
         filling = np.trace(rho @ ops.n).real
-        rhs = (2.0 * liouvillian_pl(rho, ops, filling)
-               + 0.9 * liouvillian_dp(rho, ops))
+        cfg = GwConfig(rate_phaselock=1.0, rate_dephase=0.9,
+                       filling=filling, n_max=n_max)
+        rhs = meanfield_rhs(rho, ops, cfg)
         assert abs(np.trace(ops.n @ rhs)) < 1e-10
 
     def test_u1_covariance(self):
@@ -101,8 +107,9 @@ class TestGeneratorOracle:
         ops = SiteOperators(n_max)
         theta = 0.7321
         U = np.diag(np.exp(1j * theta * np.arange(n_max + 1)))
-        lhs = liouvillian_pl(U @ rho @ U.conj().T, ops, 1.0)
-        rhs = U @ liouvillian_pl(rho, ops, 1.0) @ U.conj().T
+        cfg = GwConfig(n_max=n_max)
+        lhs = meanfield_rhs(U @ rho @ U.conj().T, ops, cfg)
+        rhs = U @ meanfield_rhs(rho, ops, cfg) @ U.conj().T
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_fock_state_kills_moment_part(self):
@@ -112,11 +119,27 @@ class TestGeneratorOracle:
         ops = SiteOperators(n_max)
         rho = np.zeros((n_max + 1, n_max + 1), dtype=complex)
         rho[1, 1] = 1.0
-        full = liouvillian_pl(rho, ops, 1.0)
-        from bosetraj.gutzwiller import _dissipator
-        diag_only = (_dissipator(ops.ad, rho) + 2.0 * _dissipator(ops.a, rho)
-                     + _dissipator(ops.n, rho))
+        full = meanfield_rhs(rho, ops, phaselock_only(n_max))
+        diag_only = (matrix_dissipator(ops.ad, rho)
+                     + 2.0 * matrix_dissipator(ops.a, rho)
+                     + matrix_dissipator(ops.n, rho))
         np.testing.assert_allclose(full, diag_only, atol=1e-12)
+
+
+class TestVectorisedGenerator:
+    @pytest.mark.parametrize("n_max", range(4, 11))
+    @pytest.mark.parametrize("filling", [1.0, 2.0])
+    @pytest.mark.parametrize("gamma", [0.0, 0.9])
+    def test_matches_matrix_form(self, n_max, filling, gamma):
+        # the stacked superoperator against the generator written out as
+        # d x d matrix products, on a random full-support state
+        rho = random_dm(n_max, support=n_max + 1, seed=n_max)
+        ops = SiteOperators(n_max)
+        cfg = GwConfig(rate_phaselock=1.0, rate_dephase=gamma,
+                       filling=filling, n_max=n_max)
+        np.testing.assert_allclose(meanfield_rhs(rho, ops, cfg),
+                                   meanfield_generator(rho, ops, cfg),
+                                   rtol=0, atol=1e-12)
 
 
 class TestCoherentDarkState:
@@ -128,7 +151,8 @@ class TestCoherentDarkState:
         for n_max in (8, 12):
             ops = SiteOperators(n_max)
             rho = coherent_dm(1.0, n_max)
-            res[n_max] = np.linalg.norm(liouvillian_pl(rho, ops, 1.0))
+            res[n_max] = np.linalg.norm(
+                meanfield_rhs(rho, ops, phaselock_only(n_max)))
         assert res[12] < 1e-3
         assert res[12] < 0.1 * res[8]
 
@@ -136,7 +160,7 @@ class TestCoherentDarkState:
         ops = SiteOperators(12)
         rho = np.zeros((13, 13), dtype=complex)
         rho[1, 1] = 1.0
-        assert np.linalg.norm(liouvillian_pl(rho, ops, 1.0)) > 0.5
+        assert np.linalg.norm(meanfield_rhs(rho, ops, phaselock_only(12))) > 0.5
 
 
 class TestDephasing:
@@ -195,6 +219,18 @@ class TestEvolve:
         # rerunning to times[-1] without the stop reaches the same state
         rerun = evolve(replace(cfg, t_max=ev.times[-1]), stop_when_steady=False)
         np.testing.assert_array_equal(rerun.final.matrix, ev.final.matrix)
+
+    @pytest.mark.parametrize("gamma, alpha_abs, converged, t_reached", [
+        (0.0, 0.999914513671257, True, 5.35),
+        (3.0, 0.642211146482682, False, 10.0),
+        (6.0, 3.1074693741934e-4, False, 10.0)])
+    def test_regression_pin(self, gamma, alpha_abs, converged, t_reached):
+        # pinned: the same RK4 run on the matrix-form generator
+        # (oracles.meanfield_generator) gives these to 1e-14
+        ev = evolve(GwConfig(rate_dephase=gamma, n_max=8, dt=0.01, t_max=10.0))
+        assert abs(abs(ev.alphas[-1]) - alpha_abs) < 1e-10
+        assert ev.converged is converged
+        assert ev.times[-1] == pytest.approx(t_reached, abs=1e-9)
 
     def test_trace_guard_trips_on_absurd_step(self):
         cfg = GwConfig(rate_phaselock=1.0, rate_dephase=0.0,

@@ -1,15 +1,17 @@
-"""Tests for the dense Lindblad reference integrator.
+"""Tests for the exact Lindblad reference propagator.
 
 Fixed points (the symmetric condensate, the maximally mixed sector
-state under pure dephasing) and step-halving pin the integrator; the
-ensemble comparison is checked with both a matching run and a negative
-control at deliberately wrong rates.
+state under pure dephasing) pin the generator, and a dense matrix
+exponential of the generator, probed column by column from its matrix
+form, pins the propagator; the ensemble comparison is checked with both
+a matching run and a negative control at deliberately wrong rates.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from bosetraj import (
     MonitoringConfig,
@@ -24,8 +26,17 @@ from bosetraj.lindblad import (
     compare_with_ensemble,
     default_observables,
     evolve_lindblad,
-    sector_jump_operators,
 )
+from oracles import probed_superoperator
+
+
+def dense_propagator(basis, rate_phaselock, rate_dephase):
+    """t -> rho(t), a dense expm of the superoperator probed column by
+    column from LindbladGenerator.rhs."""
+    gen = LindbladGenerator(basis, rate_phaselock, rate_dephase)
+    sup = probed_superoperator(gen.rhs, basis.dim)
+    return lambda rho0, t: (expm(sup * t) @ np.asarray(rho0).ravel()).reshape(
+        basis.dim, basis.dim)
 
 
 def random_dm(basis, seed):
@@ -71,8 +82,8 @@ class TestGenerator:
 
     def test_channel_counts(self):
         basis = build_basis(L=4, N=4, n_max=2)
-        d_ops, c_ops = sector_jump_operators(basis)
-        assert len(d_ops) == 3 and len(c_ops) == 4
+        rates = [c[0] for c in LindbladGenerator(basis, 1.0, 2.0).channels]
+        assert rates.count(1.0) == 3 and rates.count(2.0) == 4
 
 
 class TestEvolve:
@@ -85,15 +96,7 @@ class TestEvolve:
                                  1.0, 0.0, times=[20.0])
         # recompute the final state to extract fidelity
         dark = build_bec_dark_state(basis).amplitudes
-        rho = np.outer(psi0, psi0.conj())
-        gen = LindbladGenerator(basis, 1.0, 0.0)
-        dt = 1e-3
-        for _ in range(int(20.0 / dt)):
-            k1 = gen.rhs(rho)
-            k2 = gen.rhs(rho + 0.5 * dt * k1)
-            k3 = gen.rhs(rho + 0.5 * dt * k2)
-            k4 = gen.rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        rho = dense_propagator(basis, 1.0, 0.0)(np.outer(psi0, psi0.conj()), 20.0)
         fid = np.real(dark.conj() @ rho @ dark)
         assert fid > 0.999
         # and the series recorded the same physics: purity back near 1
@@ -109,14 +112,32 @@ class TestEvolve:
         assert series.purity[1] < series.purity[0]
 
     def test_step_halving_agreement(self):
+        # one step to t = 1 and two halves agree with each other and with
+        # the dense oracle
         basis = build_basis(L=3, N=3, n_max=2)
         rho0 = random_dm(basis, seed=2)
-        vals = []
-        for dt in (2e-3, 1e-3):
-            series = evolve_lindblad(basis, rho0, 1.0, 0.5,
-                                     times=[1.0], dt=dt)
-            vals.append(series.observables["n_1"][-1])
-        assert abs(vals[0] - vals[1]) < 1e-8
+        vals = [evolve_lindblad(basis, rho0, 1.0, 0.5, times=times)
+                .observables["n_1"][-1] for times in ([1.0], [0.5, 1.0])]
+        n_1 = default_observables(basis)["n_1"]
+        exact = np.trace(dense_propagator(basis, 1.0, 0.5)(rho0, 1.0) @ n_1)
+        assert abs(vals[0] - vals[1]) < 1e-10
+        assert abs(vals[0] - exact) < 1e-10
+
+    def test_matches_dense_expm_of_rhs(self):
+        basis = build_basis(L=3, N=3, n_max=3)
+        rho0 = random_dm(basis, seed=4)
+        # snapshot times as a trajectory run accumulates them: off any grid
+        times = [0.0, 0.1 + 0.2, 1.0, 7 * 0.37]
+        series = evolve_lindblad(basis, rho0, 1.0, 0.7, times=times)
+        assert series.times.tolist() == times
+        observables = default_observables(basis)
+        propagate = dense_propagator(basis, 1.0, 0.7)
+        for i, t in enumerate(times):
+            rho = propagate(rho0, t)
+            for name, op in observables.items():
+                assert abs(series.observables[name][i]
+                           - np.trace(rho @ op)) < 1e-10
+            assert abs(series.purity[i] - np.trace(rho @ rho).real) < 1e-10
 
     def test_total_number_conserved(self):
         basis = build_basis(L=3, N=3, n_max=3)
