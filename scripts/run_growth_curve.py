@@ -9,7 +9,6 @@ import numpy as np
 
 from bosetraj import (MonitoringConfig, StateVector, build_basis, fock_state,
                       run_ensemble, state_entropy)
-from bosetraj.trajectory import JumpChannels, default_dt
 
 
 def parse_args():
@@ -26,21 +25,18 @@ def parse_args():
 def main():
     a = parse_args()
     basis = build_basis(a.L, a.L, min(a.L, 3))
-    channels = JumpChannels(basis, 1.0, a.gamma)
     times = tuple(np.linspace(0.0, a.t_max, a.n_snapshots)[1:])
     cfg = MonitoringConfig(rate_phaselock=1.0, rate_dephase=a.gamma,
-                           dt=default_dt(channels, target_dp=0.05),
                            t_max=a.t_max, seed=a.seed, snapshot_times=times)
     ens = run_ensemble(basis, fock_state(basis, (1,) * a.L), cfg, M=a.M)
     half = a.L // 2
     print("t,mean,stderr")
     print("0.0,0.0,0.0")
     curve = [(0.0, 0.0)]
-    # snapshots are keyed by the achieved step time (float accumulation);
     # only the central cut is read, so only it is computed
-    for t in sorted(ens.states):
+    for t in times:
         S = np.array([state_entropy(StateVector(basis, amps), half)
-                      for amps in ens.states[t]])
+                      for amps in ens.states_at(t)])
         mean = S.mean()
         stderr = S.std(ddof=1) / math.sqrt(len(S)) if len(S) > 1 else 0.0
         curve.append((t, mean))

@@ -8,9 +8,8 @@ from .fock import (FockBasis, JumpKind, SparseOperator, StateVector, apply,
                    build_basis, build_bec_dark_state, build_hopping,
                    build_jump, build_number, expectation, fock_state)
 from .trajectory import (JumpChannels, JumpRecord, MonitoringConfig,
-                         StepSizeError, Trajectory, default_dt,
-                         default_initial_state, run_ensemble, run_trajectory,
-                         step)
+                         Trajectory, default_initial_state, run_ensemble,
+                         run_trajectory, step)
 from .entropy import (EntropyProfile, ReducedDM, average_profile, reduce_state,
                       renyi, schmidt_spectrum, state_entropy, von_neumann)
 from .cftfit import CftFit, central_charge_from_renyi, chord_regressor, fit_profile

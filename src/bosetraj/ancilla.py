@@ -7,23 +7,23 @@ dephasing jumps.  Strong ancilla decay (kappa >> g) reduces both, via
 Born-Markov elimination, to the chain jump operators with rate
 g_eff^2 / kappa.
 
-The no-jump propagator here is the exact exponential of the
-non-Hermitian generator (precomputed once per config), so the stiff
-ancilla decay does not force tiny steps; the per-step jump probability
-is the exact norm loss and the usual 0.1 guard applies.
+Both run the exact event loop of `trajectory.unravel` with a single
+click channel: the no-jump generator i H_nh is diagonalised once per
+circuit config (`trajectory.DenseExp`, with its reconstruction guard),
+so click times are exact and the stiff ancilla decay costs no steps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import expm
 
-from .fock import NumericGuardError
 from .gutzwiller import SiteOperators
-from .trajectory import DP_GUARD, StepSizeError, trajectory_rng
+from .trajectory import DenseExp, trajectory_rng, unravel
 
 # kappa parameterizes the ancilla loss so that the eliminated jump rate
 # is exactly g_eff^2/kappa; with a Lindblad decay operator sqrt(K) sigma-
@@ -43,7 +43,6 @@ class CircuitConfig:
     h_eff: float = 0.0
     kappa: float = 100.0
     t_max: float = 50.0
-    dt: float = None
     seed: int = 0
     n_max: int = 4
 
@@ -75,31 +74,6 @@ class CircuitTrajectory:
     click_entropy_steps: list = field(default_factory=list)  # (t, S_before, S_after)
 
 
-class _JumpEngine:
-    """Shared expm-stepped unraveling with a single decay channel."""
-
-    def __init__(self, h_nonherm: np.ndarray, jump_op: np.ndarray, dt: float):
-        self.propagator = expm(-1j * h_nonherm * dt)
-        self.jump_op = jump_op
-
-    def step(self, psi, rng):
-        phi = self.propagator @ psi
-        dp = 1.0 - float(np.real(np.vdot(phi, phi)))
-        if dp > DP_GUARD:
-            raise StepSizeError(f"per-step click probability {dp:.3g} exceeds "
-                                f"{DP_GUARD}; reduce dt")
-        if rng.random() < dp:
-            # the decay happened during the interval, so the click
-            # operator acts on the evolved state (whose excited-ancilla
-            # amplitude carries the heralded system jump)
-            out = self.jump_op @ phi
-            nrm = np.linalg.norm(out)
-            if nrm == 0.0:
-                raise NumericGuardError("click with zero-amplitude decay channel")
-            return out / nrm, True
-        return phi / np.linalg.norm(phi), False
-
-
 def _pair_entropy(psi: np.ndarray, n_max: int) -> float:
     """Von Neumann entropy of cavity 1 in the cavity1 x (cavity2,ancilla)
     bipartition."""
@@ -128,10 +102,29 @@ def phaselock_hamiltonian(cfg: CircuitConfig):
     return H, sm, a1, a2
 
 
-def _resolve_dt(cfg: CircuitConfig, rate_scale: float) -> float:
-    if cfg.dt is not None:
-        return cfg.dt
-    return 0.02 / max(rate_scale, 1e-12)
+def dephasing_hamiltonian(cfg: CircuitConfig):
+    """Cavity x qubit Hamiltonian g n sigma_x and the qubit decay op."""
+    nop = SiteOperators(cfg.n_max).n
+    H = cfg.g_eff * np.kron(nop, SIGMA_PLUS + SIGMA_MINUS)
+    sm = np.kron(np.eye(cfg.n_max + 1, dtype=complex), SIGMA_MINUS)
+    return H, sm
+
+
+@functools.lru_cache(maxsize=16)
+def _circuit(hamiltonian, cfg: CircuitConfig):
+    """The event loop's view of one circuit: exp(-i H_nh tau) and the
+    click operator.  Cached per config (seed and t_max zeroed), so each
+    generator is diagonalised once."""
+    H, sm = hamiltonian(cfg)[:2]
+    H_nh = H - 0.5j * DECAY_SCALE * cfg.kappa * (sm.conj().T @ sm)
+    return SimpleNamespace(propagator=DenseExp(1j * H_nh, hermitian=False),
+                           stacked=math.sqrt(DECAY_SCALE * cfg.kappa) * sm)
+
+
+def _unravel_circuit(hamiltonian, cfg: CircuitConfig, psi, traj_index):
+    circuit = _circuit(hamiltonian, replace(cfg, seed=0, t_max=0.0))
+    return unravel(psi / np.linalg.norm(psi), circuit, cfg.t_max,
+                   trajectory_rng(cfg.seed, traj_index))
 
 
 def run_phaselock_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray = None,
@@ -141,30 +134,21 @@ def run_phaselock_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray = None,
 
     Default initial state: cavities |1,1>, ancilla ground.
     """
-    H, sm, a1, a2 = phaselock_hamiltonian(cfg)
     dim_c = (cfg.n_max + 1) ** 2
     if psi_cav0 is None:
         psi_cav0 = np.zeros(dim_c, dtype=complex)
         psi_cav0[(cfg.n_max + 1) * 1 + 1] = 1.0  # |1,1>
     psi = np.kron(psi_cav0, np.array([1.0, 0.0], dtype=complex))
-    psi /= np.linalg.norm(psi)
-    H_nh = H - 0.5j * DECAY_SCALE * cfg.kappa * (sm.conj().T @ sm)
-    # click rate after elimination is ~ 4 * g^2/kappa from |1,1>
-    dt = _resolve_dt(cfg, 8.0 * cfg.reduced_rate)
-    engine = _JumpEngine(H_nh, math.sqrt(DECAY_SCALE * cfg.kappa) * sm, dt)
-    rng = trajectory_rng(cfg.seed, traj_index)
-    t = 0.0
     clicks = []
     entropy_steps = []
-    while t < cfg.t_max - 0.5 * dt:
-        new, clicked = engine.step(psi, rng)
-        if clicked:
-            s_before = _pair_entropy(psi, cfg.n_max)
-            s_after = _pair_entropy(new, cfg.n_max)
-            clicks.append(Click(time=t + dt, channel="ancilla_decay"))
-            entropy_steps.append((t + dt, s_before, s_after))
-        psi = new
-        t += dt
+    for ev in _unravel_circuit(phaselock_hamiltonian, cfg, psi, traj_index):
+        if ev.channel is not None:
+            before = ev.interval.states(ev.t - ev.t0)
+            entropy_steps.append((ev.t, _pair_entropy(before / np.linalg.norm(before),
+                                                       cfg.n_max),
+                                  _pair_entropy(ev.psi, cfg.n_max)))
+            clicks.append(Click(time=ev.t, channel="ancilla_decay"))
+        psi = ev.psi
         if stop_after_clicks is not None and len(clicks) >= stop_after_clicks:
             break
     return CircuitTrajectory(clicks=clicks, final_state=psi,
@@ -182,30 +166,27 @@ class DephasingOutcome:
 
 def run_dephasing_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray,
                           traj_index: int = 0) -> DephasingOutcome:
-    """Unravel a single cavity coupled to a lossy qubit via g n sigma_x."""
-    nop = SiteOperators(cfg.n_max).n
-    sx = SIGMA_PLUS + SIGMA_MINUS
-    H = cfg.g_eff * np.kron(nop, sx)
-    sm = np.kron(np.eye(cfg.n_max + 1, dtype=complex), SIGMA_MINUS)
-    H_nh = H - 0.5j * DECAY_SCALE * cfg.kappa * (sm.conj().T @ sm)
-    # effective dephasing rate Gamma = g^2/kappa; click rate ~ Gamma n^2
-    dt = _resolve_dt(cfg, cfg.reduced_rate * cfg.n_max ** 2 * 4.0)
-    engine = _JumpEngine(H_nh, math.sqrt(DECAY_SCALE * cfg.kappa) * sm, dt)
-    rng = trajectory_rng(cfg.seed, traj_index)
+    """Unravel a single cavity coupled to a lossy qubit via g n sigma_x.
+
+    The ancilla occupation is sampled on the grid of spacing
+    1/(200 Gamma n_max^2), with one matmul per interval.
+    """
+    spacing = 0.005 / max(cfg.reduced_rate * cfg.n_max ** 2, 1e-12)
     psi = np.kron(np.asarray(psi_cav0, dtype=complex),
                   np.array([1.0, 0.0], dtype=complex))
-    psi /= np.linalg.norm(psi)
-    t = 0.0
     clicks = []
     max_na = 0.0
-    n_anc = np.kron(np.eye(cfg.n_max + 1), P_EXCITED)
-    while t < cfg.t_max - 0.5 * dt:
-        psi, clicked = engine.step(psi, rng)
-        if clicked:
-            clicks.append(Click(time=t + dt, channel="ancilla_decay"))
-        na = float(np.real(np.vdot(psi, n_anc @ psi)))
-        max_na = max(max_na, na)
-        t += dt
+    for ev in _unravel_circuit(dephasing_hamiltonian, cfg, psi, traj_index):
+        grid = np.arange(math.floor(ev.t0 / spacing) + 1,
+                         math.floor(ev.t / spacing) + 1) * spacing
+        if grid.size:
+            pops = np.abs(ev.interval.states(grid - ev.t0)) ** 2
+            # rows alternate ancilla ground / excited
+            max_na = max(max_na, float(np.max(pops[1::2].sum(axis=0)
+                                              / pops.sum(axis=0))))
+        if ev.channel is not None:
+            clicks.append(Click(time=ev.t, channel="ancilla_decay"))
+        psi = ev.psi
     pops = np.abs(psi.reshape(cfg.n_max + 1, 2)) ** 2
     cav_pops = pops.sum(axis=1)
     winner = int(np.argmax(cav_pops))

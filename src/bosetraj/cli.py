@@ -27,11 +27,10 @@ from scipy.sparse.linalg import ArpackError
 from . import __version__
 from .cftfit import fit_profile
 from .entropy import EntropyProfile, average_profile
-from .fock import NumericGuardError, build_basis, build_bec_dark_state
+from .fock import JumpKind, NumericGuardError, build_basis, build_bec_dark_state
 from .gutzwiller import GwConfig, order_parameter_sweep
 from .lindblad import compare_with_ensemble, default_observables, evolve_lindblad
-from .trajectory import (JumpChannels, MonitoringConfig, default_dt,
-                         default_initial_state, run_ensemble)
+from .trajectory import MonitoringConfig, default_initial_state, run_ensemble
 from . import ancilla as anc
 
 EXIT_OK = 0
@@ -98,15 +97,11 @@ def build_model(spec: dict):
     n_max = int(spec.get("n_max", min(N, 4)))
     basis = build_basis(L, N, n_max)
     lam, gam = resolve_rates(spec)
-    channels = JumpChannels(basis, lam, gam)
-    dt = spec.get("dt")
-    if dt is None:
-        dt = default_dt(channels, target_dp=float(spec.get("target_dp", 1e-3)))
-    cfg = MonitoringConfig(rate_phaselock=lam, rate_dephase=gam, dt=float(dt),
+    cfg = MonitoringConfig(rate_phaselock=lam, rate_dephase=gam,
                            t_max=float(spec.get("t_max", 10.0)),
                            seed=int(spec.get("seed", 0)),
                            snapshot_times=tuple(spec.get("snapshot_times", [])))
-    return basis, cfg, channels
+    return basis, cfg
 
 
 def initial_state(spec: dict, basis):
@@ -133,6 +128,15 @@ def _fit_record(profile: EntropyProfile, fit) -> dict:
             "l_max": fit.l_max}
 
 
+def _counters(ensemble) -> dict:
+    """Deterministic per-trajectory means of one ensemble's event counts."""
+    by_kind = ensemble.jumps_by_kind
+    return {"jump_count_mean": float(ensemble.jump_counts.mean()),
+            "jumps_phaselock_mean": float(by_kind[JumpKind.PHASE_LOCK].mean()),
+            "jumps_dephase_mean": float(by_kind[JumpKind.DEPHASE].mean()),
+            "intervals_mean": float(ensemble.intervals.mean())}
+
+
 PROFILE_HEADER = ["gamma", "L", "t", "l", "kind", "alpha", "mean", "stderr", "M"]
 OBS_HEADER = ["t", "trajectory_id", "observable_name", "value_re", "value_im"]
 
@@ -150,14 +154,14 @@ def _write_observables(outdir: Path, ensemble):
 
 
 def cmd_trajectories(spec: dict, outdir: Path) -> int:
-    basis, cfg, channels = build_model(spec)
+    basis, cfg = build_model(spec)
     if not cfg.snapshot_times:
         times = np.linspace(0.0, cfg.t_max, int(spec.get("n_snapshots", 21)))
         cfg = replace(cfg, snapshot_times=tuple(times))
-    write_manifest(outdir, spec | {"resolved_dt": cfg.dt})
+    write_manifest(outdir, spec)
     psi0 = initial_state(spec, basis)
     M = int(spec.get("M", 100))
-    ensemble = run_ensemble(basis, psi0, cfg, M, int(spec.get("workers", 1)), channels)
+    ensemble = run_ensemble(basis, psi0, cfg, M, int(spec.get("workers", 1)))
     _write_observables(outdir, ensemble)
     gamma = cfg.reduced_dephasing if cfg.rate_phaselock else -1.0  # -1: Lambda = 0
     prof_rows = []
@@ -165,7 +169,7 @@ def cmd_trajectories(spec: dict, outdir: Path) -> int:
         prof = average_profile(ensemble.states_at(t), basis, gamma, t)
         prof_rows.extend(_profile_rows(prof))
     write_csv(outdir / "profile.csv", PROFILE_HEADER, prof_rows)
-    _append_manifest(outdir, {"jump_count_mean": float(ensemble.jump_counts.mean())})
+    _append_manifest(outdir, _counters(ensemble))
     return EXIT_OK
 
 
@@ -177,15 +181,16 @@ def cmd_entropy_scan(spec: dict, outdir: Path) -> int:
     alphas = spec.get("renyi_orders", [])
     prof_rows = []
     fits = []
+    counters = []
     for gamma in gammas:
         sub = {k: v for k, v in spec.items() if k != "gamma_grid"} | {"gamma": gamma}
-        basis, cfg, channels = build_model(sub)
+        basis, cfg = build_model(sub)
         t_obs = cfg.t_max
         cfg = replace(cfg, snapshot_times=(t_obs,))
         psi0 = initial_state(sub, basis)
         ensemble = run_ensemble(basis, psi0, cfg, int(spec.get("M", 100)),
-                                int(spec.get("workers", 1)), channels)
-        del channels   # freed before the next gamma builds its own: peak memory
+                                int(spec.get("workers", 1)))
+        counters.append({"gamma": gamma} | _counters(ensemble))
         states = ensemble.states_at(t_obs)
         kinds = [("vn", None)] + [("renyi", a) for a in alphas]
         for kind, alpha in kinds:
@@ -197,6 +202,7 @@ def cmd_entropy_scan(spec: dict, outdir: Path) -> int:
     write_csv(outdir / "profile.csv", PROFILE_HEADER, prof_rows)
     with open(outdir / "fits.json", "w") as fh:
         json.dump(fits, fh, indent=2)
+    _append_manifest(outdir, {"counters_by_gamma": counters})
     return EXIT_OK
 
 
@@ -216,13 +222,13 @@ def cmd_gutzwiller(spec: dict, outdir: Path) -> int:
 
 
 def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
-    basis, cfg, channels = build_model(spec)
+    basis, cfg = build_model(spec)
     times = tuple(spec.get("snapshot_times") or (0.5, 1.0, 2.0, 5.0))
     cfg = replace(cfg, t_max=max(times), snapshot_times=times)
-    write_manifest(outdir, spec | {"resolved_dt": cfg.dt})
+    write_manifest(outdir, spec)
     psi0 = initial_state(spec, basis)
     ensemble = run_ensemble(basis, psi0, cfg, int(spec.get("M", 2000)),
-                            int(spec.get("workers", 1)), channels)
+                            int(spec.get("workers", 1)))
     rho0 = np.outer(psi0.amplitudes, psi0.amplitudes.conj())
     series = evolve_lindblad(basis, rho0, cfg.rate_phaselock, cfg.rate_dephase,
                              ensemble.snapshot_times)
@@ -232,6 +238,7 @@ def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
         json.dump({"passed": report.passed, "max_abs_z": report.max_abs_z,
                    "z_scores": {k: list(v) for k, v in report.z_scores.items()}},
                   fh, indent=2)
+    _append_manifest(outdir, _counters(ensemble))
     return EXIT_OK if report.passed else EXIT_COMPARISON
 
 
@@ -322,7 +329,9 @@ COMMANDS = {
 }
 
 # every option, as a CLI flag (--t-max) and as a config-file key (t_max);
-# list options are comma-separated on the command line
+# list options are comma-separated on the command line.  dt is the RK4
+# step of gutzwiller; the trajectory commands propagate exactly and accept
+# dt and target_dp without using them.
 OPTIONS = {
     "L": int, "N": int, "n_max": int, "M": int, "seed": int, "workers": int,
     "n_snapshots": int, "fit_l_min": int, "fit_l_max": int,

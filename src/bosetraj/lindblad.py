@@ -35,8 +35,8 @@ class LindbladGenerator:
             if rate == 0.0:
                 continue
             for j in range(1, count + 1):
-                b = build_jump(kind, j, basis).matrix
-                self.channels.append((rate, b, b.conj().T, b.conj().T @ b))
+                b = build_jump(kind, j, basis).matrix.real   # chain jumps are real
+                self.channels.append((rate, b, b.T, b.T @ b))
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         """The generator applied to a density matrix in matrix form."""
@@ -46,10 +46,30 @@ class LindbladGenerator:
         return out
 
     def liouvillian(self):
-        """Sparse L with vec(rhs(rho)) = L @ vec(rho), vec = ravel."""
+        """Sparse real L with vec(rhs(rho)) = L @ vec(rho), vec = ravel.
+
+        The off-diagonal triplets of all channels' dissipators are stacked
+        and converted once, and the diagonal is summed densely, so no
+        growing matrix is reallocated per channel."""
         d2 = self.dim ** 2
-        return sum((rate * dissipator(b) for rate, b, _, _ in self.channels),
-                   sp.csr_matrix((d2, d2), dtype=complex))
+        # room for the diagonal, plus nnz(b ⊗ b) and nnz(b†b ⊗ 1 + 1 ⊗ b†b)
+        # per channel; pages past the triplets written are never touched
+        bound = d2 + sum(b.nnz ** 2 + 2 * self.dim * bdb.nnz
+                         for _, b, _, bdb in self.channels)
+        rows, cols = np.empty(bound, np.int32), np.empty(bound, np.int32)
+        vals = np.empty(bound)
+        rows[:d2] = cols[:d2] = np.arange(d2)
+        vals[:d2] = 0.0
+        n = d2
+        for rate, b, _, _ in self.channels:
+            part = dissipator(b).tocoo()
+            on = part.row == part.col
+            vals[part.row[on]] += rate * part.data[on]     # rows unique per part
+            m = part.nnz - int(on.sum())
+            rows[n:n + m], cols[n:n + m] = part.row[~on], part.col[~on]
+            vals[n:n + m] = rate * part.data[~on]
+            n += m
+        return sp.csr_matrix((vals[:n], (rows[:n], cols[:n])), shape=(d2, d2))
 
 
 @dataclass

@@ -1,11 +1,20 @@
 """Quantum-jump unraveling of the two competing monitoring channels.
 
-Per time step, a single uniform draw decides jump-vs-no-jump and, on a
-jump, selects the channel by inverse CDF over the fixed channel order
-(all phase-lock bonds ascending, then all dephasing sites ascending).
-No-jump evolution is the first-order propagator (1 - i H_eff dt) with
-renormalization; a dt that ever produces a per-step jump probability
-above 0.1 aborts the run.
+Exact waiting-time (event-driven) method: each jump draws r and solves
+the no-jump survival ||exp(-G tau) psi||^2 = r for its time tau, then a
+second draw picks the channel by inverse CDF over the fixed
+channel order (all phase-lock bonds ascending, then all dephasing sites
+ascending).  An interval that reaches a stop (a snapshot time or t_max)
+first ends there exactly, and the pending jump keeps waiting for the
+conditional survival r/p, so one draw per jump stays exact.
+
+exp(-G tau) comes from one of two propagators, chosen by dimension: one
+dense eigendecomposition per generator (guarded by a reconstruction
+check), or an adaptive Lanczos basis per interval for large sparse real
+symmetric generators, grown until its a-posteriori error bound at the
+sampled tau is below KRYLOV_TOL.  The chain's generator is the real
+symmetric decay operator A; the ancilla circuits (`ancilla.py`) run the
+same event loop on their non-Hermitian i H_nh.
 """
 
 from __future__ import annotations
@@ -23,34 +32,32 @@ import scipy.sparse.linalg as spla
 from .fock import (FockBasis, JumpKind, NumericGuardError, StateVector,
                    build_jump, fock_state)
 
-DP_GUARD = 0.1
-CHANNEL_EPS = 1e-14
-
-
-class StepSizeError(NumericGuardError):
-    """Per-step jump probability exceeded the first-order-scheme guard."""
+CHANNEL_EPS = 1e-14    # channel weights below this share of the total are dead
+DENSE_MAX_DIM = 500    # generators up to this dimension are diagonalised once
+RECON_TOL = 1e-10      # relative reconstruction error a decomposition may have
+KRYLOV_TOL = 1e-12     # bound on the Lanczos state error over an interval
+KRYLOV_MAX = 60        # largest Lanczos basis; past it the interval is cut short
+ROOT_RTOL = 1e-14      # relative accuracy of the survival at the jump time
 
 
 @dataclass(frozen=True)
 class MonitoringConfig:
     rate_phaselock: float          # Lambda
     rate_dephase: float            # Gamma
-    dt: float
     t_max: float
     seed: int = 0
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        if self.rate_phaselock < 0 or self.rate_dephase < 0:
-            raise ValueError("monitoring rates must be nonnegative")
+        rates = (self.rate_phaselock, self.rate_dephase)
+        if not all(math.isfinite(r) and r >= 0 for r in rates):
+            raise ValueError("monitoring rates must be finite and nonnegative")
         if self.rate_phaselock == 0 and self.rate_dephase == 0:
             raise ValueError("at least one monitoring rate must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_max < 0:
-            raise ValueError("t_max must be nonnegative")
+        if not (math.isfinite(self.t_max) and self.t_max >= 0):
+            raise ValueError("t_max must be finite and nonnegative")
         object.__setattr__(self, "snapshot_times",
-                           tuple(sorted(self.snapshot_times)))
+                           tuple(sorted(float(t) for t in self.snapshot_times)))
 
     @property
     def reduced_dephasing(self) -> float:
@@ -72,44 +79,190 @@ class Trajectory:
     jumps: list
     snapshots: list            # (time, amplitude array) pairs
     final_state: np.ndarray
-    n_steps: int
+    n_steps: int               # intervals: one per jump or stop
+
+
+class Interval:
+    """exp(-G tau) psi = basis @ rotation @ (exp(-rates tau) * coef), tau >= 0.
+
+    The columns of basis @ rotation are orthonormal unless a Gram matrix
+    is given.
+    """
+
+    def __init__(self, basis, rates, coef, gram=None, rotation=None):
+        self.basis, self.rates, self.coef = basis, rates, coef
+        self.gram, self.rotation = gram, rotation
+
+    def survival(self, tau: float) -> float:
+        return self.survival_slope(tau)[0]
+
+    def survival_slope(self, tau: float):
+        """The survival ||exp(-G tau) psi||^2 and its tau-derivative."""
+        x = np.exp(-self.rates * tau) * self.coef
+        y = x if self.gram is None else self.gram @ x
+        return (float(np.vdot(x, y).real),
+                -2.0 * float(np.vdot(self.rates * x, y).real))
+
+    def states(self, taus) -> np.ndarray:
+        """Unnormalised states, one column per tau (a vector for a scalar)."""
+        taus = np.asarray(taus, dtype=float)
+        x = np.exp(-np.multiply.outer(self.rates, taus))
+        x *= self.coef if taus.ndim == 0 else self.coef[:, None]
+        if self.rotation is not None:
+            x = self.rotation @ x
+        return self.basis @ x
+
+
+def _jump_time(interval: Interval, r: float, tau_max: float, start=None):
+    """(tau, hit): the time the survival falls to r, or tau_max if it
+    stays above r until then.  Newton on log(survival), which is linear
+    for a single decay rate, from `start` (default 0), safeguarded by
+    bisection of the bracket."""
+    if interval.survival(tau_max) >= r:
+        return tau_max, False
+    lo, hi, log_r = 0.0, tau_max, math.log(r)
+    tau = start if start is not None and 0.0 < start < tau_max else 0.0
+    while True:
+        p, slope = interval.survival_slope(tau)
+        f = math.log(p) - log_r if p > 0.0 else -math.inf
+        if abs(f) <= ROOT_RTOL:
+            return tau, True
+        if f > 0.0:
+            lo = tau
+        else:
+            hi = tau
+        new = tau - f * p / slope if slope < 0.0 and p > 0.0 else math.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if new == tau:          # the bracket is down to adjacent floats
+            return tau, True
+        tau = new
+
+
+class DenseExp:
+    """exp(-G tau) from one eigendecomposition G = V diag(lam) V^-1."""
+
+    def __init__(self, G, hermitian: bool):
+        G = G.toarray() if sp.issparse(G) else np.asarray(G)
+        if hermitian:
+            lam, V = np.linalg.eigh(G)
+            V_inv, self.gram = V.conj().T, None
+        else:
+            lam, V = np.linalg.eig(G)
+            try:
+                V_inv = np.linalg.inv(V)
+            except np.linalg.LinAlgError:     # no eigenbasis at all
+                V_inv = np.full_like(V, np.nan)
+            self.gram = V.conj().T @ V
+        scale = np.linalg.norm(G)
+        err = np.linalg.norm((V * lam) @ V_inv - G)
+        if not err <= RECON_TOL * scale:
+            raise NumericGuardError(
+                f"eigendecomposition of the no-jump generator reconstructs it "
+                f"to {err:.3g} against a norm of {scale:.3g}: defective or "
+                f"ill-conditioned")
+        self.lam, self.V, self.V_inv = lam, V, V_inv
+
+    def interval(self, psi, r, tau_max):
+        iv = Interval(self.V, self.lam, self.V_inv @ psi, self.gram)
+        return (iv, *_jump_time(iv, r, tau_max))
+
+
+class KrylovExp:
+    """exp(-A tau) for a sparse real symmetric positive semi-definite A,
+    from a Lanczos basis built per interval.
+
+    The error of the Lanczos approximation y_k(tau) obeys
+    ||y(tau) - y_k(tau)|| <= beta_k int_0^tau |e_k^T exp(-s T_k) e_1| ds.
+    The integrand keeps the sign (-1)^(k-1) (exp(-s T_k) is entrywise
+    nonnegative up to that checkerboard sign), so the bound is the
+    modulus of one sum over the eigenpairs of T_k; it grows with tau, and
+    the basis grows until it is below KRYLOV_TOL at the sampled tau.
+    """
+
+    def __init__(self, A):
+        self.A = sp.csr_matrix(A)
+
+    def interval(self, psi, r, tau_max):
+        norm = np.linalg.norm(psi)
+        Q = np.empty((KRYLOV_MAX + 1, psi.size), dtype=psi.dtype)
+        Q[0] = psi / norm
+        T = np.zeros((KRYLOV_MAX, KRYLOV_MAX))
+        tau = None
+        for j in range(KRYLOV_MAX):
+            w = self.A @ Q[j]
+            T[j, j] = np.vdot(Q[j], w).real
+            basis = Q[:j + 1]
+            for _ in range(2):              # full reorthogonalisation, twice
+                w -= basis.T @ (basis.conj() @ w)
+            beta = np.linalg.norm(w)
+            theta, S = np.linalg.eigh(T[:j + 1, :j + 1])
+            theta = np.maximum(theta, 0.0)
+            iv = Interval(basis.T, theta, norm * S[0], rotation=S)
+            weight = beta * S[-1] * iv.coef
+            # solve for tau only once the bound holds at the previous tau
+            if tau is None or _lanczos_error(weight, theta, tau) <= KRYLOV_TOL:
+                tau, hit = _jump_time(iv, r, tau_max, start=tau)
+                if _lanczos_error(weight, theta, tau) <= KRYLOV_TOL:
+                    return iv, tau, hit
+            if j + 1 < KRYLOV_MAX:
+                Q[j + 1] = w / beta
+                T[j, j + 1] = T[j + 1, j] = beta
+        # the largest basis cannot reach tau: solve again within the
+        # horizon where its bound holds, and end the interval there
+        while _lanczos_error(weight, theta, tau) > KRYLOV_TOL:
+            tau *= 0.5
+        return (iv, *_jump_time(iv, r, tau))
+
+
+def _lanczos_error(weight, theta, tau):
+    """|sum_i weight_i int_0^tau exp(-theta_i s) ds|."""
+    x = theta * tau
+    small = x < 1e-8
+    return abs(float(weight @ np.where(small, tau, -np.expm1(-x)
+                                        / np.where(small, 1.0, theta))))
+
+
+def propagator(G, hermitian: bool):
+    """The propagator of exp(-G tau): Lanczos for a Hermitian (real
+    symmetric, sparse) G above DENSE_MAX_DIM, a dense eigendecomposition
+    otherwise."""
+    if hermitian and G.shape[0] > DENSE_MAX_DIM:
+        return KrylovExp(G)
+    return DenseExp(G, hermitian)
 
 
 class JumpChannels:
     """Operators shared by all trajectories of one (basis, Lambda, Gamma).
 
-    decay is the real symmetric A = (1/2) sum_k rate_k b_k† b_k, so the
-    no-jump propagator is 1 - dt*A and the total per-step jump
-    probability is 2*dt*<A>.
+    `stacked` holds sqrt(rate_k) b_k for every live channel k, one block
+    of rows each in the fixed channel order, and `labels` their
+    (kind, site).  decay is the real symmetric
+    A = (1/2) sum_k rate_k b_k† b_k = stacked† stacked / 2, the no-jump
+    generator: the survival over tau is ||exp(-A tau) psi||^2.
     """
 
     def __init__(self, basis: FockBasis, rate_phaselock: float, rate_dephase: float):
         self.basis = basis
-        self.ops = []       # (kind, site, csr matrix), fixed channel order
-        self.rates = []
-        for j in range(1, basis.L):
-            self.ops.append((JumpKind.PHASE_LOCK, j,
-                             build_jump(JumpKind.PHASE_LOCK, j, basis).matrix))
-            self.rates.append(rate_phaselock)
-        for j in range(1, basis.L + 1):
-            self.ops.append((JumpKind.DEPHASE, j,
-                             build_jump(JumpKind.DEPHASE, j, basis).matrix))
-            self.rates.append(rate_dephase)
-        self.rates = np.array(self.rates)
-        acc = sp.csr_matrix((basis.dim, basis.dim), dtype=np.float64)
-        for (kind, j, b), rate in zip(self.ops, self.rates):
+        blocks, self.labels = [], []
+        for kind, rate, count in ((JumpKind.PHASE_LOCK, rate_phaselock, basis.L - 1),
+                                  (JumpKind.DEPHASE, rate_dephase, basis.L)):
             if rate == 0.0:
                 continue
-            acc = acc + 0.5 * rate * (b.conj().T @ b).real
-        self.decay = sp.csr_matrix(acc)
+            for j in range(1, count + 1):
+                # every chain jump operator is real
+                blocks.append(math.sqrt(rate) * build_jump(kind, j, basis).matrix.real)
+                self.labels.append((kind, j))
+        self.stacked = sp.vstack(blocks, format="csr")
+        self.decay = sp.csr_matrix(0.5 * (self.stacked.T @ self.stacked))
+        self.propagator = propagator(self.decay, hermitian=True)
 
     def max_total_rate(self) -> float:
         """Largest eigenvalue of the total jump-rate operator 2A.
 
         The Lanczos start vector is a fixed-seed Gaussian draw, so the
-        value (and every step size derived from it) is the same on every
-        call; unlike an all-ones start it also overlaps the
-        reflection-odd sector.
+        value is the same on every call; unlike an all-ones start it also
+        overlaps the reflection-odd sector.
         """
         if self.basis.dim <= 64:
             return float(np.linalg.eigvalsh(2.0 * self.decay.toarray())[-1])
@@ -118,62 +271,66 @@ class JumpChannels:
                                 return_eigenvectors=False)[0])
 
 
-def default_dt(channels: JumpChannels, target_dp: float = 1e-3) -> float:
-    """Step size bounding the worst-case per-step jump probability.
-
-    target_dp = 1e-3 reproduces the conservative default heuristic; the
-    guard itself allows up to 0.1.
-    """
-    return target_dp / channels.max_total_rate()
-
-
-def _decay_apply(A: sp.csr_matrix, psi: np.ndarray) -> np.ndarray:
-    # A is real; two real matvecs beat one complex one
-    return A.dot(psi.real) + 1j * A.dot(psi.imag)
-
-
-def step(psi: np.ndarray, channels: JumpChannels, dt: float, rng, t: float = 0.0):
-    """One step of the unraveling on a normalized amplitude array.
-
-    Returns (new amplitudes, JumpRecord or None).
-    """
-    a_psi = _decay_apply(channels.decay, psi)
-    dp_total = 2.0 * dt * float(np.real(np.vdot(psi, a_psi)))
-    if dp_total > DP_GUARD:
-        raise StepSizeError(
-            f"per-step jump probability {dp_total:.3g} exceeds {DP_GUARD}; "
-            f"reduce dt")
-    r = rng.random()
-    if r >= dp_total:
-        out = psi - dt * a_psi
-        out /= np.linalg.norm(out)
-        return out, None
-
-    # jump: per-channel probabilities, inverse CDF on the same draw
-    weights = np.empty(len(channels.ops))
-    jumped = [None] * len(channels.ops)
-    for k, ((kind, j, b), rate) in enumerate(zip(channels.ops, channels.rates)):
-        if rate == 0.0:
-            weights[k] = 0.0
-            continue
-        bp = b.dot(psi)
-        w = rate * float(np.real(np.vdot(bp, bp))) * dt
-        weights[k] = w if w > CHANNEL_EPS else 0.0
-        jumped[k] = bp
-    total = weights.sum()
-    if total <= 0.0:
+def select_jump(phi: np.ndarray, stacked, u: float):
+    """Inverse-CDF channel choice with the uniform draw u, from one matvec
+    against the stacked jump operators.  Returns (channel, normalised
+    post-jump state)."""
+    out = (stacked @ phi).reshape(-1, phi.size)
+    weights = np.einsum("ij,ij->i", out.conj(), out).real
+    weights[weights <= CHANNEL_EPS * weights.sum()] = 0.0
+    cum = np.cumsum(weights)
+    if not cum[-1] > 0.0:
         raise NumericGuardError("jump selected but every channel amplitude is zero")
-    u = (r / dp_total) * total
-    k = int(np.searchsorted(np.cumsum(weights), u, side="right"))
-    k = min(k, len(weights) - 1)
-    while weights[k] == 0.0:  # guard against landing on a dead channel
+    k = min(int(np.searchsorted(cum, u * cum[-1], side="right")), len(cum) - 1)
+    while weights[k] == 0.0:  # u * total rounded onto the end of the CDF
         k -= 1
-    kind, j, _ = channels.ops[k]
-    out = jumped[k]
-    nrm = np.linalg.norm(out)
-    if nrm == 0.0:
-        raise NumericGuardError("post-jump state has zero norm")
-    return out / nrm, JumpRecord(time=t, kind=kind, site=j)
+    return k, out[k] / math.sqrt(weights[k])
+
+
+def step(psi: np.ndarray, channels, t: float, t_stop: float, r: float, rng):
+    """One interval of the unraveling, from t to the next jump or to t_stop.
+
+    r is the survival probability the pending jump waits for.  At a jump,
+    rng draws the channel and then the next jump's r; at a stop the
+    pending jump carries over with r/p, p the survival over the interval.
+    Returns (state, time reached, r, channel or None, Interval of the
+    no-jump evolution from psi).
+    """
+    iv, tau, hit = channels.propagator.interval(psi, r, t_stop - t)
+    phi = iv.states(tau)
+    if not hit:
+        p = float(np.vdot(phi, phi).real)
+        t_new = t_stop if tau == t_stop - t else t + tau
+        return phi / math.sqrt(p), t_new, r / p, None, iv
+    k, out = select_jump(phi, channels.stacked, rng.random())
+    return out, t + tau, 1.0 - rng.random(), k, iv
+
+
+@dataclass
+class Event:
+    """One interval of `unravel`: [t0, t], ending in a jump on `channel`
+    or at a stop (channel None)."""
+    t0: float
+    t: float
+    channel: int
+    psi: np.ndarray            # normalised state at t, after any jump
+    interval: Interval         # no-jump evolution from the state at t0
+
+
+def unravel(psi: np.ndarray, channels, t_max: float, rng, stops=()):
+    """Exact event loop: yield one Event per interval up to t_max.
+
+    Intervals end exactly at every stop time in (0, t_max) and at t_max.
+    channels supplies `propagator` (exp(-G tau) for the no-jump
+    generator G) and `stacked` (the jump operators, one block of rows per
+    channel).
+    """
+    t, r = 0.0, 1.0 - rng.random()
+    for t_stop in [s for s in stops if 0.0 < s < t_max] + [t_max]:
+        while t < t_stop:
+            t0 = t
+            psi, t, r, k, iv = step(psi, channels, t0, t_stop, r, rng)
+            yield Event(t0, t, k, psi, iv)
 
 
 def trajectory_rng(master_seed: int, traj_index: int):
@@ -184,29 +341,31 @@ def trajectory_rng(master_seed: int, traj_index: int):
 
 def run_trajectory(basis: FockBasis, psi0: StateVector, cfg: MonitoringConfig,
                    channels: JumpChannels = None, traj_index: int = 0) -> Trajectory:
-    """Evolve one trajectory; deterministic given (cfg.seed, traj_index)."""
+    """Evolve one trajectory; deterministic given (cfg.seed, traj_index).
+
+    Snapshots are taken at exactly the requested times up to t_max.  Real
+    initial amplitudes stay real: every chain operator is.
+    """
     if channels is None:
         channels = JumpChannels(basis, cfg.rate_phaselock, cfg.rate_dephase)
-    rng = trajectory_rng(cfg.seed, traj_index)
-    psi = psi0.amplitudes / np.linalg.norm(psi0.amplitudes)
-    t = 0.0
+    psi = psi0.amplitudes
+    if not psi.imag.any():
+        psi = psi.real
+    psi = psi / np.linalg.norm(psi)
+    snap_times = [s for s in cfg.snapshot_times if s <= cfg.t_max]
+    snapshots = [(s, psi.copy()) for s in snap_times if s <= 0.0]
+    pending = snap_times[len(snapshots):]
     jumps = []
-    snapshots = []
-    snap_iter = list(cfg.snapshot_times)
-    si = 0
-    eps = 0.5 * cfg.dt
     n_steps = 0
-    while True:
-        while si < len(snap_iter) and t >= snap_iter[si] - eps:
-            snapshots.append((t, psi.copy()))
-            si += 1
-        if t >= cfg.t_max - eps:
-            break
-        psi, jump = step(psi, channels, cfg.dt, rng, t=t)
-        if jump is not None:
-            jumps.append(jump)
-        t += cfg.dt
+    for ev in unravel(psi, channels, cfg.t_max, trajectory_rng(cfg.seed, traj_index),
+                      stops=pending):
         n_steps += 1
+        psi = ev.psi
+        if ev.channel is not None:
+            kind, site = channels.labels[ev.channel]
+            jumps.append(JumpRecord(time=ev.t, kind=kind, site=site))
+        while pending and pending[0] <= ev.t:
+            snapshots.append((pending.pop(0), psi.copy()))
     return Trajectory(jumps=jumps, snapshots=snapshots, final_state=psi,
                       n_steps=n_steps)
 
@@ -216,15 +375,18 @@ class EnsembleResult:
     config: MonitoringConfig
     M: int
     snapshot_times: tuple
-    states: dict           # time -> (M, dim) complex array, trajectory order
+    states: dict           # time -> (M, dim) array, trajectory order
     jump_counts: np.ndarray
+    jumps_by_kind: dict = field(default_factory=dict)   # JumpKind -> (M,) counts
+    intervals: np.ndarray = None                        # (M,) intervals
     basis: FockBasis = field(repr=False, default=None)
 
     def states_at(self, t: float) -> np.ndarray:
-        key = min(self.states, key=lambda s: abs(s - t))
-        if abs(key - t) > 1e-9 + 0.51 * self.config.dt:
-            raise KeyError(f"no snapshot near t={t}; have {sorted(self.states)}")
-        return self.states[key]
+        """The (M, dim) states at the exact requested snapshot time t."""
+        try:
+            return self.states[float(t)]
+        except KeyError:
+            raise KeyError(f"no snapshot at t={t}; have {sorted(self.states)}") from None
 
 
 _WORKER_CTX = {}
@@ -236,13 +398,18 @@ def _worker_init(basis, cfg, channels):
     _WORKER_CTX["cfg"] = cfg
 
 
+def _summary(traj: Trajectory):
+    kinds = [j.kind for j in traj.jumps]
+    return (traj.snapshots, {k: kinds.count(k) for k in JumpKind}, traj.n_steps)
+
+
 def _worker_run(args):
     i, psi0_amps = args
     basis = _WORKER_CTX["basis"]
     cfg = _WORKER_CTX["cfg"]
     traj = run_trajectory(basis, StateVector(basis, psi0_amps), cfg,
                           channels=_WORKER_CTX["channels"], traj_index=i)
-    return i, [(t, s) for t, s in traj.snapshots], len(traj.jumps)
+    return i, _summary(traj)
 
 
 def run_ensemble(basis: FockBasis, psi0: StateVector, cfg: MonitoringConfig,
@@ -257,26 +424,27 @@ def run_ensemble(basis: FockBasis, psi0: StateVector, cfg: MonitoringConfig,
     results = [None] * M
     if workers <= 1:
         for i in range(M):
-            traj = run_trajectory(basis, psi0, cfg, channels=channels, traj_index=i)
-            results[i] = (traj.snapshots, len(traj.jumps))
+            results[i] = _summary(run_trajectory(basis, psi0, cfg, channels=channels,
+                                                 traj_index=i))
     else:
         ctx = mp.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
                                  initializer=_worker_init,
                                  initargs=(basis, cfg, channels)) as pool:
-            for i, snaps, nj in pool.map(
+            for i, summary in pool.map(
                     _worker_run, ((i, psi0.amplitudes) for i in range(M)),
                     chunksize=max(1, M // (workers * 8))):
-                results[i] = (snaps, nj)
+                results[i] = summary
 
-    jump_counts = np.array([nj for _, nj in results])
+    by_kind = {k: np.array([counts[k] for _, counts, _ in results]) for k in JumpKind}
     states = {}
-    if results[0][0]:
-        times = [t for t, _ in results[0][0]]
-        for k, t in enumerate(times):
-            states[t] = np.array([snaps[k][1] for snaps, _ in results])
+    for k, (t, _) in enumerate(results[0][0]):
+        states[t] = np.array([snaps[k][1] for snaps, _, _ in results])
     return EnsembleResult(config=cfg, M=M, snapshot_times=tuple(sorted(states)),
-                          states=states, jump_counts=jump_counts, basis=basis)
+                          states=states, jump_counts=sum(by_kind.values()),
+                          jumps_by_kind=by_kind,
+                          intervals=np.array([n for _, _, n in results]),
+                          basis=basis)
 
 
 def default_initial_state(basis: FockBasis) -> StateVector:

@@ -65,3 +65,38 @@ def probed_superoperator(rhs, d):
         unit[k] = 1.0
         cols.append(rhs(unit.reshape(d, d)).ravel())
     return np.array(cols).T
+
+
+def unravel_oracle(jumps, psi, t_max, rng, stops=()):
+    """Brute-force waiting-time unraveling with dense matrix exponentials.
+
+    jumps: dense jump operators sqrt(rate_k) b_k in channel order.  Uses
+    the engine's draw convention (r = 1 - u, then per jump a channel draw
+    and the next r), a fresh scipy `expm` for every survival evaluation
+    and a bracketing root solve.  Returns (jumps as (time, channel),
+    {stop time: normalised state}, final state).
+    """
+    from scipy.linalg import expm
+    from scipy.optimize import brentq
+
+    A = 0.5 * sum(b.conj().T @ b for b in jumps)
+    survival = lambda v, x: np.linalg.norm(expm(-A * x) @ v) ** 2
+    t, r, events, snaps = 0.0, 1.0 - rng.random(), [], {}
+    for t_stop in sorted({*stops, t_max}):
+        while True:
+            p = survival(psi, t_stop - t)
+            if p >= r:
+                psi = expm(-A * (t_stop - t)) @ psi / np.sqrt(p)
+                r, t = r / p, t_stop
+                snaps[t_stop] = psi
+                break
+            tau = brentq(lambda x: survival(psi, x) - r, 0.0, t_stop - t, xtol=1e-14)
+            phi = expm(-A * tau) @ psi
+            outs = [b @ phi for b in jumps]
+            weights = np.cumsum([np.vdot(o, o).real for o in outs])
+            k = int(np.searchsorted(weights, rng.random() * weights[-1], side="right"))
+            psi = outs[k] / np.linalg.norm(outs[k])
+            t += tau
+            events.append((t, k))
+            r = 1.0 - rng.random()
+    return events, snaps, psi

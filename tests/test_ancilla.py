@@ -10,9 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from bosetraj import ancilla
 from bosetraj.ancilla import (
     CircuitConfig,
+    DECAY_SCALE,
     born_markov_rate_check,
     first_click_rate,
     phaselock_hamiltonian,
@@ -21,7 +24,8 @@ from bosetraj.ancilla import (
     superposition_cavity_state,
     _pair_entropy,
 )
-from bosetraj.trajectory import StepSizeError
+from bosetraj.fock import NumericGuardError
+from bosetraj.trajectory import DenseExp, trajectory_rng
 
 
 class TestConfig:
@@ -107,11 +111,40 @@ class TestPhaselockCircuit:
         assert len(a.clicks) == len(b.clicks)
         np.testing.assert_array_equal(a.final_state, b.final_state)
 
-    def test_guard_trips_on_huge_dt(self):
-        cfg = CircuitConfig(g_eff=1.0, kappa=100.0, n_max=2,
-                            t_max=10.0, dt=5.0)
-        with pytest.raises(StepSizeError):
+    def test_reconstruction_guard_trips_on_defective_generator(self, monkeypatch):
+        # a Jordan block has no eigenbasis: the decomposition cannot
+        # reconstruct it, and the circuit must not run on it
+        with pytest.raises(NumericGuardError):
+            DenseExp(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=False)
+        cfg = CircuitConfig(g_eff=1.0, kappa=100.0, n_max=2, t_max=10.0)
+        H, sm, a1, a2 = phaselock_hamiltonian(cfg)
+        # H_nh = H - 2i kappa sigma+ sigma- becomes a nilpotent shift
+        defective = (np.eye(H.shape[0], k=1)
+                     + 0.5j * DECAY_SCALE * cfg.kappa * (sm.conj().T @ sm))
+        monkeypatch.setattr(ancilla, "phaselock_hamiltonian",
+                            lambda cfg: (defective, sm, a1, a2))
+        with pytest.raises(NumericGuardError):
             run_phaselock_circuit(cfg)
+
+    def test_first_click_survival_matches_expm(self):
+        # the first click fires where ||exp(-i H_nh t) psi0||^2 falls to
+        # the trajectory's first draw
+        cfg = CircuitConfig(g_eff=1.0, kappa=20.0, n_max=2, t_max=50.0, seed=3)
+        H, sm, _, _ = phaselock_hamiltonian(cfg)
+        H_nh = H - 0.5j * DECAY_SCALE * cfg.kappa * (sm.conj().T @ sm)
+        d1 = cfg.n_max + 1
+        psi0 = np.zeros(d1 * d1 * 2, dtype=complex)
+        psi0[(1 * d1 + 1) * 2] = 1.0                 # |1,1>|g>
+        checked = 0
+        for idx in range(6):
+            traj = run_phaselock_circuit(cfg, traj_index=idx, stop_after_clicks=1)
+            if not traj.clicks:
+                continue
+            r = 1.0 - trajectory_rng(cfg.seed, idx).random()
+            psi_t = expm(-1j * H_nh * traj.clicks[0].time) @ psi0
+            assert np.vdot(psi_t, psi_t).real == pytest.approx(r, abs=1e-10)
+            checked += 1
+        assert checked >= 2
 
     def test_norm_preserved(self):
         cfg = CircuitConfig(g_eff=1.0, kappa=100.0, n_max=2,

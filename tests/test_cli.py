@@ -12,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError
 
-from bosetraj import cli, entropy
+from bosetraj import cli, entropy, trajectory
 from bosetraj.cli import (
     EXIT_COMPARISON,
     EXIT_GUARD,
@@ -35,6 +36,15 @@ def raiser(exc):
     def raise_exc(*args, **kwargs):
         raise exc
     return raise_exc
+
+
+def corrupt_generator(monkeypatch):
+    """Make every no-jump generator asymmetric: its (symmetric)
+    eigendecomposition can no longer reconstruct it, so the engine's
+    reconstruction guard trips."""
+    original = trajectory.propagator
+    monkeypatch.setattr(trajectory, "propagator", lambda G, hermitian: original(
+        G + sp.triu(G, k=1), hermitian))
 
 
 def read_csv(path):
@@ -62,7 +72,9 @@ class TestTrajectories:
         assert code == EXIT_OK
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["spec"]["L"] == 3
-        assert "jump_count_mean" in manifest
+        assert manifest["jumps_phaselock_mean"] + manifest["jumps_dephase_mean"] \
+            == pytest.approx(manifest["jump_count_mean"], rel=1e-12)
+        assert manifest["intervals_mean"] >= manifest["jump_count_mean"]
         prof = read_csv(outdir / "profile.csv")
         assert set(prof[0]) == {"gamma", "L", "t", "l", "kind", "alpha",
                                 "mean", "stderr", "M"}
@@ -83,11 +95,10 @@ class TestTrajectories:
         code, _ = run_cli(tmp_path, "trajectories", "--initial-state", "nope")
         assert code == EXIT_VALIDATION
 
-    def test_guard_exit_code(self, tmp_path):
-        # an absurdly large fixed dt trips the step-size guard
+    def test_guard_exit_code(self, tmp_path, monkeypatch):
+        corrupt_generator(monkeypatch)
         code, _ = run_cli(tmp_path, "trajectories", "--L", "3",
-                          "--gamma", "1.0", "--M", "1", "--dt", "1.0",
-                          "--t-max", "5.0")
+                          "--gamma", "1.0", "--M", "1", "--t-max", "5.0")
         assert code == EXIT_GUARD
 
     @pytest.mark.parametrize("patched", [
@@ -109,10 +120,10 @@ class TestTrajectories:
             run_cli(tmp_path, "trajectories", "--L", "2", "--gamma", "1.0",
                     "--M", "1", "--t-max", "0.1", "--n-snapshots", "2")
 
-    def test_manifest_written_before_compute(self, tmp_path):
+    def test_manifest_written_before_compute(self, tmp_path, monkeypatch):
+        corrupt_generator(monkeypatch)
         code, outdir = run_cli(tmp_path, "trajectories", "--L", "3",
-                               "--gamma", "1.0", "--M", "1", "--dt", "1.0",
-                               "--t-max", "5.0")
+                               "--gamma", "1.0", "--M", "1", "--t-max", "5.0")
         assert code == EXIT_GUARD
         assert (outdir / "manifest.json").exists()
 
@@ -139,6 +150,12 @@ class TestEntropyScanAndFit:
         fits = json.loads((outdir / "fits.json").read_text())
         assert {(f["gamma"], f["kind"]) for f in fits} == {
             (0.5, "vn"), (0.5, "renyi"), (4.0, "vn"), (4.0, "renyi")}
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        counters = manifest["counters_by_gamma"]
+        assert [c["gamma"] for c in counters] == [0.5, 4.0]
+        for c in counters:
+            assert c["jumps_phaselock_mean"] + c["jumps_dephase_mean"] \
+                == pytest.approx(c["jump_count_mean"], rel=1e-12)
         # a standalone re-fit of the emitted profile reproduces the fits
         code2, outdir2 = run_cli(tmp_path / "refit", "fit",
                                  "--profile-csv", str(outdir / "profile.csv"))
@@ -184,6 +201,9 @@ class TestLindbladCheck:
         assert report["passed"]
         assert report["max_abs_z"] < 3.0
         assert set(report["z_scores"]) == {"n_1", "n_2", "hop_1_2"}
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["jumps_phaselock_mean"] + manifest["jumps_dephase_mean"] \
+            == pytest.approx(manifest["jump_count_mean"], rel=1e-12)
 
 
 class TestAncilla:
