@@ -205,17 +205,28 @@ def test_criterion_06_growth_and_saturation():
     times = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0)
     cfg = MonitoringConfig(rate_phaselock=1.0, rate_dephase=0.5,
                            t_max=10.0, seed=9, snapshot_times=times)
-    ens = run_ensemble(basis, fock_state(basis, (1,) * 6), cfg, M=100)
-    mean, err = [0.0], [0.0]  # Fock product start: S(0) = 0 exactly
-    # only the central cut is read, so only it is computed
-    for t in times:
-        S = np.array([state_entropy(StateVector(basis, a), 3)
-                      for a in ens.states_at(t)])
-        mean.append(S.mean())
-        err.append(S.std(ddof=1) / np.sqrt(len(S)))
-    mean, err = np.array(mean), np.array(err)
-    sig = np.hypot(err[1:], err[:-1])
-    monotone = bool(np.all(np.diff(mean) > -sig))
+    M = 1000
+    ens = run_ensemble(basis, fock_state(basis, (1,) * 6), cfg, M=M)
+    # S[k, i]: trajectory i at snapshot k, from the Fock product start
+    # (S = 0 exactly); only the central cut is read, so only it is computed
+    S = np.array([np.zeros(M)]
+                 + [[state_entropy(StateVector(basis, a), 3)
+                     for a in ens.states_at(t)] for t in times])
+    mean = S.mean(axis=1)
+    err = S.std(axis=1, ddof=1) / np.sqrt(M)
+
+    # Monotone rise.  Consecutive snapshots come from the same
+    # trajectories, so each step is judged by its paired difference
+    # S_i(t_k+1) - S_i(t_k) and that difference's own standard error.
+    # From t ~ 2 on the mean is flat to ~1e-3 (M = 20000), so a gate
+    # at -k sigma fails a flat step with probability Phi(-k) whatever M
+    # is: 16 % at k = 1, which over the five plateau steps fails most
+    # seeds.  At k = 3 it is 0.13 % a step, and M = 1000 keeps the
+    # tolerated drop on the plateau (3 sigma, 0.027-0.029) below the
+    # former gate's 1 sigma at M = 100 (0.029-0.032).
+    steps = np.diff(S, axis=0)
+    step_z = steps.mean(axis=1) / (steps.std(axis=1, ddof=1) / np.sqrt(M))
+    monotone = bool(np.all(step_z > -3.0))
     plateau_gap = abs(mean[-1] - mean[-3])
     plateau = plateau_gap < 2.0 * np.hypot(err[-1], err[-3])
 
@@ -251,7 +262,9 @@ def test_criterion_06_growth_and_saturation():
     slope_err = s1.std(ddof=1) / np.sqrt(len(s1)) / t1
     el = time.perf_counter() - t0
     _report(6, "half-chain entropy growth and saturation",
-            [("mean S(L/2, t) non-decreasing within 1 sigma", monotone),
+            [(f"mean S(L/2, t) non-decreasing: every step above -3 sigma "
+              f"of its paired difference (lowest {step_z.min():.2f}, "
+              f"M={M})", monotone),
              (f"plateau: |S(10)-S(6)| = {plateau_gap:.3f} within 2 sigma",
               plateau),
              (f"initial slope (S(t1) - S_nj(t1))/t1 = {slope:.3f} "
