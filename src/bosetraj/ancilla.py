@@ -8,9 +8,11 @@ Born-Markov elimination, to the chain jump operators with rate
 g_eff^2 / kappa.
 
 Both run the exact event loop of `trajectory.unravel` with a single
-click channel: the no-jump generator i H_nh is diagonalised once per
-circuit config (`trajectory.DenseExp`, with its reconstruction guard),
-so click times are exact and the stiff ancilla decay costs no steps.
+click channel and one propagator of the no-jump generator i H_nh per
+circuit config (`trajectory.propagator`): a dense eigendecomposition,
+or expm at every evaluation where i H_nh sits at or near an exceptional
+point and the decomposition fails its reconstruction check.  Click
+times are exact and the stiff ancilla decay costs no steps.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .gutzwiller import SiteOperators
-from .trajectory import DenseExp, trajectory_rng, unravel
+from .trajectory import propagator, trajectory_rng, unravel
 
 # kappa parameterizes the ancilla loss so that the eliminated jump rate
 # is exactly g_eff^2/kappa; with a Lindblad decay operator sqrt(K) sigma-
@@ -117,7 +119,7 @@ def _circuit(hamiltonian, cfg: CircuitConfig):
     generator is diagonalised once."""
     H, sm = hamiltonian(cfg)[:2]
     H_nh = H - 0.5j * DECAY_SCALE * cfg.kappa * (sm.conj().T @ sm)
-    return SimpleNamespace(propagator=DenseExp(1j * H_nh, hermitian=False),
+    return SimpleNamespace(propagator=propagator(1j * H_nh, hermitian=False),
                            stacked=math.sqrt(DECAY_SCALE * cfg.kappa) * sm)
 
 

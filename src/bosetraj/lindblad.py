@@ -48,28 +48,15 @@ class LindbladGenerator:
     def liouvillian(self):
         """Sparse real L with vec(rhs(rho)) = L @ vec(rho), vec = ravel.
 
-        The off-diagonal triplets of all channels' dissipators are stacked
-        and converted once, and the diagonal is summed densely, so no
-        growing matrix is reallocated per channel."""
+        The triplets of all channels' dissipators are concatenated and
+        converted once (duplicates summed), so no growing matrix is
+        reallocated per channel."""
         d2 = self.dim ** 2
-        # room for the diagonal, plus nnz(b ⊗ b) and nnz(b†b ⊗ 1 + 1 ⊗ b†b)
-        # per channel; pages past the triplets written are never touched
-        bound = d2 + sum(b.nnz ** 2 + 2 * self.dim * bdb.nnz
-                         for _, b, _, bdb in self.channels)
-        rows, cols = np.empty(bound, np.int32), np.empty(bound, np.int32)
-        vals = np.empty(bound)
-        rows[:d2] = cols[:d2] = np.arange(d2)
-        vals[:d2] = 0.0
-        n = d2
-        for rate, b, _, _ in self.channels:
-            part = dissipator(b).tocoo()
-            on = part.row == part.col
-            vals[part.row[on]] += rate * part.data[on]     # rows unique per part
-            m = part.nnz - int(on.sum())
-            rows[n:n + m], cols[n:n + m] = part.row[~on], part.col[~on]
-            vals[n:n + m] = rate * part.data[~on]
-            n += m
-        return sp.csr_matrix((vals[:n], (rows[:n], cols[:n])), shape=(d2, d2))
+        parts = [(rate * dissipator(b)).tocoo() for rate, b, _, _ in self.channels]
+        data, rows, cols = (np.concatenate([getattr(p, a) for p in parts])
+                            for a in ("data", "row", "col"))
+        del parts                     # peak: two copies of the triplets, not three
+        return sp.csr_matrix((data, (rows, cols)), shape=(d2, d2))
 
 
 @dataclass

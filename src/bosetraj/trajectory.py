@@ -28,6 +28,7 @@ import multiprocessing as mp
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import expm
 
 from .fock import (FockBasis, JumpKind, NumericGuardError, StateVector,
                    build_jump, fock_state)
@@ -168,6 +169,49 @@ class DenseExp:
         return (iv, *_jump_time(iv, r, tau_max))
 
 
+class ExpmExp:
+    """exp(-G tau) from scipy's expm at every evaluation: the fallback for
+    a non-Hermitian G with no usable eigenbasis (at or near an
+    exceptional point)."""
+
+    def __init__(self, G):
+        self.G = G.toarray() if sp.issparse(G) else np.asarray(G)
+
+    def interval(self, psi, r, tau_max):
+        iv = ExpmInterval(self.G, psi)
+        return (iv, *_jump_time(iv, r, tau_max))
+
+
+class ExpmInterval:
+    """The `Interval` interface for exp(-G tau) psi, one expm per tau."""
+
+    def __init__(self, G, psi):
+        self.G, self.psi = G, psi
+
+    def survival(self, tau: float) -> float:
+        return self.survival_slope(tau)[0]
+
+    def survival_slope(self, tau: float):
+        x = expm(-tau * self.G) @ self.psi
+        return (float(np.vdot(x, x).real),
+                -2.0 * float(np.vdot(x, self.G @ x).real))
+
+    def states(self, taus) -> np.ndarray:
+        taus = np.asarray(taus, dtype=float)
+        if taus.ndim == 0:
+            return expm(-float(taus) * self.G) @ self.psi
+        if taus.size < 3 or np.ptp(np.diff(taus)) > 1e-12 * max(taus[-1], 1.0):
+            return np.column_stack([self.states(tau) for tau in taus])
+        # an evenly spaced grid: one expm for the spacing, then one
+        # matvec per point
+        x, step = self.states(taus[0]), expm(-(taus[1] - taus[0]) * self.G)
+        out = np.empty((x.size, taus.size), dtype=x.dtype)
+        for i in range(taus.size):
+            out[:, i] = x
+            x = step @ x
+        return out
+
+
 class KrylovExp:
     """exp(-A tau) for a sparse real symmetric positive semi-definite A,
     from a Lanczos basis built per interval.
@@ -226,10 +270,17 @@ def _lanczos_error(weight, theta, tau):
 def propagator(G, hermitian: bool):
     """The propagator of exp(-G tau): Lanczos for a Hermitian (real
     symmetric, sparse) G above DENSE_MAX_DIM, a dense eigendecomposition
-    otherwise."""
+    otherwise.  A non-Hermitian G whose eigendecomposition fails its
+    reconstruction check falls back to expm; a Hermitian one cannot
+    legitimately fail it, so the guard's error stands."""
     if hermitian and G.shape[0] > DENSE_MAX_DIM:
         return KrylovExp(G)
-    return DenseExp(G, hermitian)
+    try:
+        return DenseExp(G, hermitian)
+    except NumericGuardError:
+        if hermitian:
+            raise
+        return ExpmExp(G)
 
 
 class JumpChannels:

@@ -17,6 +17,7 @@ from bosetraj.ancilla import (
     CircuitConfig,
     DECAY_SCALE,
     born_markov_rate_check,
+    dephasing_hamiltonian,
     first_click_rate,
     phaselock_hamiltonian,
     run_dephasing_circuit,
@@ -25,7 +26,7 @@ from bosetraj.ancilla import (
     _pair_entropy,
 )
 from bosetraj.fock import NumericGuardError
-from bosetraj.trajectory import DenseExp, trajectory_rng
+from bosetraj.trajectory import DenseExp, ExpmExp, propagator, trajectory_rng
 
 
 class TestConfig:
@@ -111,20 +112,28 @@ class TestPhaselockCircuit:
         assert len(a.clicks) == len(b.clicks)
         np.testing.assert_array_equal(a.final_state, b.final_state)
 
-    def test_reconstruction_guard_trips_on_defective_generator(self, monkeypatch):
+    def test_reconstruction_guard_trips_on_defective_generator(self):
         # a Jordan block has no eigenbasis: the decomposition cannot
-        # reconstruct it, and the circuit must not run on it
+        # reconstruct it, a Hermitian generator failing the check is an
+        # error, and a circuit's generator falls back to expm
+        jordan = np.array([[0.5, 1.0], [0.0, 0.5]])
         with pytest.raises(NumericGuardError):
-            DenseExp(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=False)
-        cfg = CircuitConfig(g_eff=1.0, kappa=100.0, n_max=2, t_max=10.0)
-        H, sm, a1, a2 = phaselock_hamiltonian(cfg)
-        # H_nh = H - 2i kappa sigma+ sigma- becomes a nilpotent shift
-        defective = (np.eye(H.shape[0], k=1)
-                     + 0.5j * DECAY_SCALE * cfg.kappa * (sm.conj().T @ sm))
-        monkeypatch.setattr(ancilla, "phaselock_hamiltonian",
-                            lambda cfg: (defective, sm, a1, a2))
+            DenseExp(jordan, hermitian=False)
         with pytest.raises(NumericGuardError):
-            run_phaselock_circuit(cfg)
+            propagator(jordan, hermitian=True)
+        prop = propagator(jordan, hermitian=False)
+        assert isinstance(prop, ExpmExp)
+        psi = np.array([0.6, 0.8])
+        iv, tau, hit = prop.interval(psi, 0.3, 10.0)
+        assert hit and iv.survival(tau) == pytest.approx(0.3, abs=1e-12)
+        np.testing.assert_allclose(iv.states(tau), expm(-jordan * tau) @ psi,
+                                   atol=1e-12)
+        # an evenly spaced grid is stepped with one expm; any other is not
+        for taus in (np.linspace(0.1, 3.0, 30), np.array([0.0, 0.2, 1.5])):
+            np.testing.assert_allclose(
+                iv.states(taus),
+                np.column_stack([expm(-jordan * t) @ psi for t in taus]),
+                atol=1e-12)
 
     def test_first_click_survival_matches_expm(self):
         # the first click fires where ||exp(-i H_nh t) psi0||^2 falls to
@@ -210,6 +219,46 @@ class TestDephasingCircuit:
         mean_lo = np.mean([o.click_count for o in outs if o.collapsed_to == 1])
         mean_hi = np.mean([o.click_count for o in outs if o.collapsed_to == 3])
         assert mean_hi > mean_lo
+
+
+class TestExceptionalPoint:
+    """Away from the Born-Markov regime i H_nh can sit at or near an
+    exceptional point (the dephasing circuit's n = 4 block is exactly at
+    one for kappa = 4 g); no eigendecomposition reconstructs it, and the
+    circuits run on the expm fallback."""
+
+    @pytest.mark.parametrize("scheme,kappa", [("phaselock", 5.0),
+                                              ("dephasing", 4.0)])
+    def test_first_click_matches_expm(self, scheme, kappa):
+        # click time at the survival ||exp(-i H_nh t) psi0||^2 = r of the
+        # first draw, and the heralded state sigma- exp(-i H_nh t) psi0
+        cfg = CircuitConfig(g_eff=1.0, kappa=kappa, n_max=4, t_max=50.0, seed=3)
+        d1 = cfg.n_max + 1
+        if scheme == "phaselock":
+            hamiltonian = phaselock_hamiltonian
+            psi_cav = np.zeros(d1 * d1, dtype=complex)
+            psi_cav[1 * d1 + 1] = 1.0                      # |1,1>
+        else:
+            hamiltonian = dephasing_hamiltonian
+            psi_cav = superposition_cavity_state(1, 4, cfg.n_max)
+        H, sm = hamiltonian(cfg)[:2]
+        H_nh = H - 0.5j * DECAY_SCALE * cfg.kappa * (sm.conj().T @ sm)
+        assert isinstance(propagator(1j * H_nh, hermitian=False), ExpmExp)
+        psi0 = np.kron(psi_cav, np.array([1.0, 0.0], dtype=complex))
+        checked = 0
+        for idx in range(4):
+            events = ancilla._unravel_circuit(hamiltonian, cfg, psi0, idx)
+            click = next((ev for ev in events if ev.channel is not None), None)
+            if click is None:
+                continue
+            r = 1.0 - trajectory_rng(cfg.seed, idx).random()
+            phi = expm(-1j * H_nh * click.t) @ psi0
+            assert np.vdot(phi, phi).real == pytest.approx(r, abs=1e-10)
+            heralded = sm @ phi
+            np.testing.assert_allclose(click.psi, heralded / np.linalg.norm(heralded),
+                                       atol=1e-10)
+            checked += 1
+        assert checked >= 2
 
 
 class TestPairEntropy:
