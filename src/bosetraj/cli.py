@@ -26,7 +26,7 @@ from scipy.sparse.linalg import ArpackError
 
 from . import __version__
 from .cftfit import fit_profile
-from .entropy import EntropyProfile, average_profile
+from .entropy import EntropyProfile, average_profile, average_profiles
 from .fock import JumpKind, NumericGuardError, build_basis, build_bec_dark_state
 from .gutzwiller import GwConfig, order_parameter_sweep
 from .lindblad import compare_with_ensemble, default_observables, evolve_lindblad
@@ -91,11 +91,10 @@ def resolve_rates(spec: dict):
     return lam, gam
 
 
-def build_model(spec: dict):
+def build_model(spec: dict, basis=None):
     L = int(spec.get("L", 4))
     N = int(spec.get("N", L))
-    n_max = int(spec.get("n_max", min(N, 4)))
-    basis = build_basis(L, N, n_max)
+    basis = basis or build_basis(L, N, int(spec.get("n_max", min(N, 4))))
     lam, gam = resolve_rates(spec)
     cfg = MonitoringConfig(rate_phaselock=lam, rate_dephase=gam,
                            t_max=float(spec.get("t_max", 10.0)),
@@ -129,12 +128,16 @@ def _fit_record(profile: EntropyProfile, fit) -> dict:
 
 
 def _counters(ensemble) -> dict:
-    """Deterministic per-trajectory means of one ensemble's event counts."""
+    """Deterministic event counters of one ensemble (see the README)."""
     by_kind = ensemble.jumps_by_kind
-    return {"jump_count_mean": float(ensemble.jump_counts.mean()),
-            "jumps_phaselock_mean": float(by_kind[JumpKind.PHASE_LOCK].mean()),
-            "jumps_dephase_mean": float(by_kind[JumpKind.DEPHASE].mean()),
-            "intervals_mean": float(ensemble.intervals.mean())}
+    out = {"jump_count_mean": float(ensemble.jump_counts.mean()),
+           "jumps_phaselock_mean": float(by_kind[JumpKind.PHASE_LOCK].mean()),
+           "jumps_dephase_mean": float(by_kind[JumpKind.DEPHASE].mean()),
+           "intervals_mean": float(ensemble.intervals.mean())}
+    if ensemble.krylov_dims.size:
+        out |= {"krylov_dim_mean": float(ensemble.krylov_dims.mean()),
+                "krylov_dim_max": int(ensemble.krylov_dims.max())}
+    return out
 
 
 PROFILE_HEADER = ["gamma", "L", "t", "l", "kind", "alpha", "mean", "stderr", "M"]
@@ -178,23 +181,21 @@ def cmd_entropy_scan(spec: dict, outdir: Path) -> int:
     if not gammas:
         raise ValueError("entropy-scan needs a gamma_grid")
     write_manifest(outdir, spec)
-    alphas = spec.get("renyi_orders", [])
+    kinds = [("vn", None)] + [("renyi", a) for a in spec.get("renyi_orders", [])]
     prof_rows = []
     fits = []
     counters = []
+    basis = None      # one sector, and so one set of cut tables, per scan
     for gamma in gammas:
         sub = {k: v for k, v in spec.items() if k != "gamma_grid"} | {"gamma": gamma}
-        basis, cfg = build_model(sub)
+        basis, cfg = build_model(sub, basis)
         t_obs = cfg.t_max
         cfg = replace(cfg, snapshot_times=(t_obs,))
-        psi0 = initial_state(sub, basis)
-        ensemble = run_ensemble(basis, psi0, cfg, int(spec.get("M", 100)),
-                                int(spec.get("workers", 1)))
+        ensemble = run_ensemble(basis, initial_state(sub, basis), cfg,
+                                int(spec.get("M", 100)), int(spec.get("workers", 1)))
         counters.append({"gamma": gamma} | _counters(ensemble))
-        states = ensemble.states_at(t_obs)
-        kinds = [("vn", None)] + [("renyi", a) for a in alphas]
-        for kind, alpha in kinds:
-            prof = average_profile(states, basis, gamma, t_obs, kind=kind, alpha=alpha)
+        for prof in average_profiles(ensemble.states_at(t_obs), basis, gamma,
+                                     t_obs, kinds):
             prof_rows.extend(_profile_rows(prof))
             fit = fit_profile(prof, l_min=spec.get("fit_l_min"),
                               l_max=spec.get("fit_l_max"))

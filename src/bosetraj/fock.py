@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,30 +30,47 @@ class JumpKind(Enum):
 class FockBasis:
     """Occupation-number basis of the fixed-N sector of an L-site chain.
 
-    states[i] is a length-L tuple with sum N and entries in [0, n_max];
-    index is the exact inverse map.
+    table[i] holds the L occupations of state i (sum N, entries in
+    [0, n_max]) and codes[i] their mixed-radix code, the occupations as
+    digits in base n_max + 1 with site 1 most significant.
+    Lexicographic order makes the codes strictly increasing, so a binary
+    search maps occupations back to indices.
     """
 
-    def __init__(self, L: int, N: int, n_max: int, states: tuple):
-        self.L = L
-        self.N = N
-        self.n_max = n_max
-        self.states = states
-        self.index = {s: i for i, s in enumerate(states)}
+    def __init__(self, L: int, N: int, n_max: int, table: np.ndarray):
+        self.L, self.N, self.n_max, self.table = L, N, n_max, table
+        self.weights = (n_max + 1) ** np.arange(L - 1, -1, -1, dtype=np.int64)
+        self.codes = table @ self.weights
         self._cut_cache: dict = {}  # partial-trace bookkeeping, filled lazily
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.table)
+
+    @cached_property
+    def states(self) -> tuple:
+        """The occupations as a tuple of tuples, in basis order."""
+        return tuple(map(tuple, self.table.tolist()))
+
+    def find(self, occupations) -> np.ndarray:
+        """Basis indices of occupation tuples (last axis = sites); raises
+        KeyError for any outside the sector."""
+        occ = np.asarray(occupations, dtype=np.int64)
+        if occ.shape[-1:] == (self.L,) and 0 <= occ.min() and occ.max() <= self.n_max:
+            codes = occ @ self.weights
+            idx = np.searchsorted(self.codes, codes)
+            if np.array_equal(self.codes.take(idx, mode="clip"), codes):
+                return idx
+        raise KeyError(f"occupation {occupations!r} is not in the sector")
 
     def __repr__(self):
         return f"FockBasis(L={self.L}, N={self.N}, n_max={self.n_max}, dim={self.dim})"
 
 
 def build_basis(L: int, N: int, n_max: int) -> FockBasis:
-    """Enumerate the sector lexicographically.
+    """Enumerate the sector lexicographically, one site at a time.
 
-    Rejects empty sectors (N > L*n_max).
+    Rejects empty sectors (N > L*n_max) and codes overflowing int64.
     """
     if L < 1:
         raise ValueError(f"need at least one site, got L={L}")
@@ -62,22 +80,19 @@ def build_basis(L: int, N: int, n_max: int) -> FockBasis:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     if N > L * n_max:
         raise ValueError(f"empty sector: N={N} > L*n_max={L * n_max}")
-
-    states = []
-
-    def fill(prefix, remaining, sites_left):
-        if sites_left == 0:
-            if remaining == 0:
-                states.append(tuple(prefix))
-            return
-        # occupation must leave a feasible remainder for the other sites
-        lo = max(0, remaining - (sites_left - 1) * n_max)
-        hi = min(n_max, remaining)
-        for n in range(lo, hi + 1):
-            fill(prefix + [n], remaining - n, sites_left - 1)
-
-    fill([], N, L)
-    return FockBasis(L, N, n_max, tuple(states))
+    if (n_max + 1) ** L >= 2 ** 63:
+        raise ValueError(f"sector codes overflow int64 at L={L}, n_max={n_max}")
+    table = np.zeros((1, 0), dtype=np.int64)
+    for site in range(L):
+        # each prefix extends by every occupation that leaves a feasible
+        # remainder for the other sites, in ascending order
+        left = N - table.sum(axis=1)
+        lo = np.maximum(0, left - (L - 1 - site) * n_max)
+        count = np.minimum(n_max, left) - lo + 1
+        parent = np.repeat(np.arange(len(table)), count)
+        n = lo[parent] + np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count)
+        table = np.column_stack([table[parent], n])
+    return FockBasis(L, N, n_max, table)
 
 
 class StateVector:
@@ -102,9 +117,8 @@ class StateVector:
 
 def fock_state(basis: FockBasis, occupation) -> StateVector:
     """Basis state |n_1 ... n_L>."""
-    occupation = tuple(occupation)
     amps = np.zeros(basis.dim, dtype=np.complex128)
-    amps[basis.index[occupation]] = 1.0
+    amps[basis.find(tuple(occupation))] = 1.0
     return StateVector(basis, amps)
 
 
@@ -119,36 +133,24 @@ class SparseOperator:
         return self.matrix.toarray()
 
 
-def _entries_to_operator(basis, entries):
-    if not entries:
-        mat = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
-        return SparseOperator(basis, mat)
-    rows, cols, vals = zip(*entries)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim),
-                        dtype=np.complex128).tocsr()
+def _hop_operator(basis, terms) -> SparseOperator:
+    """sum of sign * a†_p a_q over terms (p, q, sign), 0-based sites, hard
+    n_max cutoff.  Each term contributes its columns in ascending order,
+    terms in the given order, so duplicate entries always sum alike."""
+    occ, rows, cols, vals = basis.table, [], [], []
+    for p, q, sign in terms:
+        nq = occ[:, q]
+        # truncation: a hop drops elements raising site p above n_max
+        col = np.flatnonzero((nq > 0) & ((p == q) | (occ[:, p] < basis.n_max)))
+        shift = basis.weights[p] - basis.weights[q]
+        rows.append(np.searchsorted(basis.codes, basis.codes[col] + shift))
+        cols.append(col)
+        amp = nq[col] if p == q else np.sqrt(nq[col]) * np.sqrt(occ[col, p] + 1)
+        vals.append(sign * amp)   # sign is +-1: exact in any order
+    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(basis.dim, basis.dim), dtype=np.complex128).tocsr()
     mat.sum_duplicates()
     return SparseOperator(basis, mat)
-
-
-def _hop_entries(basis, p, q, sign=1.0):
-    """Matrix entries of sign * a†_p a_q (0-based sites), hard n_max cutoff."""
-    entries = []
-    n_max = basis.n_max
-    for col, occ in enumerate(basis.states):
-        nq = occ[q]
-        if nq == 0:
-            continue
-        if p == q:
-            entries.append((col, col, sign * nq))
-            continue
-        if occ[p] + 1 > n_max:
-            continue  # truncation: drop elements raising a site above n_max
-        new = list(occ)
-        new[q] -= 1
-        new[p] += 1
-        amp = sign * math.sqrt(nq) * math.sqrt(new[p])
-        entries.append((basis.index[tuple(new)], col, amp))
-    return entries
 
 
 def build_hopping(basis: FockBasis, i: int, j: int) -> SparseOperator:
@@ -156,7 +158,7 @@ def build_hopping(basis: FockBasis, i: int, j: int) -> SparseOperator:
     for s in (i, j):
         if not 1 <= s <= basis.L:
             raise ValueError(f"site index {s} out of range [1, {basis.L}]")
-    return _entries_to_operator(basis, _hop_entries(basis, i - 1, j - 1))
+    return _hop_operator(basis, [(i - 1, j - 1, 1.0)])
 
 
 def build_number(basis: FockBasis, j: int) -> SparseOperator:
@@ -177,12 +179,8 @@ def build_jump(kind: JumpKind, j: int, basis: FockBasis) -> SparseOperator:
     if kind is JumpKind.PHASE_LOCK:
         if not 1 <= j <= basis.L - 1:
             raise ValueError(f"phase-lock bond {j} out of range [1, {basis.L - 1}]")
-        p0 = j - 1
-        entries = []
-        for p in (p0, p0 + 1):
-            for q, sign in ((p0, 1.0), (p0 + 1, -1.0)):
-                entries.extend(_hop_entries(basis, p, q, sign))
-        return _entries_to_operator(basis, entries)
+        return _hop_operator(basis, [(p, q, sign) for p in (j - 1, j)
+                                     for q, sign in ((j - 1, 1.0), (j, -1.0))])
     raise TypeError(f"unknown jump kind {kind!r}")
 
 
@@ -210,10 +208,7 @@ def build_bec_dark_state(basis: FockBasis) -> StateVector:
     if basis.n_max < basis.N:
         warnings.warn("n_max < N: condensate state is truncated, only "
                       "approximately dark", stacklevel=2)
-    amps = np.empty(basis.dim, dtype=np.complex128)
-    logN = math.lgamma(basis.N + 1)
-    for i, occ in enumerate(basis.states):
-        # multinomial weight N!/prod(n_j!) times sqrt(prod(n_j!)) from (a†)^n|0>
-        log_amp = logN - 0.5 * sum(math.lgamma(n + 1) for n in occ)
-        amps[i] = math.exp(log_amp)
-    return StateVector(basis, amps).normalize()
+    # multinomial weight N!/prod(n_j!) times sqrt(prod(n_j!)) from (a†)^n|0>
+    log_fact = np.array([math.lgamma(n + 1) for n in range(basis.n_max + 1)])
+    log_amp = math.lgamma(basis.N + 1) - 0.5 * log_fact[basis.table].sum(axis=1)
+    return StateVector(basis, np.exp(log_amp)).normalize()

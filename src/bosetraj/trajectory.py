@@ -81,6 +81,7 @@ class Trajectory:
     snapshots: list            # (time, amplitude array) pairs
     final_state: np.ndarray
     n_steps: int               # intervals: one per jump or stop
+    krylov_dims: tuple = ()    # Lanczos basis size per interval, if Lanczos ran
 
 
 class Interval:
@@ -406,19 +407,19 @@ def run_trajectory(basis: FockBasis, psi0: StateVector, cfg: MonitoringConfig,
     snap_times = [s for s in cfg.snapshot_times if s <= cfg.t_max]
     snapshots = [(s, psi.copy()) for s in snap_times if s <= 0.0]
     pending = snap_times[len(snapshots):]
-    jumps = []
-    n_steps = 0
+    jumps, sizes = [], []   # sizes: propagator basis per interval
     for ev in unravel(psi, channels, cfg.t_max, trajectory_rng(cfg.seed, traj_index),
                       stops=pending):
-        n_steps += 1
+        sizes.append(ev.interval.basis.shape[1])
         psi = ev.psi
         if ev.channel is not None:
             kind, site = channels.labels[ev.channel]
             jumps.append(JumpRecord(time=ev.t, kind=kind, site=site))
         while pending and pending[0] <= ev.t:
             snapshots.append((pending.pop(0), psi.copy()))
+    lanczos = isinstance(channels.propagator, KrylovExp)
     return Trajectory(jumps=jumps, snapshots=snapshots, final_state=psi,
-                      n_steps=n_steps)
+                      n_steps=len(sizes), krylov_dims=tuple(sizes) if lanczos else ())
 
 
 @dataclass
@@ -430,6 +431,7 @@ class EnsembleResult:
     jump_counts: np.ndarray
     jumps_by_kind: dict = field(default_factory=dict)   # JumpKind -> (M,) counts
     intervals: np.ndarray = None                        # (M,) intervals
+    krylov_dims: np.ndarray = None      # Lanczos size of every interval, in order
     basis: FockBasis = field(repr=False, default=None)
 
     def states_at(self, t: float) -> np.ndarray:
@@ -451,7 +453,8 @@ def _worker_init(basis, cfg, channels):
 
 def _summary(traj: Trajectory):
     kinds = [j.kind for j in traj.jumps]
-    return (traj.snapshots, {k: kinds.count(k) for k in JumpKind}, traj.n_steps)
+    return (traj.snapshots, {k: kinds.count(k) for k in JumpKind}, traj.n_steps,
+            traj.krylov_dims)
 
 
 def _worker_run(args):
@@ -487,14 +490,14 @@ def run_ensemble(basis: FockBasis, psi0: StateVector, cfg: MonitoringConfig,
                     chunksize=max(1, M // (workers * 8))):
                 results[i] = summary
 
-    by_kind = {k: np.array([counts[k] for _, counts, _ in results]) for k in JumpKind}
-    states = {}
-    for k, (t, _) in enumerate(results[0][0]):
-        states[t] = np.array([snaps[k][1] for snaps, _, _ in results])
+    by_kind = {k: np.array([r[1][k] for r in results]) for k in JumpKind}
+    states = {t: np.array([r[0][k][1] for r in results])
+              for k, (t, _) in enumerate(results[0][0])}
     return EnsembleResult(config=cfg, M=M, snapshot_times=tuple(sorted(states)),
                           states=states, jump_counts=sum(by_kind.values()),
                           jumps_by_kind=by_kind,
-                          intervals=np.array([n for _, _, n in results]),
+                          intervals=np.array([r[2] for r in results]),
+                          krylov_dims=np.array([d for r in results for d in r[3]], dtype=int),
                           basis=basis)
 
 

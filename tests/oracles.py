@@ -2,33 +2,24 @@
 
 import numpy as np
 
-from bosetraj.entropy import ReducedDM, _cut_blocks, _left_occupations
+from bosetraj.entropy import ReducedDM
 
 
 def reduce_right(psi, l):
     """Keep sites l+1..L, tracing out the left block.  Independent code
-    path from `reduce_state` (B† B instead of B B†) so the two sides
+    path from `reduce_state`: its own loop over `basis.states` into the
+    full (left occupation, right occupation) coefficient matrix C, with
+    no particle-number blocks, and C† C instead of B B†, so the two sides
     cross-check each other through their shared Schmidt spectrum."""
     basis = psi.basis
     if not 1 <= l <= basis.L - 1:
         raise ValueError(f"cut {l} out of range [1, {basis.L - 1}]")
-    n_right = basis.L - l
-    right_states = _left_occupations(n_right, basis.n_max,
-                                     min(basis.N, n_right * basis.n_max))
-    right_index = {s: i for i, s in enumerate(right_states)}
-    _, compiled = _cut_blocks(basis, l)
-    rho = np.zeros((len(right_states), len(right_states)), dtype=np.complex128)
-    # rebuild the per-block right-occupation lists to place B† B globally
-    blocks_right = {}
+    lefts = {occ: i for i, occ in enumerate(sorted({s[:l] for s in basis.states}))}
+    rights = {occ: i for i, occ in enumerate(sorted({s[l:] for s in basis.states}))}
+    C = np.zeros((len(lefts), len(rights)), dtype=np.complex128)
     for k, occ in enumerate(basis.states):
-        s = sum(occ[:l])
-        blocks_right.setdefault(s, {}).setdefault(occ[l:], None)
-    for (nl, nr, li, ri, kk, glob_l), s in zip(compiled, sorted(blocks_right)):
-        B = np.zeros((nl, nr), dtype=np.complex128)
-        B[li, ri] = psi.amplitudes[kk]
-        glob_r = np.array([right_index[occ] for occ in blocks_right[s]])
-        rho[np.ix_(glob_r, glob_r)] = B.conj().T @ B
-    return ReducedDM(left_states=right_states, matrix=rho)
+        C[lefts[occ[:l]], rights[occ[l:]]] = psi.amplitudes[k]
+    return ReducedDM(left_states=tuple(rights), matrix=C.conj().T @ C)
 
 
 def matrix_dissipator(X, rho):

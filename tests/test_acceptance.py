@@ -212,8 +212,6 @@ def test_criterion_06_growth_and_saturation():
     S = np.array([np.zeros(M)]
                  + [[state_entropy(StateVector(basis, a), 3)
                      for a in ens.states_at(t)] for t in times])
-    mean = S.mean(axis=1)
-    err = S.std(axis=1, ddof=1) / np.sqrt(M)
 
     # Monotone rise.  Consecutive snapshots come from the same
     # trajectories, so each step is judged by its paired difference
@@ -227,8 +225,14 @@ def test_criterion_06_growth_and_saturation():
     steps = np.diff(S, axis=0)
     step_z = steps.mean(axis=1) / (steps.std(axis=1, ddof=1) / np.sqrt(M))
     monotone = bool(np.all(step_z > -3.0))
-    plateau_gap = abs(mean[-1] - mean[-3])
-    plateau = plateau_gap < 2.0 * np.hypot(err[-1], err[-3])
+    # Plateau: the paired difference S_i(10) - S_i(6) over the same
+    # trajectories, gated at 3 sigma of its own standard error like the
+    # steps above; the unpaired means at 2 sigma failed about one seed in
+    # twenty on a curve flat to 2e-3.
+    drift = S[-1] - S[-3]
+    plateau_gap = abs(drift.mean())
+    plateau_err = drift.std(ddof=1) / np.sqrt(M)
+    plateau = plateau_gap < 3.0 * plateau_err
 
     # Initial slope.  From the Fock product start (S = 0) a jump on
     # channel k, at rate rate_k ||b_k psi0||^2, leaves entropy
@@ -265,8 +269,8 @@ def test_criterion_06_growth_and_saturation():
             [(f"mean S(L/2, t) non-decreasing: every step above -3 sigma "
               f"of its paired difference (lowest {step_z.min():.2f}, "
               f"M={M})", monotone),
-             (f"plateau: |S(10)-S(6)| = {plateau_gap:.3f} within 2 sigma",
-              plateau),
+             (f"plateau: paired |S(10)-S(6)| = {plateau_gap:.3f} < "
+              f"3*{plateau_err:.3f}", plateau),
              (f"initial slope (S(t1) - S_nj(t1))/t1 = {slope:.3f} "
               f"+/- {slope_err:.3f} at t1 = {t1:.4f} (M=5000, "
               f"S_nj/t1 = {s_nj / t1:.3f}) within 3 sigma of exact "

@@ -102,7 +102,7 @@ class TestTrajectories:
         assert code == EXIT_GUARD
 
     @pytest.mark.parametrize("patched", [
-        lambda psi, l: np.array([1.2, -0.2]),     # corrupted spectrum guard
+        lambda psi, l, basis=None: np.array([1.2, -0.2]),  # corrupted spectrum
         raiser(np.linalg.LinAlgError("SVD did not converge")),
         raiser(ArpackError(-9999)),
     ], ids=["corrupted_spectrum", "linalg_error", "arpack_error"])
@@ -140,6 +140,18 @@ class TestDeterminism:
             assert b1 == (out2 / name).read_bytes()
             assert b1 == (out3 / name).read_bytes()
 
+    def test_lanczos_counters_repeat_across_workers(self, tmp_path):
+        # L = 7 (dim 1520) runs on the Lanczos propagator: its basis
+        # sizes reach the manifest, identical for any worker count
+        args = ["entropy-scan", "--L", "7", "--gamma-grid", "0.5,8", "--M", "3",
+                "--t-max", "0.3", "--seed", "5"]
+        _, out1 = run_cli(tmp_path / "a", *args)
+        _, out2 = run_cli(tmp_path / "b", *args, "--workers", "2")
+        for name in ("manifest.json", "profile.csv", "fits.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        for c in json.loads((out1 / "manifest.json").read_text())["counters_by_gamma"]:
+            assert 1 <= c["krylov_dim_mean"] <= c["krylov_dim_max"] <= trajectory.KRYLOV_MAX
+
 
 class TestEntropyScanAndFit:
     def test_scan_fits_and_refit_roundtrip(self, tmp_path):
@@ -156,6 +168,7 @@ class TestEntropyScanAndFit:
         for c in counters:
             assert c["jumps_phaselock_mean"] + c["jumps_dephase_mean"] \
                 == pytest.approx(c["jump_count_mean"], rel=1e-12)
+            assert "krylov_dim_mean" not in c     # dim 35: dense propagator
         # a standalone re-fit of the emitted profile reproduces the fits
         code2, outdir2 = run_cli(tmp_path / "refit", "fit",
                                  "--profile-csv", str(outdir / "profile.csv"))

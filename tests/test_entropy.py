@@ -24,6 +24,7 @@ from bosetraj import (
     von_neumann,
     average_profile,
 )
+from bosetraj.entropy import average_profiles
 from bosetraj.fock import NumericGuardError
 from oracles import reduce_right
 
@@ -124,6 +125,29 @@ class TestSchmidtSpectrum:
         psi = fock_state(basis, (1, 1, 1, 1))
         for l in range(1, 4):
             assert state_entropy(psi, l) == pytest.approx(0.0, abs=1e-12)
+
+
+    def test_real_and_complex_paths_agree(self):
+        # a real state and the same state times a global phase: the real
+        # and complex block paths give one spectrum, equal to the
+        # eigenvalues of the reduced density matrix at every cut
+        basis = build_basis(L=5, N=5, n_max=3)
+        amps = np.random.default_rng(8).standard_normal(basis.dim)
+        real = (amps / np.linalg.norm(amps))[None]
+        phased = real * np.exp(0.7j)
+        for l in range(1, 5):
+            spec_re = schmidt_spectrum(real, l, basis)[0]
+            spec_c = schmidt_spectrum(phased, l, basis)[0]
+            assert real.dtype == spec_re.dtype == np.float64
+            np.testing.assert_allclose(spec_re, spec_c, atol=1e-12)
+            eig = np.sort(np.linalg.eigvalsh(
+                reduce_state(StateVector(basis, phased[0]), l).matrix))
+            np.testing.assert_allclose(np.sort(spec_re), eig[-len(spec_re):],
+                                       atol=1e-12)
+        kinds = [("vn", None), ("renyi", 2.0)]
+        for p_re, p_c in zip(average_profiles(real, basis, 1.0, 1.0, kinds),
+                             average_profiles(phased, basis, 1.0, 1.0, kinds)):
+            np.testing.assert_allclose(p_re.mean, p_c.mean, atol=1e-12)
 
 
 class TestDarkStateEntropy:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -61,8 +62,12 @@ class TestBuildBasis:
     def test_index_inverts_states(self):
         b = build_basis(4, 4, 2)
         for i, s in enumerate(b.states):
-            assert b.index[s] == i
+            assert b.find(s) == i
         assert b.states == tuple(sorted(b.states))
+        np.testing.assert_array_equal(b.find(b.table), np.arange(b.dim))
+        for outside in ((4, 0, 0, 0), (3, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1)):
+            with pytest.raises(KeyError):
+                b.find(outside)
 
     @given(L=st.integers(1, 4), N=st.integers(0, 5), n_max=st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
@@ -76,6 +81,36 @@ class TestBuildBasis:
             assert sum(s) == N
             assert all(0 <= n <= n_max for n in s)
         assert len(set(b.states)) == b.dim
+        # reference loop: the product space in lexicographic order, filtered
+        assert b.states == tuple(s for s in itertools.product(range(n_max + 1), repeat=L)
+                                 if sum(s) == N)
+
+    def test_code_overflow_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            build_basis(40, 2, 2)
+
+
+class TestArrayBuiltOperators:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_match_dense_oracle_on_random_sectors(self, data):
+        # n_max < N is drawn too: the cap then truncates the sector
+        L = data.draw(st.integers(2, 4), label="L")
+        n_max = data.draw(st.integers(1, 3), label="n_max")
+        N = data.draw(st.integers(0, min(L * n_max, 6)), label="N")
+        b = build_basis(L, N, n_max)
+        assert np.all(np.diff(b.codes) > 0)
+        np.testing.assert_array_equal(
+            b.table, np.array(b.states, dtype=np.int64).reshape(b.dim, L))
+        i = data.draw(st.integers(1, L), label="i")
+        j = data.draw(st.integers(1, L), label="j")
+        hop = dense_sector_operator(b, lambda a, ad: ad(i - 1) @ a(j - 1))
+        np.testing.assert_allclose(build_hopping(b, i, j).dense(), hop, atol=1e-12)
+        num = dense_sector_operator(b, lambda a, ad: ad(j - 1) @ a(j - 1))
+        np.testing.assert_allclose(build_number(b, j).dense(), num, atol=1e-12)
+        bond = data.draw(st.integers(1, L - 1), label="bond")
+        np.testing.assert_allclose(build_jump(JumpKind.PHASE_LOCK, bond, b).dense(),
+                                   dense_d(b, bond), atol=1e-12)
 
 
 class TestBuildJump:
@@ -83,8 +118,8 @@ class TestBuildJump:
         b = build_basis(2, 2, 2)
         out = apply(build_jump(JumpKind.PHASE_LOCK, 1, b), fock_state(b, (1, 1)))
         expected = np.zeros(3, complex)
-        expected[b.index[(0, 2)]] = math.sqrt(2)
-        expected[b.index[(2, 0)]] = -math.sqrt(2)
+        expected[b.find((0, 2))] = math.sqrt(2)
+        expected[b.find((2, 0))] = -math.sqrt(2)
         assert np.allclose(out.amplitudes, expected)
 
     def test_dephase_is_number_operator(self):
@@ -135,8 +170,7 @@ class TestBuildJump:
         # with n_max >= N the cap is not binding; raising it changes nothing
         b1 = build_basis(3, 3, 3)
         b2 = build_basis(3, 3, 5)
-        common = {s: i for i, s in enumerate(b2.states) if s in b1.index}
-        idx = [b2.index[s] for s in b1.states]
+        idx = b2.find(b1.table)
         for j in range(1, 3):
             m1 = build_jump(JumpKind.PHASE_LOCK, j, b1).dense()
             m2 = build_jump(JumpKind.PHASE_LOCK, j, b2).dense()[np.ix_(idx, idx)]
@@ -163,8 +197,8 @@ class TestApplyExpectation:
     def test_apply_matches_dense_product(self):
         b = build_basis(2, 2, 2)
         psi = np.zeros(3, complex)
-        psi[b.index[(0, 2)]] = 1 / math.sqrt(2)
-        psi[b.index[(2, 0)]] = -1 / math.sqrt(2)
+        psi[b.find((0, 2))] = 1 / math.sqrt(2)
+        psi[b.find((2, 0))] = -1 / math.sqrt(2)
         psi = StateVector(b, psi)
         d = build_jump(JumpKind.PHASE_LOCK, 1, b)
         assert np.allclose(apply(d, psi).amplitudes, dense_d(b, 1) @ psi.amplitudes)
@@ -200,9 +234,9 @@ class TestDarkState:
         b = build_basis(2, 2, 2)
         D = build_bec_dark_state(b)
         # (|0,2> + sqrt(2)|1,1> + |2,0>)/2
-        assert D.amplitudes[b.index[(0, 2)]] == pytest.approx(0.5)
-        assert D.amplitudes[b.index[(1, 1)]] == pytest.approx(math.sqrt(2) / 2)
-        assert D.amplitudes[b.index[(2, 0)]] == pytest.approx(0.5)
+        assert D.amplitudes[b.find((0, 2))] == pytest.approx(0.5)
+        assert D.amplitudes[b.find((1, 1))] == pytest.approx(math.sqrt(2) / 2)
+        assert D.amplitudes[b.find((2, 0))] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
     def test_annihilated_by_all_bonds(self, L):
