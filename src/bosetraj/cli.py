@@ -30,7 +30,7 @@ from .entropy import EntropyProfile, average_profile, average_profiles
 from .fock import JumpKind, NumericGuardError, build_basis, build_bec_dark_state
 from .gutzwiller import GwConfig, order_parameter_sweep
 from .lindblad import compare_with_ensemble, default_observables, evolve_lindblad
-from .trajectory import MonitoringConfig, default_initial_state, run_ensemble
+from .trajectory import JumpChannels, MonitoringConfig, default_initial_state, run_ensemble
 from . import ancilla as anc
 
 EXIT_OK = 0
@@ -185,14 +185,16 @@ def cmd_entropy_scan(spec: dict, outdir: Path) -> int:
     prof_rows = []
     fits = []
     counters = []
-    basis = None      # one sector, and so one set of cut tables, per scan
+    basis, units = None, {}   # one sector (cut tables, unit-rate jumps) per scan
     for gamma in gammas:
         sub = {k: v for k, v in spec.items() if k != "gamma_grid"} | {"gamma": gamma}
         basis, cfg = build_model(sub, basis)
         t_obs = cfg.t_max
         cfg = replace(cfg, snapshot_times=(t_obs,))
         ensemble = run_ensemble(basis, initial_state(sub, basis), cfg,
-                                int(spec.get("M", 100)), int(spec.get("workers", 1)))
+                                int(spec.get("M", 100)), int(spec.get("workers", 1)),
+                                JumpChannels(basis, cfg.rate_phaselock, cfg.rate_dephase,
+                                             units))
         counters.append({"gamma": gamma} | _counters(ensemble))
         for prof in average_profiles(ensemble.states_at(t_obs), basis, gamma,
                                      t_obs, kinds):
@@ -218,7 +220,7 @@ def cmd_gutzwiller(spec: dict, outdir: Path) -> int:
                                   alpha_threshold=float(spec.get("alpha_threshold", 1e-3)))
     write_csv(outdir / "sweep.csv", ["gamma", "alpha_abs", "converged", "t_reached"],
               [(p.gamma, p.alpha_abs, p.converged, p.t_reached) for p in sweep.points])
-    _append_manifest(outdir, {"gamma_c": sweep.gamma_c})
+    _append_manifest(outdir, {"gamma_c": sweep.gamma_c} | sweep.counters)
     return EXIT_OK
 
 

@@ -3,7 +3,8 @@
 The phase-locking channel reduces, under the product ansatz for
 neighboring sites, to a nonlinear single-site generator whose moment
 coefficients are refreshed from the current density matrix at every
-integrator stage.  Dephasing stays a plain number-operator dissipator.
+integrator stage, all from one cached sparse matrix per cutoff; RK4 runs
+in the state's dtype.  Dephasing stays a plain number-operator dissipator.
 The order parameter alpha = <a> vanishes across a critical reduced
 dephasing rate that depends on the local cutoff n_max.  At n_max = 8 the
 ordered branch vanishes continuously at gamma ~ 4.5, where the truncated
@@ -16,7 +17,7 @@ instead ends at a fold that still drifts down (about 3.25 at n_max = 16,
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 
@@ -47,8 +48,11 @@ class GwConfig:
     t_max: float = 400.0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name, v in vars(self).items():
+            positive = name in ("dt", "n_max")      # n_max is an integer: >= 1
+            if not (math.isfinite(v) and (v > 0 if positive else v >= 0)):
+                raise ValueError(f"{name} must be finite and "
+                                 f"{'positive' if positive else 'nonnegative'}, got {v}")
         if self.filling > self.n_max:
             raise ValueError("filling exceeds the local cutoff")
 
@@ -65,45 +69,50 @@ class SiteOperators:
 
     @cached_property
     def generator(self):
-        """Sparse (3 + 6 d^2) x d^2 matrix on vec(rho), one per cutoff: rows
-        for the moments (<a†aa† + a†a†a>/2, <aa>, <a>), then the rate-free
-        blocks D[a†], D[a], D[n] and the three maps those moments multiply."""
+        """Sparse (6 + 9 d^2) x d^2 matrix on vec(rho), built on first use,
+        one per cutoff: rows for the moments (<a†aa† + a†a†a>/2, <aa>, <a>)
+        and their conjugates, then the rate-free blocks: the three maps Le
+        those moments weight, their partners Le†, and D[a†], D[a], D[n]."""
         return _site_generator(len(self.a) - 1)
 
 
 @cache
 def _site_generator(n_max: int):
-    ops = SiteOperators(n_max)      # every map here is real
-    a, ad, n, a2 = ops.a.real, ops.ad.real, ops.n.real, ops.a2.real
+    ops = SiteOperators(n_max)      # every map here is real, and built sparse
+    a, ad, n, a2 = (sp.csr_matrix(x.real) for x in (ops.a, ops.ad, ops.n, ops.a2))
     adad, ad_a_ad, ad_ad_a = ad @ ad, n @ ad, ad @ n
-    eye = np.eye(n_max + 1)
-    return sp.csr_matrix(np.vstack([   # <X> = vec(X^T) . vec(rho)
-        (0.5 * (ad_a_ad + ad_ad_a)).T.ravel(), a2.T.ravel(), a.T.ravel(),
-        dissipator(ad), dissipator(a), dissipator(n),
-        sandwich(eye, a) - sandwich(a, eye),
-        0.5 * anticommutator(adad) - sandwich(ad, ad),
-        sandwich(n, ad) - sandwich(ad, n)
-        + 0.5 * (anticommutator(ad_a_ad) - anticommutator(ad_ad_a))]))
+    eye = sp.identity(n_max + 1, format="csr")
+    moments = sp.vstack([x.T.reshape(1, -1) for x in   # <X> = vec(X^T) . vec(rho)
+                         (0.5 * (ad_a_ad + ad_ad_a), a2, a)], format="csr")
+    le = [sandwich(eye, a) - sandwich(a, eye),
+          0.5 * anticommutator(adad) - sandwich(ad, ad),
+          sandwich(n, ad) - sandwich(ad, n)
+          + 0.5 * (anticommutator(ad_a_ad) - anticommutator(ad_ad_a))]
+    # Hermitian rho, real X, Y: <X>* = vec(X) . vec(rho), (X rho Y)† = Y^T rho X^T,
+    # so the conjugate rows are M P and a block L's partner P L P (P: vec transpose)
+    perm = np.arange((n_max + 1) ** 2).reshape(n_max + 1, -1).T.ravel()
+    P = sp.csr_matrix((np.ones(perm.size), perm, np.arange(perm.size + 1)))
+    return sp.vstack([moments, moments @ P, *le, *(P @ x @ P for x in le),
+                      dissipator(ad), dissipator(a), dissipator(n)], format="csr")
 
 
 def meanfield_rhs(rho, ops, cfg: GwConfig):
     """2 Lambda (f D[a†] + (f + 1) D[a] + D[n] + Le + Le†) + Gamma D[n] at
-    filling f, Le being the moment-weighted sum of the last three blocks
-    of ops.generator: one matvec and a combine."""
-    d = rho.shape[0]
+    filling f, for a Hermitian rho: one matvec of ops.generator, then its
+    nine blocks weighted by 2 Lambda times the six moment rows and by the
+    three rates."""
     lam2 = 2.0 * cfg.rate_phaselock
     y = ops.generator @ rho.reshape(-1)
-    blocks = y[3:].reshape(6, d * d)
-    weights = np.array([lam2 * cfg.filling, lam2 * (cfg.filling + 1.0),
-                        lam2 + cfg.rate_dephase])
-    le = ((lam2 * y[:3]) @ blocks[3:]).reshape(d, d)
-    return (weights @ blocks[:3]).reshape(d, d) + le + le.conj().T
+    c = lam2 * y[:9]            # its last three entries become the rates
+    c[6:] = lam2 * cfg.filling, lam2 * (cfg.filling + 1.0), lam2 + cfg.rate_dephase
+    return (c @ y[6:].reshape(9, -1)).reshape(rho.shape)
 
 
 def coherent_dm(alpha: complex, n_max: int) -> np.ndarray:
-    """|alpha><alpha| truncated to the local cutoff and renormalized."""
+    """|alpha><alpha| truncated to the local cutoff and renormalized; real
+    for a real alpha."""
     v = np.array([alpha ** n / math.sqrt(math.factorial(n))
-                  for n in range(n_max + 1)], dtype=complex)
+                  for n in range(n_max + 1)])
     v /= np.linalg.norm(v)
     return np.outer(v, v.conj())
 
@@ -122,39 +131,42 @@ class GwEvolution:
     final: SingleSiteDM
     converged: bool
     rhos: list = field(default_factory=list)
+    steps: int = 0             # RK4 steps taken
 
 
 def evolve(cfg: GwConfig, rho0: SingleSiteDM = None, store_rhos: bool = False,
            stop_when_steady: bool = True) -> GwEvolution:
-    """Fixed-step RK4 of meanfield_rhs (moments refreshed every stage),
-    recording (t, alpha) every RECORD_EVERY steps and on the last step.
+    """Fixed-step RK4 of meanfield_rhs (moments refreshed every stage) in
+    the dtype of rho0 (a real seed stays real: every map is), recording
+    (t, alpha) every RECORD_EVERY steps and on the last step.
     With stop_when_steady it stops once |alpha| varied by < ALPHA_TOL over
     the last 1/Lambda; a trace drift > TRACE_TOL raises NumericGuardError."""
     if rho0 is None:
         rho0 = default_initial_dm(cfg)
     ops = SiteOperators(rho0.n_max)
     rho = rho0.matrix.copy()
-    dt = cfg.dt
-    t = 0.0
+    dt, t = cfg.dt, 0.0
+    stages = np.empty((4, *rho.shape), dtype=rho.dtype)
+    weights = np.array([dt, 2.0 * dt, 2.0 * dt, dt]) / 6.0
     times, alphas = [0.0], [np.trace(rho @ ops.a)]
     rhos = [rho.copy()] if store_rhos else []
     window = max(1, int(round(1.0 / max(cfg.rate_phaselock, 1e-12) / dt)))
     hist = deque([abs(alphas[0])], maxlen=window)   # |alpha| over the window
-    converged = False
+    a_row = ops.a.real.T.ravel()    # alpha = vec(a^T) . vec(rho), for the window
+    converged, k = False, 0         # k: RK4 steps taken
     n_steps = int(round(cfg.t_max / dt))
     for k in range(1, n_steps + 1):
-        k1 = meanfield_rhs(rho, ops, cfg)
-        k2 = meanfield_rhs(rho + 0.5 * dt * k1, ops, cfg)
-        k3 = meanfield_rhs(rho + 0.5 * dt * k2, ops, cfg)
-        k4 = meanfield_rhs(rho + dt * k3, ops, cfg)
-        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        stages[0] = meanfield_rhs(rho, ops, cfg)
+        stages[1] = meanfield_rhs(rho + 0.5 * dt * stages[0], ops, cfg)
+        stages[2] = meanfield_rhs(rho + 0.5 * dt * stages[1], ops, cfg)
+        stages[3] = meanfield_rhs(rho + dt * stages[2], ops, cfg)
+        rho = rho + (weights @ stages.reshape(4, -1)).reshape(rho.shape)
         t += dt
-        drift = abs(np.trace(rho).real - 1.0)
+        drift = abs(rho.trace().real - 1.0)
         if drift > TRACE_TOL:
             raise NumericGuardError(f"trace drift {drift:.3g} at t={t:.3g}: "
                                     f"integration step too large")
-        al = np.trace(rho @ ops.a)
-        hist.append(abs(al))
+        hist.append(abs(a_row @ rho.reshape(-1)))
         # the window's range is at least its end points' gap: scan it only then
         if (stop_when_steady and k >= window
                 and abs(hist[-1] - hist[0]) < ALPHA_TOL):
@@ -162,14 +174,14 @@ def evolve(cfg: GwConfig, rho0: SingleSiteDM = None, store_rhos: bool = False,
         # the step the run stops on is always recorded
         if converged or k % RECORD_EVERY == 0 or k == n_steps:
             times.append(t)
-            alphas.append(al)
+            alphas.append(np.trace(rho @ ops.a))
             if store_rhos:
                 rhos.append(rho.copy())
         if converged:
             break
     return GwEvolution(times=np.array(times), alphas=np.array(alphas),
                        final=SingleSiteDM(rho0.n_max, rho),
-                       converged=converged, rhos=rhos)
+                       converged=converged, rhos=rhos, steps=k)
 
 
 def order_parameter_ode(rho, ops, cfg: GwConfig) -> complex:
@@ -207,6 +219,7 @@ class SweepPoint:
 class SweepResult:
     points: list
     gamma_c: float
+    counters: dict = field(default_factory=dict)   # evolves, rk4_steps, unconverged
 
 
 def order_parameter_sweep(gammas, template: GwConfig,
@@ -216,15 +229,16 @@ def order_parameter_sweep(gammas, template: GwConfig,
     point refined by bisection between the last ordered and first
     disordered grid points."""
     gammas = sorted(gammas)
+    if template.rate_phaselock == 0 or not all(g >= 0 for g in gammas):
+        raise ValueError("the sweep needs rate_phaselock > 0 and every gamma >= 0")
+    counters = Counter()
 
     def steady(gamma):
         ev = evolve(replace(template, rate_dephase=gamma * template.rate_phaselock))
+        counters.update(evolves=1, rk4_steps=ev.steps, unconverged=int(not ev.converged))
         return abs(ev.alphas[-1]), ev.converged, ev.times[-1]
 
-    points = []
-    for g in gammas:
-        a, conv, t = steady(g)
-        points.append(SweepPoint(gamma=g, alpha_abs=a, converged=conv, t_reached=t))
+    points = [SweepPoint(g, *steady(g)) for g in gammas]
 
     gamma_c = math.nan
     below = [p.gamma for p in points if p.alpha_abs >= alpha_threshold]
@@ -239,4 +253,4 @@ def order_parameter_sweep(gammas, template: GwConfig,
             else:
                 hi = mid
         gamma_c = 0.5 * (lo + hi)
-    return SweepResult(points=points, gamma_c=gamma_c)
+    return SweepResult(points, gamma_c, dict(counters))

@@ -291,20 +291,24 @@ class JumpChannels:
     of rows each in the fixed channel order, and `labels` their
     (kind, site).  decay is the real symmetric
     A = (1/2) sum_k rate_k b_k† b_k = stacked† stacked / 2, the no-jump
-    generator: the survival over tau is ||exp(-A tau) psi||^2.
+    generator: the survival over tau is ||exp(-A tau) psi||^2.  `units`
+    caches each kind's stacked unit-rate b_k for reuse at other rates.
     """
 
-    def __init__(self, basis: FockBasis, rate_phaselock: float, rate_dephase: float):
+    def __init__(self, basis: FockBasis, rate_phaselock: float, rate_dephase: float,
+                 units: dict = None):
         self.basis = basis
+        units = {} if units is None else units
         blocks, self.labels = [], []
         for kind, rate, count in ((JumpKind.PHASE_LOCK, rate_phaselock, basis.L - 1),
                                   (JumpKind.DEPHASE, rate_dephase, basis.L)):
             if rate == 0.0:
                 continue
-            for j in range(1, count + 1):
-                # every chain jump operator is real
-                blocks.append(math.sqrt(rate) * build_jump(kind, j, basis).matrix.real)
-                self.labels.append((kind, j))
+            if kind not in units:       # every chain jump operator is real
+                units[kind] = sp.vstack([build_jump(kind, j, basis).matrix.real
+                                         for j in range(1, count + 1)], format="csr")
+            blocks.append(math.sqrt(rate) * units[kind])
+            self.labels += [(kind, j) for j in range(1, count + 1)]
         self.stacked = sp.vstack(blocks, format="csr")
         self.decay = sp.csr_matrix(0.5 * (self.stacked.T @ self.stacked))
         self.propagator = propagator(self.decay, hermitian=True)

@@ -179,6 +179,16 @@ class TestEntropyScanAndFit:
             assert a["c"] == pytest.approx(b["c"], rel=1e-12, abs=1e-12)
             assert a["s0"] == pytest.approx(b["s0"], rel=1e-12, abs=1e-12)
 
+    def test_scan_builds_unit_jumps_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = trajectory.build_jump
+        monkeypatch.setattr(trajectory, "build_jump",
+                            lambda *a: calls.append(a[:2]) or original(*a))
+        code, _ = run_cli(tmp_path, "entropy-scan", "--L", "4", "--M", "2",
+                          "--gamma-grid", "0.5,4.0,8.0", "--t-max", "0.5")
+        assert code == EXIT_OK
+        assert len(calls) == len(set(calls)) == 2 * 4 - 1
+
     def test_scan_requires_grid(self, tmp_path):
         code, _ = run_cli(tmp_path, "entropy-scan", "--L", "4", "--M", "5")
         assert code == EXIT_VALIDATION
@@ -202,6 +212,27 @@ class TestGutzwiller:
         assert float(rows[1]["alpha_abs"]) < 1e-3
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert 0.5 <= manifest["gamma_c"] <= 6.0
+
+    def test_manifest_counts_the_work(self, tmp_path):
+        code, outdir = run_cli(tmp_path, "gutzwiller", "--gamma-grid", "0,3,6",
+                               "--n-max", "8", "--dt", "0.01", "--t-max", "10")
+        assert code == EXIT_OK
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        # three grid points and six bisection steps; only gamma = 0 settles
+        assert (manifest["evolves"], manifest["rk4_steps"],
+                manifest["unconverged"]) == (9, 8535, 8)
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--t-max", "-1", "t_max"), ("--dt", "inf", "dt"), ("--dt", "nan", "dt"),
+        ("--t-max", "nan", "t_max"), ("--rate-phaselock", "-1", "rate_phaselock"),
+        ("--rate-phaselock", "0", "rate_phaselock"), ("--n-max", "0", "n_max"),
+        ("--gamma-grid", "-1,2", "gamma")])
+    def test_bad_input_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                flag, value, field):
+        code, _ = run_cli(tmp_path, "gutzwiller", "--gamma-grid", "0,6",
+                          "--n-max", "4", "--t-max", "0.1", f"{flag}={value}")
+        assert code == EXIT_VALIDATION
+        assert field in capsys.readouterr().err
 
 
 class TestLindbladCheck:

@@ -8,11 +8,13 @@ generator against an independent dense computation.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bosetraj import gutzwiller
 from bosetraj.gutzwiller import (
     GwConfig,
     SingleSiteDM,
@@ -140,6 +142,35 @@ class TestVectorisedGenerator:
         np.testing.assert_allclose(meanfield_rhs(rho, ops, cfg),
                                    meanfield_generator(rho, ops, cfg),
                                    rtol=0, atol=1e-12)
+
+
+class TestSparseGenerator:
+    def test_built_lazily_and_without_dense_blocks(self):
+        # one dense d^2 x d^2 block at n_max = 40 alone is 22.6 MB
+        gutzwiller._site_generator.cache_clear()
+        ops = SiteOperators(40)
+        assert "generator" not in vars(ops)     # the constructor builds none
+        tracemalloc.start()
+        try:
+            G = ops.generator
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert G.shape == (6 + 9 * 41 ** 2, 41 ** 2)
+
+    def test_real_seed_evolves_in_real_arithmetic(self):
+        cfg = GwConfig(rate_dephase=1.5, n_max=8, dt=0.01, t_max=2.0)
+        seed = coherent_dm(0.8, 8)
+        real = evolve(cfg, SingleSiteDM(8, seed), stop_when_steady=False)
+        cplx = evolve(cfg, SingleSiteDM(8, seed.astype(complex)),
+                      stop_when_steady=False)
+        assert real.steps == cplx.steps == 200
+        assert real.final.matrix.dtype == np.float64
+        assert cplx.final.matrix.dtype == np.complex128
+        np.testing.assert_allclose(real.final.matrix, cplx.final.matrix,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(real.alphas, cplx.alphas, rtol=0, atol=1e-13)
 
 
 class TestCoherentDarkState:
@@ -276,3 +307,39 @@ class TestSweep:
             GwConfig(dt=0.0)
         with pytest.raises(ValueError):
             GwConfig(filling=9.0, n_max=4)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dt", 0.0), ("dt", math.inf), ("dt", math.nan), ("t_max", -1.0),
+        ("t_max", math.nan), ("rate_phaselock", -1.0), ("rate_dephase", math.inf),
+        ("filling", -0.5), ("n_max", 0)])
+    def test_bad_config_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GwConfig(**{field: value})
+
+    def test_evolve_without_phaselock_stays_legal(self):
+        ev = evolve(GwConfig(rate_phaselock=0.0, rate_dephase=1.0, n_max=4,
+                             dt=0.01, t_max=0.1), stop_when_steady=False)
+        assert ev.steps == 10
+
+    @pytest.mark.parametrize("gammas, rate", [([0.0, -0.5], 1.0), ([math.nan], 1.0),
+                                              ([0.5], 0.0)])
+    def test_sweep_rejects_bad_gamma_or_rate(self, gammas, rate):
+        with pytest.raises(ValueError):
+            order_parameter_sweep(gammas, GwConfig(rate_phaselock=rate, n_max=4,
+                                                   dt=0.01, t_max=0.1))
+
+    def test_counters_match_the_evolves_run(self, monkeypatch):
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(evolve(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(gutzwiller, "evolve", recording)
+        res = order_parameter_sweep([0.0, 6.0], GwConfig(n_max=8, dt=0.01, t_max=10.0),
+                                    bisection_steps=2)
+        assert res.counters == {
+            "evolves": 4, "rk4_steps": sum(ev.steps for ev in runs),
+            "unconverged": sum(not ev.converged for ev in runs)}
+        # a converged run stops on its step, the others run to t_max
+        assert [ev.steps for ev in runs[:2]] == [535, 1000]

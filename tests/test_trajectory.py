@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -345,6 +346,26 @@ class TestDeterminism:
         c = trajectory_rng(17, 5).random(8)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestSharedUnitJumps:
+    def test_shared_blocks_are_bitwise_fresh_ones(self):
+        basis = build_basis(L=8, N=8, n_max=3)
+        units = {}
+        for gamma in (0.5, 8.0):
+            shared = JumpChannels(basis, 1.0, gamma, units)
+            fresh = JumpChannels(basis, 1.0, gamma)
+            assert set(units) == set(JumpKind)
+            # and both are the channels scaled one operator at a time
+            per_op = sp.vstack([math.sqrt(rate) * build_jump(kind, j, basis).matrix.real
+                                for kind, rate, count in ((JumpKind.PHASE_LOCK, 1.0, 7),
+                                                          (JumpKind.DEPHASE, gamma, 8))
+                                for j in range(1, count + 1)], format="csr")
+            for stacked, decay in ((fresh.stacked, fresh.decay),
+                                   (per_op, sp.csr_matrix(0.5 * (per_op.T @ per_op)))):
+                assert (shared.stacked != stacked).nnz == 0
+                assert (shared.decay != decay).nnz == 0
+            assert shared.labels == fresh.labels
 
 
 class TestConfigAndHelpers:
