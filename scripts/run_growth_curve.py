@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from bosetraj import (MonitoringConfig, StateVector, build_basis, fock_state,
+from bosetraj import (MonitoringConfig, build_basis, fock_state,
                       run_ensemble, state_entropy)
 
 
@@ -35,7 +35,7 @@ def main():
     curve = [(0.0, 0.0)]
     # only the central cut is read, so only it is computed
     for t in times:
-        S = np.array([state_entropy(StateVector(basis, amps), half)
+        S = np.array([state_entropy(amps, half, basis)
                       for amps in ens.states_at(t)])
         mean = S.mean()
         stderr = S.std(ddof=1) / math.sqrt(len(S)) if len(S) > 1 else 0.0

@@ -4,9 +4,8 @@ entanglement-scaling transition."""
 
 __version__ = "0.1.0"
 
-from .fock import (FockBasis, JumpKind, SparseOperator, StateVector, apply,
-                   build_basis, build_bec_dark_state, build_hopping,
-                   build_jump, build_number, expectation, fock_state)
+from .fock import (FockBasis, JumpKind, build_basis, build_bec_dark_state,
+                   build_hopping, build_jump, build_number, fock_state)
 from .trajectory import (JumpChannels, JumpRecord, MonitoringConfig,
                          Trajectory, default_initial_state, run_ensemble,
                          run_trajectory, step)

@@ -2,8 +2,9 @@
 
 Subcommands: trajectories, entropy-scan, gutzwiller, lindblad-check,
 ancilla, fit.  Options come from an optional JSON config file with CLI
-flags taking precedence.  Every run writes manifest.json before any
-compute starts, so crashed runs still carry full provenance.
+flags taking precedence.  Every run checks its configs, then writes
+manifest.json before any compute starts: crashed runs still carry full
+provenance, and rejected ones leave no directory.
 
 Exit codes: 0 success, 2 validation error (bad flag, config key or
 value), 3 numeric guard tripped (NumericGuardError, LinAlgError,
@@ -28,19 +29,15 @@ from . import __version__
 from .cftfit import fit_profile
 from .entropy import EntropyProfile, average_profile, average_profiles
 from .fock import JumpKind, NumericGuardError, build_basis, build_bec_dark_state
-from .gutzwiller import GwConfig, order_parameter_sweep
+from .gutzwiller import GwConfig, check_sweep, order_parameter_sweep
 from .lindblad import compare_with_ensemble, default_observables, evolve_lindblad
-from .trajectory import JumpChannels, MonitoringConfig, default_initial_state, run_ensemble
+from .trajectory import MonitoringConfig, default_initial_state, run_ensemble
 from . import ancilla as anc
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 EXIT_COMPARISON = 4
-
-
-def _output_root() -> Path:
-    return Path(os.environ.get("BOSETRAJ_OUTPUT", "runs"))
 
 
 def _fmt(x) -> str:
@@ -161,8 +158,8 @@ def cmd_trajectories(spec: dict, outdir: Path) -> int:
     if not cfg.snapshot_times:
         times = np.linspace(0.0, cfg.t_max, int(spec.get("n_snapshots", 21)))
         cfg = replace(cfg, snapshot_times=tuple(times))
-    write_manifest(outdir, spec)
     psi0 = initial_state(spec, basis)
+    write_manifest(outdir, spec)
     M = int(spec.get("M", 100))
     ensemble = run_ensemble(basis, psi0, cfg, M, int(spec.get("workers", 1)))
     _write_observables(outdir, ensemble)
@@ -180,24 +177,22 @@ def cmd_entropy_scan(spec: dict, outdir: Path) -> int:
     gammas = spec.get("gamma_grid")
     if not gammas:
         raise ValueError("entropy-scan needs a gamma_grid")
+    # one sector (cut tables, unit-rate jumps) per scan; every gamma's
+    # config is checked before the manifest is written
+    basis, cfgs = None, []
+    for gamma in gammas:
+        basis, cfg = build_model(spec | {"gamma": gamma}, basis)
+        cfgs.append(replace(cfg, snapshot_times=(cfg.t_max,)))
+    psi0 = initial_state(spec, basis)
     write_manifest(outdir, spec)
     kinds = [("vn", None)] + [("renyi", a) for a in spec.get("renyi_orders", [])]
-    prof_rows = []
-    fits = []
-    counters = []
-    basis, units = None, {}   # one sector (cut tables, unit-rate jumps) per scan
-    for gamma in gammas:
-        sub = {k: v for k, v in spec.items() if k != "gamma_grid"} | {"gamma": gamma}
-        basis, cfg = build_model(sub, basis)
-        t_obs = cfg.t_max
-        cfg = replace(cfg, snapshot_times=(t_obs,))
-        ensemble = run_ensemble(basis, initial_state(sub, basis), cfg,
-                                int(spec.get("M", 100)), int(spec.get("workers", 1)),
-                                JumpChannels(basis, cfg.rate_phaselock, cfg.rate_dephase,
-                                             units))
+    prof_rows, fits, counters = [], [], []
+    for gamma, cfg in zip(gammas, cfgs):
+        ensemble = run_ensemble(basis, psi0, cfg, int(spec.get("M", 100)),
+                                int(spec.get("workers", 1)))
         counters.append({"gamma": gamma} | _counters(ensemble))
-        for prof in average_profiles(ensemble.states_at(t_obs), basis, gamma,
-                                     t_obs, kinds):
+        for prof in average_profiles(ensemble.states_at(cfg.t_max), basis, gamma,
+                                     cfg.t_max, kinds):
             prof_rows.extend(_profile_rows(prof))
             fit = fit_profile(prof, l_min=spec.get("fit_l_min"),
                               l_max=spec.get("fit_l_max"))
@@ -210,12 +205,13 @@ def cmd_entropy_scan(spec: dict, outdir: Path) -> int:
 
 
 def cmd_gutzwiller(spec: dict, outdir: Path) -> int:
-    write_manifest(outdir, spec)
     grid = spec.get("gamma_grid") or list(np.linspace(0.0, 6.0, 25))
     template = GwConfig(rate_phaselock=float(spec.get("rate_phaselock", 1.0)),
                         n_max=int(spec.get("n_max", 8)),
                         dt=float(spec.get("dt", 0.005)),
                         t_max=float(spec.get("t_max", 400.0)))
+    check_sweep(grid, template)
+    write_manifest(outdir, spec)
     sweep = order_parameter_sweep(grid, template,
                                   alpha_threshold=float(spec.get("alpha_threshold", 1e-3)))
     write_csv(outdir / "sweep.csv", ["gamma", "alpha_abs", "converged", "t_reached"],
@@ -228,11 +224,11 @@ def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
     basis, cfg = build_model(spec)
     times = tuple(spec.get("snapshot_times") or (0.5, 1.0, 2.0, 5.0))
     cfg = replace(cfg, t_max=max(times), snapshot_times=times)
-    write_manifest(outdir, spec)
     psi0 = initial_state(spec, basis)
+    write_manifest(outdir, spec)
     ensemble = run_ensemble(basis, psi0, cfg, int(spec.get("M", 2000)),
                             int(spec.get("workers", 1)))
-    rho0 = np.outer(psi0.amplitudes, psi0.amplitudes.conj())
+    rho0 = np.outer(psi0, psi0.conj())
     series = evolve_lindblad(basis, rho0, cfg.rate_phaselock, cfg.rate_dephase,
                              ensemble.snapshot_times)
     report = compare_with_ensemble(series, ensemble)
@@ -246,7 +242,6 @@ def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
 
 
 def cmd_ancilla(spec: dict, outdir: Path) -> int:
-    write_manifest(outdir, spec)
     scheme = spec.get("scheme", "dephasing")
     seed = int(spec.get("seed", 0))
     g = float(spec.get("g_eff", 1.0))
@@ -281,6 +276,7 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
                 "final_entropy": anc._pair_entropy(traj.final_state, cfg.n_max)}
     else:
         raise ValueError(f"unknown ancilla scheme {scheme!r}")
+    write_manifest(outdir, spec)
     rows, outcomes = [], []
     for i in range(int(spec.get("M", 100))):
         clicks, outcome = run(i)
@@ -400,7 +396,8 @@ def parse_spec(argv):
         if v is not None:
             spec[name] = v
     spec["command"] = args.command
-    outdir = Path(args.outdir) if args.outdir else _output_root() / args.command
+    root = Path(os.environ.get("BOSETRAJ_OUTPUT", "runs"))
+    outdir = Path(args.outdir) if args.outdir else root / args.command
     return args.command, spec, outdir
 
 

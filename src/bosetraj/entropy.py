@@ -3,8 +3,10 @@
 The partial trace exploits the fixed-N sector: amplitudes are grouped
 into (left occupation, right occupation) blocks of equal left particle
 number, so rho_A comes out block diagonal without ever reshaping a full
-L-site tensor.  Averages are taken over entropies, never over density
-matrices -- the entropy is nonlinear in the state.
+L-site tensor.  States are amplitude arrays over a FockBasis passed
+alongside; the blocks keep the amplitudes' dtype.  Averages are taken
+over entropies, never over density matrices -- the entropy is nonlinear
+in the state.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, NumericGuardError, StateVector
+from .fock import FockBasis, NumericGuardError
 
 EIG_TOL = -1e-10
 SPECTRA_CHUNK = 256   # states whose Schmidt blocks are held at once
@@ -49,36 +51,35 @@ def _cut_blocks(basis: FockBasis, l: int):
     return result
 
 
-def reduce_state(psi: StateVector, l: int) -> ReducedDM:
-    """Partial trace of a normalized pure state at the cut after site l,
-    keeping sites 1..l."""
-    left, blocks = _cut_blocks(psi.basis, l)
-    rho = np.zeros((len(left), len(left)), dtype=np.complex128)
+def reduce_state(psi: np.ndarray, l: int, basis: FockBasis) -> ReducedDM:
+    """Partial trace of a normalized pure state over `basis` at the cut
+    after site l, keeping sites 1..l."""
+    left, blocks = _cut_blocks(basis, l)
+    rho = np.zeros((len(left), len(left)), dtype=psi.dtype)
     for nl, nr, li, ri, k, glob in blocks:
-        B = np.zeros((nl, nr), dtype=np.complex128)
-        B[li, ri] = psi.amplitudes[k]
+        B = np.zeros((nl, nr), dtype=psi.dtype)
+        B[li, ri] = psi[k]
         rho[np.ix_(glob, glob)] = B @ B.conj().T
     return ReducedDM(left_states=tuple(map(tuple, left.tolist())), matrix=rho)
 
 
-def schmidt_spectrum(psi, l: int, basis: FockBasis = None) -> np.ndarray:
+def schmidt_spectrum(psi: np.ndarray, l: int, basis: FockBasis) -> np.ndarray:
     """Eigenvalues of the reduced density matrix at cut l (squared Schmidt
     coefficients), without materializing rho_A.
 
-    psi is a StateVector, giving one spectrum, or an (M, dim) amplitude
-    stack over `basis`, giving an (M, k) array with one row per state.
-    Each block B is filled in the amplitudes' own dtype, and the smaller
-    Gram matrix (B B† or B† B) is diagonalised.
+    psi is one amplitude vector over `basis`, giving one spectrum, or an
+    (M, dim) stack, giving an (M, k) array with one row per state.  Each
+    block B is filled in the amplitudes' own dtype, and the smaller Gram
+    matrix (B B† or B† B) is diagonalised.
     """
-    if isinstance(psi, StateVector):
-        return schmidt_spectrum(psi.amplitudes[None], l, psi.basis)[0]
-    vals = []
+    states, vals = np.atleast_2d(psi), []
     for nl, nr, li, ri, k, _ in _cut_blocks(basis, l)[1]:
-        B = np.zeros((len(psi), nl, nr), dtype=psi.dtype)
-        B[:, li, ri] = psi[:, k]
+        B = np.zeros((len(states), nl, nr), dtype=states.dtype)
+        B[:, li, ri] = states[:, k]
         Bh = B.conj().transpose(0, 2, 1)
         vals.append(np.linalg.eigvalsh(B @ Bh if nl <= nr else Bh @ B))
-    return np.concatenate(vals, axis=1)
+    out = np.concatenate(vals, axis=1)
+    return out if psi.ndim > 1 else out[0]
 
 
 def _clean_spectrum(rho) -> np.ndarray:
@@ -121,9 +122,10 @@ def renyi(rho, alpha: float) -> float:
     return float(_entropies(_clean_spectrum(rho), _order("renyi", alpha)))
 
 
-def state_entropy(psi: StateVector, l: int, kind: str = "vn",
+def state_entropy(psi: np.ndarray, l: int, basis: FockBasis, kind: str = "vn",
                   alpha: float = None) -> float:
-    return float(_entropies(_clean_spectrum(schmidt_spectrum(psi, l)),
+    """Entropy of one amplitude vector over `basis` at cut l."""
+    return float(_entropies(_clean_spectrum(schmidt_spectrum(psi, l, basis)),
                             _order(kind, alpha)))
 
 

@@ -3,7 +3,9 @@
 Both monitoring channels conserve total particle number, so the whole
 simulation lives inside a single (L, N) sector with a hard per-site
 occupation cap n_max.  States are ordered lexicographically so that
-indices (and every downstream output file) are reproducible.
+indices (and every downstream output file) are reproducible.  A state is
+a plain amplitude array over the sector and an operator a real
+scipy.sparse CSR matrix: every chain operator is real in the Fock basis.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ class FockBasis:
         self.weights = (n_max + 1) ** np.arange(L - 1, -1, -1, dtype=np.int64)
         self.codes = table @ self.weights
         self._cut_cache: dict = {}  # partial-trace bookkeeping, filled lazily
+        self._jump_cache: dict = {}  # JumpKind -> stacked unit-rate jumps, lazily
 
     @property
     def dim(self) -> int:
@@ -95,45 +98,14 @@ def build_basis(L: int, N: int, n_max: int) -> FockBasis:
     return FockBasis(L, N, n_max, table)
 
 
-class StateVector:
-    """Complex amplitudes over a FockBasis."""
-
-    def __init__(self, basis: FockBasis, amplitudes: np.ndarray):
-        if len(amplitudes) != basis.dim:
-            raise ValueError("amplitude length does not match basis dimension")
-        self.basis = basis
-        self.amplitudes = np.asarray(amplitudes, dtype=np.complex128)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalize(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroDivisionError("cannot normalize zero state")
-        self.amplitudes /= n
-        return self
+def fock_state(basis: FockBasis, occupation) -> np.ndarray:
+    """Basis state |n_1 ... n_L>, real amplitudes."""
+    psi = np.zeros(basis.dim)
+    psi[basis.find(tuple(occupation))] = 1.0
+    return psi
 
 
-def fock_state(basis: FockBasis, occupation) -> StateVector:
-    """Basis state |n_1 ... n_L>."""
-    amps = np.zeros(basis.dim, dtype=np.complex128)
-    amps[basis.find(tuple(occupation))] = 1.0
-    return StateVector(basis, amps)
-
-
-class SparseOperator:
-    """Sparse matrix acting within one Fock sector."""
-
-    def __init__(self, basis: FockBasis, matrix: sp.spmatrix):
-        self.basis = basis
-        self.matrix = sp.csr_matrix(matrix, dtype=np.complex128)
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
-def _hop_operator(basis, terms) -> SparseOperator:
+def _hop_operator(basis, terms) -> sp.csr_matrix:
     """sum of sign * a†_p a_q over terms (p, q, sign), 0-based sites, hard
     n_max cutoff.  Each term contributes its columns in ascending order,
     terms in the given order, so duplicate entries always sum alike."""
@@ -147,13 +119,11 @@ def _hop_operator(basis, terms) -> SparseOperator:
         cols.append(col)
         amp = nq[col] if p == q else np.sqrt(nq[col]) * np.sqrt(occ[col, p] + 1)
         vals.append(sign * amp)   # sign is +-1: exact in any order
-    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(basis.dim, basis.dim), dtype=np.complex128).tocsr()
-    mat.sum_duplicates()
-    return SparseOperator(basis, mat)
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(basis.dim, basis.dim)).tocsr()   # sums duplicates
 
 
-def build_hopping(basis: FockBasis, i: int, j: int) -> SparseOperator:
+def build_hopping(basis: FockBasis, i: int, j: int) -> sp.csr_matrix:
     """a†_i a_j with 1-based site indices."""
     for s in (i, j):
         if not 1 <= s <= basis.L:
@@ -161,12 +131,12 @@ def build_hopping(basis: FockBasis, i: int, j: int) -> SparseOperator:
     return _hop_operator(basis, [(i - 1, j - 1, 1.0)])
 
 
-def build_number(basis: FockBasis, j: int) -> SparseOperator:
+def build_number(basis: FockBasis, j: int) -> sp.csr_matrix:
     """Number operator n_j, 1-based."""
     return build_hopping(basis, j, j)
 
 
-def build_jump(kind: JumpKind, j: int, basis: FockBasis) -> SparseOperator:
+def build_jump(kind: JumpKind, j: int, basis: FockBasis) -> sp.csr_matrix:
     """Jump operator for one monitoring channel at site/bond j (1-based).
 
     PHASE_LOCK: d_j = (a†_j + a†_{j+1})(a_j - a_{j+1}), defined on bonds
@@ -184,21 +154,18 @@ def build_jump(kind: JumpKind, j: int, basis: FockBasis) -> SparseOperator:
     raise TypeError(f"unknown jump kind {kind!r}")
 
 
-def apply(op: SparseOperator, psi: StateVector) -> StateVector:
-    """Unnormalized matrix-vector product; the input is untouched."""
-    if op.basis is not psi.basis and op.basis.states != psi.basis.states:
-        raise ValueError("operator and state live in different bases")
-    return StateVector(psi.basis, op.matrix.dot(psi.amplitudes))
+def unit_jumps(basis: FockBasis, kind: JumpKind) -> sp.csr_matrix:
+    """Every unit-rate jump operator of one kind, stacked as one block of
+    rows per bond or site in ascending order; built once per basis."""
+    if kind not in basis._jump_cache:
+        count = basis.L - 1 if kind is JumpKind.PHASE_LOCK else basis.L
+        blocks = [build_jump(kind, j, basis) for j in range(1, count + 1)]
+        basis._jump_cache[kind] = sp.vstack(blocks or [sp.csr_matrix((0, basis.dim))],
+                                            format="csr")
+    return basis._jump_cache[kind]
 
 
-def expectation(op: SparseOperator, psi: StateVector) -> complex:
-    """<psi|A|psi> for a normalized state."""
-    if op.basis is not psi.basis and op.basis.states != psi.basis.states:
-        raise ValueError("operator and state live in different bases")
-    return complex(np.vdot(psi.amplitudes, op.matrix.dot(psi.amplitudes)))
-
-
-def build_bec_dark_state(basis: FockBasis) -> StateVector:
+def build_bec_dark_state(basis: FockBasis) -> np.ndarray:
     """Uniform condensate (1/sqrt(L) sum_j a†_j)^N |0> inside the sector.
 
     Exact (annihilated by every phase-lock jump) when n_max >= N; with a
@@ -211,4 +178,5 @@ def build_bec_dark_state(basis: FockBasis) -> StateVector:
     # multinomial weight N!/prod(n_j!) times sqrt(prod(n_j!)) from (a†)^n|0>
     log_fact = np.array([math.lgamma(n + 1) for n in range(basis.n_max + 1)])
     log_amp = math.lgamma(basis.N + 1) - 0.5 * log_fact[basis.table].sum(axis=1)
-    return StateVector(basis, np.exp(log_amp)).normalize()
+    psi = np.exp(log_amp)
+    return psi / np.linalg.norm(psi)

@@ -3,8 +3,9 @@
 The phase-locking channel reduces, under the product ansatz for
 neighboring sites, to a nonlinear single-site generator whose moment
 coefficients are refreshed from the current density matrix at every
-integrator stage, all from one cached sparse matrix per cutoff; RK4 runs
-in the state's dtype.  Dephasing stays a plain number-operator dissipator.
+integrator stage, all from one cached sparse matrix per cutoff.  The
+state is a plain (n_max + 1)-square density matrix and RK4 runs in its
+dtype.  Dephasing stays a plain number-operator dissipator.
 The order parameter alpha = <a> vanishes across a critical reduced
 dephasing rate that depends on the local cutoff n_max.  At n_max = 8 the
 ordered branch vanishes continuously at gamma ~ 4.5, where the truncated
@@ -30,12 +31,6 @@ from .superop import anticommutator, dissipator, sandwich
 TRACE_TOL = 1e-6
 ALPHA_TOL = 1e-8      # steady-state criterion on |alpha| drift over 1/Lambda
 RECORD_EVERY = 20     # steps between recorded (t, alpha) points
-
-
-@dataclass
-class SingleSiteDM:
-    n_max: int
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -117,34 +112,35 @@ def coherent_dm(alpha: complex, n_max: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def default_initial_dm(cfg: GwConfig) -> SingleSiteDM:
+def default_initial_dm(cfg: GwConfig) -> np.ndarray:
     """Symmetry-broken seed: a pure Fock state is an alpha = 0 fixed
     point at every gamma, so the sweep starts from the coherent state at
     |alpha| = sqrt(filling)."""
-    return SingleSiteDM(cfg.n_max, coherent_dm(math.sqrt(cfg.filling), cfg.n_max))
+    return coherent_dm(math.sqrt(cfg.filling), cfg.n_max)
 
 
 @dataclass
 class GwEvolution:
     times: np.ndarray
     alphas: np.ndarray
-    final: SingleSiteDM
+    final: np.ndarray          # (d, d) density matrix at the last step
     converged: bool
     rhos: list = field(default_factory=list)
     steps: int = 0             # RK4 steps taken
 
 
-def evolve(cfg: GwConfig, rho0: SingleSiteDM = None, store_rhos: bool = False,
+def evolve(cfg: GwConfig, rho0: np.ndarray = None, store_rhos: bool = False,
            stop_when_steady: bool = True) -> GwEvolution:
-    """Fixed-step RK4 of meanfield_rhs (moments refreshed every stage) in
-    the dtype of rho0 (a real seed stays real: every map is), recording
-    (t, alpha) every RECORD_EVERY steps and on the last step.
+    """Fixed-step RK4 of meanfield_rhs (moments refreshed every stage) from
+    the (d, d) density matrix rho0, d = cfg.n_max + 1, in its dtype (a
+    real seed stays real: every map is), recording (t, alpha) every
+    RECORD_EVERY steps and on the last step.
     With stop_when_steady it stops once |alpha| varied by < ALPHA_TOL over
     the last 1/Lambda; a trace drift > TRACE_TOL raises NumericGuardError."""
-    if rho0 is None:
-        rho0 = default_initial_dm(cfg)
-    ops = SiteOperators(rho0.n_max)
-    rho = rho0.matrix.copy()
+    rho = np.array(default_initial_dm(cfg) if rho0 is None else rho0)
+    if rho.shape != (cfg.n_max + 1,) * 2:
+        raise ValueError(f"rho0 of shape {rho.shape} does not fit n_max={cfg.n_max}")
+    ops = SiteOperators(cfg.n_max)
     dt, t = cfg.dt, 0.0
     stages = np.empty((4, *rho.shape), dtype=rho.dtype)
     weights = np.array([dt, 2.0 * dt, 2.0 * dt, dt]) / 6.0
@@ -180,7 +176,7 @@ def evolve(cfg: GwConfig, rho0: SingleSiteDM = None, store_rhos: bool = False,
         if converged:
             break
     return GwEvolution(times=np.array(times), alphas=np.array(alphas),
-                       final=SingleSiteDM(rho0.n_max, rho),
+                       final=rho,
                        converged=converged, rhos=rhos, steps=k)
 
 
@@ -222,6 +218,12 @@ class SweepResult:
     counters: dict = field(default_factory=dict)   # evolves, rk4_steps, unconverged
 
 
+def check_sweep(gammas, template: GwConfig):
+    """Raise ValueError unless the sweep can run: Lambda > 0, gammas >= 0."""
+    if template.rate_phaselock == 0 or not all(g >= 0 for g in gammas):
+        raise ValueError("the sweep needs rate_phaselock > 0 and every gamma >= 0")
+
+
 def order_parameter_sweep(gammas, template: GwConfig,
                           alpha_threshold: float = 1e-3,
                           bisection_steps: int = 6) -> SweepResult:
@@ -229,8 +231,7 @@ def order_parameter_sweep(gammas, template: GwConfig,
     point refined by bisection between the last ordered and first
     disordered grid points."""
     gammas = sorted(gammas)
-    if template.rate_phaselock == 0 or not all(g >= 0 for g in gammas):
-        raise ValueError("the sweep needs rate_phaselock > 0 and every gamma >= 0")
+    check_sweep(gammas, template)
     counters = Counter()
 
     def steady(gamma):

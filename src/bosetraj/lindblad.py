@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from .fock import FockBasis, JumpKind, build_hopping, build_jump
+from .fock import FockBasis, JumpKind, build_hopping, build_number, unit_jumps
 from .superop import dissipator
 
 MAX_DENSE_DIM = 600
@@ -28,14 +28,14 @@ class LindbladGenerator:
         if basis.dim > MAX_DENSE_DIM:
             raise ValueError(f"sector dim {basis.dim} too large for the dense "
                              f"oracle (cap {MAX_DENSE_DIM})")
-        self.dim = basis.dim
+        dim = self.dim = basis.dim
         self.channels = []     # (rate, b, b†, b†b), sparse, nonzero rates only
-        for kind, rate, count in ((JumpKind.PHASE_LOCK, rate_phaselock, basis.L - 1),
-                                  (JumpKind.DEPHASE, rate_dephase, basis.L)):
+        for kind, rate in ((JumpKind.PHASE_LOCK, rate_phaselock),
+                           (JumpKind.DEPHASE, rate_dephase)):
             if rate == 0.0:
                 continue
-            for j in range(1, count + 1):
-                b = build_jump(kind, j, basis).matrix.real   # chain jumps are real
+            stack = unit_jumps(basis, kind)      # one block of dim rows per b
+            for b in (stack[k:k + dim] for k in range(0, stack.shape[0], dim)):
                 self.channels.append((rate, b, b.T, b.T @ b))
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
@@ -71,12 +71,9 @@ class OracleSeries:
 
 def default_observables(basis: FockBasis) -> dict:
     """Site densities plus nearest-neighbor coherences."""
-    obs = {}
-    for j in range(1, basis.L + 1):
-        obs[f"n_{j}"] = build_hopping(basis, j, j).dense()
-    for j in range(1, basis.L):
-        obs[f"hop_{j}_{j + 1}"] = build_hopping(basis, j, j + 1).dense()
-    return obs
+    obs = {f"n_{j}": build_number(basis, j) for j in range(1, basis.L + 1)}
+    obs |= {f"hop_{j}_{j + 1}": build_hopping(basis, j, j + 1) for j in range(1, basis.L)}
+    return {name: op.toarray() for name, op in obs.items()}
 
 
 def evolve_lindblad(basis: FockBasis, rho0: np.ndarray, rate_phaselock: float,

@@ -30,8 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import expm
 
-from .fock import (FockBasis, JumpKind, NumericGuardError, StateVector,
-                   build_jump, fock_state)
+from .fock import FockBasis, JumpKind, NumericGuardError, fock_state, unit_jumps
 
 CHANNEL_EPS = 1e-14    # channel weights below this share of the total are dead
 DENSE_MAX_DIM = 500    # generators up to this dimension are diagonalised once
@@ -108,8 +107,8 @@ class Interval:
     def states(self, taus) -> np.ndarray:
         """Unnormalised states, one column per tau (a vector for a scalar)."""
         taus = np.asarray(taus, dtype=float)
-        x = np.exp(-np.multiply.outer(self.rates, taus))
-        x *= self.coef if taus.ndim == 0 else self.coef[:, None]
+        x = (np.exp(-np.multiply.outer(self.rates, taus))
+             * (self.coef if taus.ndim == 0 else self.coef[:, None]))
         if self.rotation is not None:
             x = self.rotation @ x
         return self.basis @ x
@@ -291,23 +290,18 @@ class JumpChannels:
     of rows each in the fixed channel order, and `labels` their
     (kind, site).  decay is the real symmetric
     A = (1/2) sum_k rate_k b_k† b_k = stacked† stacked / 2, the no-jump
-    generator: the survival over tau is ||exp(-A tau) psi||^2.  `units`
-    caches each kind's stacked unit-rate b_k for reuse at other rates.
+    generator: the survival over tau is ||exp(-A tau) psi||^2.  The
+    unit-rate b_k come from the basis's cache, shared across rates.
     """
 
-    def __init__(self, basis: FockBasis, rate_phaselock: float, rate_dephase: float,
-                 units: dict = None):
+    def __init__(self, basis: FockBasis, rate_phaselock: float, rate_dephase: float):
         self.basis = basis
-        units = {} if units is None else units
         blocks, self.labels = [], []
         for kind, rate, count in ((JumpKind.PHASE_LOCK, rate_phaselock, basis.L - 1),
                                   (JumpKind.DEPHASE, rate_dephase, basis.L)):
             if rate == 0.0:
                 continue
-            if kind not in units:       # every chain jump operator is real
-                units[kind] = sp.vstack([build_jump(kind, j, basis).matrix.real
-                                         for j in range(1, count + 1)], format="csr")
-            blocks.append(math.sqrt(rate) * units[kind])
+            blocks.append(math.sqrt(rate) * unit_jumps(basis, kind))
             self.labels += [(kind, j) for j in range(1, count + 1)]
         self.stacked = sp.vstack(blocks, format="csr")
         self.decay = sp.csr_matrix(0.5 * (self.stacked.T @ self.stacked))
@@ -395,19 +389,23 @@ def trajectory_rng(master_seed: int, traj_index: int):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def run_trajectory(basis: FockBasis, psi0: StateVector, cfg: MonitoringConfig,
-                   channels: JumpChannels = None, traj_index: int = 0) -> Trajectory:
-    """Evolve one trajectory; deterministic given (cfg.seed, traj_index).
+def _check_state(basis: FockBasis, psi0: np.ndarray):
+    if np.shape(psi0) != (basis.dim,):
+        raise ValueError(f"psi0 of shape {np.shape(psi0)} is not a state of dim {basis.dim}")
 
-    Snapshots are taken at exactly the requested times up to t_max.  Real
-    initial amplitudes stay real: every chain operator is.
+
+def run_trajectory(basis: FockBasis, psi0: np.ndarray, cfg: MonitoringConfig,
+                   channels: JumpChannels = None, traj_index: int = 0) -> Trajectory:
+    """Evolve one trajectory from the amplitudes psi0 over `basis`;
+    deterministic given (cfg.seed, traj_index).
+
+    Snapshots are taken at exactly the requested times up to t_max.  The
+    states keep psi0's dtype: every chain operator is real.
     """
+    _check_state(basis, psi0)
     if channels is None:
         channels = JumpChannels(basis, cfg.rate_phaselock, cfg.rate_dephase)
-    psi = psi0.amplitudes
-    if not psi.imag.any():
-        psi = psi.real
-    psi = psi / np.linalg.norm(psi)
+    psi = psi0 / np.linalg.norm(psi0)
     snap_times = [s for s in cfg.snapshot_times if s <= cfg.t_max]
     snapshots = [(s, psi.copy()) for s in snap_times if s <= 0.0]
     pending = snap_times[len(snapshots):]
@@ -446,13 +444,7 @@ class EnsembleResult:
             raise KeyError(f"no snapshot at t={t}; have {sorted(self.states)}") from None
 
 
-_WORKER_CTX = {}
-
-
-def _worker_init(basis, cfg, channels):
-    _WORKER_CTX["basis"] = basis
-    _WORKER_CTX["channels"] = channels
-    _WORKER_CTX["cfg"] = cfg
+_WORKER_CTX = {}     # run_trajectory's arguments but traj_index, per worker
 
 
 def _summary(traj: Trajectory):
@@ -461,22 +453,18 @@ def _summary(traj: Trajectory):
             traj.krylov_dims)
 
 
-def _worker_run(args):
-    i, psi0_amps = args
-    basis = _WORKER_CTX["basis"]
-    cfg = _WORKER_CTX["cfg"]
-    traj = run_trajectory(basis, StateVector(basis, psi0_amps), cfg,
-                          channels=_WORKER_CTX["channels"], traj_index=i)
-    return i, _summary(traj)
+def _worker_run(i):
+    return i, _summary(run_trajectory(traj_index=i, **_WORKER_CTX))
 
 
-def run_ensemble(basis: FockBasis, psi0: StateVector, cfg: MonitoringConfig,
+def run_ensemble(basis: FockBasis, psi0: np.ndarray, cfg: MonitoringConfig,
                  M: int, workers: int = 1,
                  channels: JumpChannels = None) -> EnsembleResult:
     """M independent trajectories; aggregation order is by trajectory
     index, so results are identical for any worker count."""
     if M < 1:
         raise ValueError("need at least one trajectory")
+    _check_state(basis, psi0)
     if channels is None:
         channels = JumpChannels(basis, cfg.rate_phaselock, cfg.rate_dephase)
     results = [None] * M
@@ -487,11 +475,11 @@ def run_ensemble(basis: FockBasis, psi0: StateVector, cfg: MonitoringConfig,
     else:
         ctx = mp.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
-                                 initializer=_worker_init,
-                                 initargs=(basis, cfg, channels)) as pool:
-            for i, summary in pool.map(
-                    _worker_run, ((i, psi0.amplitudes) for i in range(M)),
-                    chunksize=max(1, M // (workers * 8))):
+                                 initializer=_WORKER_CTX.update,
+                                 initargs=(dict(basis=basis, psi0=psi0, cfg=cfg,
+                                                channels=channels),)) as pool:
+            for i, summary in pool.map(_worker_run, range(M),
+                                       chunksize=max(1, M // (workers * 8))):
                 results[i] = summary
 
     by_kind = {k: np.array([r[1][k] for r in results]) for k in JumpKind}
@@ -505,7 +493,7 @@ def run_ensemble(basis: FockBasis, psi0: StateVector, cfg: MonitoringConfig,
                           basis=basis)
 
 
-def default_initial_state(basis: FockBasis) -> StateVector:
+def default_initial_state(basis: FockBasis) -> np.ndarray:
     """Uniform Fock state |1,1,...,1> (requires filling 1)."""
     if basis.N != basis.L:
         raise ValueError("uniform Fock initial state needs N == L")

@@ -5,20 +5,19 @@ import numpy as np
 from bosetraj.entropy import ReducedDM
 
 
-def reduce_right(psi, l):
+def reduce_right(psi, l, basis):
     """Keep sites l+1..L, tracing out the left block.  Independent code
     path from `reduce_state`: its own loop over `basis.states` into the
     full (left occupation, right occupation) coefficient matrix C, with
     no particle-number blocks, and C† C instead of B B†, so the two sides
     cross-check each other through their shared Schmidt spectrum."""
-    basis = psi.basis
     if not 1 <= l <= basis.L - 1:
         raise ValueError(f"cut {l} out of range [1, {basis.L - 1}]")
     lefts = {occ: i for i, occ in enumerate(sorted({s[:l] for s in basis.states}))}
     rights = {occ: i for i, occ in enumerate(sorted({s[l:] for s in basis.states}))}
     C = np.zeros((len(lefts), len(rights)), dtype=np.complex128)
     for k, occ in enumerate(basis.states):
-        C[lefts[occ[:l]], rights[occ[l:]]] = psi.amplitudes[k]
+        C[lefts[occ[:l]], rights[occ[l:]]] = psi[k]
     return ReducedDM(left_states=tuple(rights), matrix=C.conj().T @ C)
 
 

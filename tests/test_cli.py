@@ -15,7 +15,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError
 
-from bosetraj import cli, entropy, trajectory
+from bosetraj import cli, entropy, fock, trajectory
 from bosetraj.cli import (
     EXIT_COMPARISON,
     EXIT_GUARD,
@@ -45,6 +45,15 @@ def corrupt_generator(monkeypatch):
     original = trajectory.propagator
     monkeypatch.setattr(trajectory, "propagator", lambda G, hermitian: original(
         G + sp.triu(G, k=1), hermitian))
+
+
+def count_jump_builds(monkeypatch):
+    """Record the (kind, site) of every jump operator built from now on."""
+    calls = []
+    original = fock.build_jump
+    monkeypatch.setattr(fock, "build_jump",
+                        lambda *a: calls.append(a[:2]) or original(*a))
+    return calls
 
 
 def read_csv(path):
@@ -180,10 +189,7 @@ class TestEntropyScanAndFit:
             assert a["s0"] == pytest.approx(b["s0"], rel=1e-12, abs=1e-12)
 
     def test_scan_builds_unit_jumps_once(self, tmp_path, monkeypatch):
-        calls = []
-        original = trajectory.build_jump
-        monkeypatch.setattr(trajectory, "build_jump",
-                            lambda *a: calls.append(a[:2]) or original(*a))
+        calls = count_jump_builds(monkeypatch)
         code, _ = run_cli(tmp_path, "entropy-scan", "--L", "4", "--M", "2",
                           "--gamma-grid", "0.5,4.0,8.0", "--t-max", "0.5")
         assert code == EXIT_OK
@@ -249,6 +255,15 @@ class TestLindbladCheck:
         assert manifest["jumps_phaselock_mean"] + manifest["jumps_dephase_mean"] \
             == pytest.approx(manifest["jump_count_mean"], rel=1e-12)
 
+    def test_builds_each_jump_once(self, tmp_path, monkeypatch):
+        # the trajectories and the Lindblad generator share the sector's
+        # unit-rate jump operators
+        calls = count_jump_builds(monkeypatch)
+        code, _ = run_cli(tmp_path, "lindblad-check", "--L", "3", "--gamma", "1.0",
+                          "--M", "20", "--snapshot-times", "0.3")
+        assert code in (EXIT_OK, EXIT_COMPARISON)
+        assert len(calls) == len(set(calls)) == 2 * 3 - 1
+
 
 class TestAncilla:
     def test_dephasing_scheme_outputs(self, tmp_path):
@@ -275,6 +290,25 @@ class TestAncilla:
     def test_unknown_scheme(self, tmp_path):
         code, _ = run_cli(tmp_path, "ancilla", "--scheme", "bogus")
         assert code == EXIT_VALIDATION
+
+
+class TestValidateBeforeManifest:
+    @pytest.mark.parametrize("args", [
+        ("gutzwiller", "--t-max", "-1"),
+        ("gutzwiller", "--rate-phaselock", "0"),
+        ("gutzwiller", "--gamma-grid=-1"),
+        ("entropy-scan", "--L", "4", "--M", "2", "--gamma-grid=-1"),
+        ("ancilla", "--kappa=-1"),
+        ("ancilla", "--scheme", "nope"),
+        ("trajectories", "--L", "3", "--initial-state", "nope"),
+        ("lindblad-check", "--L", "3", "--initial-state", "nope"),
+    ], ids=["gutzwiller-t_max", "gutzwiller-rate_phaselock", "gutzwiller-gamma",
+            "entropy_scan-gamma", "ancilla-kappa", "ancilla-scheme",
+            "trajectories-initial_state", "lindblad_check-initial_state"])
+    def test_rejected_run_leaves_no_manifest(self, tmp_path, args):
+        code, outdir = run_cli(tmp_path, *args)
+        assert code == EXIT_VALIDATION
+        assert not outdir.exists()
 
 
 class TestConfigFile:

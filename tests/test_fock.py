@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosetraj import (JumpKind, SparseOperator, StateVector, apply,
-                      build_basis, build_bec_dark_state, build_hopping,
-                      build_jump, build_number, expectation, fock_state)
+from bosetraj import (JumpKind, MonitoringConfig, build_basis, build_bec_dark_state,
+                      build_hopping, build_jump, build_number, fock_state,
+                      run_ensemble, run_trajectory)
+from bosetraj.fock import unit_jumps
 
 
 def dense_mode_op(n_max):
@@ -105,36 +106,35 @@ class TestArrayBuiltOperators:
         i = data.draw(st.integers(1, L), label="i")
         j = data.draw(st.integers(1, L), label="j")
         hop = dense_sector_operator(b, lambda a, ad: ad(i - 1) @ a(j - 1))
-        np.testing.assert_allclose(build_hopping(b, i, j).dense(), hop, atol=1e-12)
+        np.testing.assert_allclose(build_hopping(b, i, j).toarray(), hop, atol=1e-12)
         num = dense_sector_operator(b, lambda a, ad: ad(j - 1) @ a(j - 1))
-        np.testing.assert_allclose(build_number(b, j).dense(), num, atol=1e-12)
+        np.testing.assert_allclose(build_number(b, j).toarray(), num, atol=1e-12)
         bond = data.draw(st.integers(1, L - 1), label="bond")
-        np.testing.assert_allclose(build_jump(JumpKind.PHASE_LOCK, bond, b).dense(),
+        np.testing.assert_allclose(build_jump(JumpKind.PHASE_LOCK, bond, b).toarray(),
                                    dense_d(b, bond), atol=1e-12)
 
 
 class TestBuildJump:
     def test_phaselock_on_uniform_fock(self):
         b = build_basis(2, 2, 2)
-        out = apply(build_jump(JumpKind.PHASE_LOCK, 1, b), fock_state(b, (1, 1)))
-        expected = np.zeros(3, complex)
+        out = build_jump(JumpKind.PHASE_LOCK, 1, b) @ fock_state(b, (1, 1))
+        expected = np.zeros(3)
         expected[b.find((0, 2))] = math.sqrt(2)
         expected[b.find((2, 0))] = -math.sqrt(2)
-        assert np.allclose(out.amplitudes, expected)
+        assert np.allclose(out, expected)
 
     def test_dephase_is_number_operator(self):
         b = build_basis(3, 3, 3)
         for j in range(1, 4):
             c = build_jump(JumpKind.DEPHASE, j, b)
             for occ in b.states:
-                out = apply(c, fock_state(b, occ))
-                assert np.allclose(out.amplitudes,
-                                   occ[j - 1] * fock_state(b, occ).amplitudes)
+                out = c @ fock_state(b, occ)
+                assert np.allclose(out, occ[j - 1] * fock_state(b, occ))
 
     def test_symmetric_mode_annihilated(self):
         b = build_basis(2, 2, 2)
         sym = build_bec_dark_state(b)
-        assert apply(build_jump(JumpKind.PHASE_LOCK, 1, b), sym).norm() < 1e-12
+        assert np.linalg.norm(build_jump(JumpKind.PHASE_LOCK, 1, b) @ sym) < 1e-12
 
     def test_out_of_range_site(self):
         b = build_basis(3, 3, 3)
@@ -147,7 +147,7 @@ class TestBuildJump:
     def test_dense_oracle_equivalence(self, L, N, n_max):
         b = build_basis(L, N, n_max)
         for j in range(1, L):
-            assert np.allclose(build_jump(JumpKind.PHASE_LOCK, j, b).dense(),
+            assert np.allclose(build_jump(JumpKind.PHASE_LOCK, j, b).toarray(),
                                dense_d(b, j), atol=1e-12)
 
     def test_number_conservation_structural(self):
@@ -156,13 +156,13 @@ class TestBuildJump:
         b = build_basis(3, 3, 2)
         d = build_jump(JumpKind.PHASE_LOCK, 1, b)
         for occ in b.states:
-            out = apply(d, fock_state(b, occ))
-            assert out.amplitudes.shape == (b.dim,)
+            out = d @ fock_state(b, occ)
+            assert out.shape == (b.dim,)
 
     def test_dtd_positive_semidefinite(self):
         b = build_basis(4, 4, 2)
         for j in range(1, 4):
-            d = build_jump(JumpKind.PHASE_LOCK, j, b).dense()
+            d = build_jump(JumpKind.PHASE_LOCK, j, b).toarray()
             evals = np.linalg.eigvalsh(d.conj().T @ d)
             assert evals.min() >= -1e-10
 
@@ -172,8 +172,8 @@ class TestBuildJump:
         b2 = build_basis(3, 3, 5)
         idx = b2.find(b1.table)
         for j in range(1, 3):
-            m1 = build_jump(JumpKind.PHASE_LOCK, j, b1).dense()
-            m2 = build_jump(JumpKind.PHASE_LOCK, j, b2).dense()[np.ix_(idx, idx)]
+            m1 = build_jump(JumpKind.PHASE_LOCK, j, b1).toarray()
+            m2 = build_jump(JumpKind.PHASE_LOCK, j, b2).toarray()[np.ix_(idx, idx)]
             assert np.allclose(m1, m2)
 
 
@@ -181,52 +181,77 @@ class TestApplyExpectation:
     def test_identity(self):
         b = build_basis(3, 3, 2)
         import scipy.sparse as sp
-        ident = SparseOperator(b, sp.eye(b.dim))
         rng = np.random.default_rng(0)
-        psi = StateVector(b, rng.normal(size=b.dim) + 1j * rng.normal(size=b.dim))
-        psi.normalize()
-        assert np.allclose(apply(ident, psi).amplitudes, psi.amplitudes)
+        psi = rng.normal(size=b.dim) + 1j * rng.normal(size=b.dim)
+        psi /= np.linalg.norm(psi)
+        assert np.allclose(sp.eye(b.dim, format="csr") @ psi, psi)
 
     def test_number_eigenvalue(self):
         b = build_basis(2, 2, 2)
         psi = fock_state(b, (1, 1))
         c1 = build_jump(JumpKind.DEPHASE, 1, b)
-        assert np.allclose(apply(c1, psi).amplitudes, psi.amplitudes)
-        assert expectation(build_number(b, 1), psi) == pytest.approx(1.0)
+        assert np.allclose(c1 @ psi, psi)
+        assert np.vdot(psi, build_number(b, 1) @ psi) == pytest.approx(1.0)
 
     def test_apply_matches_dense_product(self):
         b = build_basis(2, 2, 2)
         psi = np.zeros(3, complex)
         psi[b.find((0, 2))] = 1 / math.sqrt(2)
-        psi[b.find((2, 0))] = -1 / math.sqrt(2)
-        psi = StateVector(b, psi)
+        psi[b.find((2, 0))] = -1j / math.sqrt(2)
         d = build_jump(JumpKind.PHASE_LOCK, 1, b)
-        assert np.allclose(apply(d, psi).amplitudes, dense_d(b, 1) @ psi.amplitudes)
+        assert np.allclose(d @ psi, dense_d(b, 1) @ psi)
 
     def test_dtd_expectation(self):
         b = build_basis(2, 2, 2)
         psi = fock_state(b, (1, 1))
         d = build_jump(JumpKind.PHASE_LOCK, 1, b)
-        dtd = SparseOperator(b, d.matrix.conj().T @ d.matrix)
-        val = expectation(dtd, psi)
-        assert val.real == pytest.approx(4.0)
-        assert abs(val.imag) < 1e-12
+        val = np.vdot(psi, (d.T @ d) @ psi)
+        assert val == pytest.approx(4.0)
         # equals the squared norm of d|1,1> = sqrt(2)|0,2> - sqrt(2)|2,0>
-        assert apply(d, psi).norm() ** 2 == pytest.approx(4.0)
+        assert np.linalg.norm(d @ psi) ** 2 == pytest.approx(4.0)
 
     def test_dephase_composite_on_uniform_filling(self):
         b = build_basis(4, 4, 4)
         psi = fock_state(b, (1, 1, 1, 1))
         for j in range(1, 5):
             c = build_jump(JumpKind.DEPHASE, j, b)
-            ctc = SparseOperator(b, c.matrix.conj().T @ c.matrix)
-            assert expectation(ctc, psi).real == pytest.approx(1.0)
+            assert np.vdot(psi, (c.T @ c) @ psi) == pytest.approx(1.0)
 
     def test_basis_mismatch(self):
+        # a state from another sector: products and trajectories refuse it
         b1 = build_basis(2, 2, 2)
-        b2 = build_basis(3, 3, 3)
+        psi = fock_state(build_basis(3, 3, 3), (1, 1, 1))
         with pytest.raises(ValueError):
-            apply(build_number(b1, 1), fock_state(b2, (1, 1, 1)))
+            build_number(b1, 1) @ psi
+        cfg = MonitoringConfig(rate_phaselock=1.0, rate_dephase=1.0, t_max=1.0)
+        with pytest.raises(ValueError):
+            run_trajectory(b1, psi, cfg)
+        with pytest.raises(ValueError):
+            run_ensemble(b1, psi, cfg, M=1)
+
+
+class TestRealArrays:
+    def test_operators_are_real_csr(self):
+        b = build_basis(3, 3, 2)
+        for op in (build_jump(JumpKind.PHASE_LOCK, 1, b),
+                   build_jump(JumpKind.DEPHASE, 2, b), build_hopping(b, 1, 3)):
+            assert op.format == "csr"
+            assert op.dtype == np.float64
+
+    def test_states_are_float64(self):
+        b = build_basis(3, 3, 3)
+        assert fock_state(b, (1, 1, 1)).dtype == np.float64
+        assert build_bec_dark_state(b).dtype == np.float64
+
+    def test_unit_jumps_stack_and_cache(self):
+        b = build_basis(3, 3, 2)
+        for kind, count in ((JumpKind.PHASE_LOCK, 2), (JumpKind.DEPHASE, 3)):
+            stack = unit_jumps(b, kind)
+            assert unit_jumps(b, kind) is stack
+            assert stack.shape == (count * b.dim, b.dim)
+            for j in range(1, count + 1):
+                block = stack[(j - 1) * b.dim:j * b.dim]
+                assert (block != build_jump(kind, j, b)).nnz == 0
 
 
 class TestDarkState:
@@ -234,22 +259,22 @@ class TestDarkState:
         b = build_basis(2, 2, 2)
         D = build_bec_dark_state(b)
         # (|0,2> + sqrt(2)|1,1> + |2,0>)/2
-        assert D.amplitudes[b.find((0, 2))] == pytest.approx(0.5)
-        assert D.amplitudes[b.find((1, 1))] == pytest.approx(math.sqrt(2) / 2)
-        assert D.amplitudes[b.find((2, 0))] == pytest.approx(0.5)
+        assert D[b.find((0, 2))] == pytest.approx(0.5)
+        assert D[b.find((1, 1))] == pytest.approx(math.sqrt(2) / 2)
+        assert D[b.find((2, 0))] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
     def test_annihilated_by_all_bonds(self, L):
         b = build_basis(L, L, L)
         D = build_bec_dark_state(b)
         for j in range(1, L):
-            assert apply(build_jump(JumpKind.PHASE_LOCK, j, b), D).norm() < 1e-10
+            assert np.linalg.norm(build_jump(JumpKind.PHASE_LOCK, j, b) @ D) < 1e-10
 
     def test_uniform_density(self):
         b = build_basis(4, 4, 4)
         D = build_bec_dark_state(b)
         for j in range(1, 5):
-            assert expectation(build_number(b, j), D).real == pytest.approx(1.0)
+            assert np.vdot(D, build_number(b, j) @ D) == pytest.approx(1.0)
 
     def test_truncated_warns(self):
         with pytest.warns(UserWarning):
@@ -258,6 +283,6 @@ class TestDarkState:
 
 def test_hopping_hermitian_pair():
     b = build_basis(3, 3, 2)
-    h12 = build_hopping(b, 1, 2).dense()
-    h21 = build_hopping(b, 2, 1).dense()
+    h12 = build_hopping(b, 1, 2).toarray()
+    h21 = build_hopping(b, 2, 1).toarray()
     assert np.allclose(h12, h21.conj().T)

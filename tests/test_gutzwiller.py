@@ -17,7 +17,6 @@ import pytest
 from bosetraj import gutzwiller
 from bosetraj.gutzwiller import (
     GwConfig,
-    SingleSiteDM,
     SiteOperators,
     coherent_dm,
     default_initial_dm,
@@ -162,15 +161,23 @@ class TestSparseGenerator:
     def test_real_seed_evolves_in_real_arithmetic(self):
         cfg = GwConfig(rate_dephase=1.5, n_max=8, dt=0.01, t_max=2.0)
         seed = coherent_dm(0.8, 8)
-        real = evolve(cfg, SingleSiteDM(8, seed), stop_when_steady=False)
-        cplx = evolve(cfg, SingleSiteDM(8, seed.astype(complex)),
+        real = evolve(cfg, seed, stop_when_steady=False)
+        cplx = evolve(cfg, seed.astype(complex),
                       stop_when_steady=False)
         assert real.steps == cplx.steps == 200
-        assert real.final.matrix.dtype == np.float64
-        assert cplx.final.matrix.dtype == np.complex128
-        np.testing.assert_allclose(real.final.matrix, cplx.final.matrix,
+        assert real.final.dtype == np.float64
+        assert cplx.final.dtype == np.complex128
+        np.testing.assert_allclose(real.final, cplx.final,
                                    rtol=0, atol=1e-13)
         np.testing.assert_allclose(real.alphas, cplx.alphas, rtol=0, atol=1e-13)
+
+    def test_seed_of_another_cutoff_rejected(self):
+        # the cutoff comes from the config: a seed of another size is an error
+        cfg = GwConfig(n_max=8, dt=0.01, t_max=0.1)
+        for n_max in (4, 9):
+            with pytest.raises(ValueError, match="n_max=8"):
+                evolve(cfg, coherent_dm(0.8, n_max))
+        assert evolve(cfg, coherent_dm(0.8, 8)).final.shape == (9, 9)
 
 
 class TestCoherentDarkState:
@@ -203,10 +210,10 @@ class TestDephasing:
         gam, t = 1.3, 0.8
         cfg = GwConfig(rate_phaselock=0.0, rate_dephase=gam,
                        n_max=n_max, dt=1e-3, t_max=t)
-        ev = evolve(cfg, SingleSiteDM(n_max, rho0), stop_when_steady=False)
+        ev = evolve(cfg, rho0, stop_when_steady=False)
         n = np.arange(n_max + 1)
         decay = np.exp(-0.5 * gam * (n[:, None] - n[None, :]) ** 2 * t)
-        np.testing.assert_allclose(ev.final.matrix, rho0 * decay, atol=1e-6)
+        np.testing.assert_allclose(ev.final, rho0 * decay, atol=1e-6)
 
     def test_alpha_decays_at_half_gamma(self):
         n_max = 6
@@ -214,7 +221,7 @@ class TestDephasing:
         gam, t = 2.0, 1.0
         cfg = GwConfig(rate_phaselock=0.0, rate_dephase=gam,
                        n_max=n_max, dt=1e-3, t_max=t)
-        ev = evolve(cfg, SingleSiteDM(n_max, rho0), stop_when_steady=False)
+        ev = evolve(cfg, rho0, stop_when_steady=False)
         a0 = abs(ev.alphas[0])
         assert abs(ev.alphas[-1]) == pytest.approx(
             a0 * math.exp(-0.5 * gam * t), rel=1e-4)
@@ -224,18 +231,18 @@ class TestEvolve:
     def test_pure_phaselock_flows_to_unit_coherent(self):
         cfg = GwConfig(rate_phaselock=1.0, rate_dephase=0.0,
                        n_max=10, dt=0.005, t_max=100.0)
-        ev = evolve(cfg, SingleSiteDM(10, coherent_dm(0.4, 10)))
+        ev = evolve(cfg, coherent_dm(0.4, 10))
         assert abs(ev.alphas[-1]) == pytest.approx(1.0, abs=5e-3)
 
     def test_step_halving_agreement(self):
         n_max = 8
-        rho0 = SingleSiteDM(n_max, coherent_dm(0.8, n_max))
+        rho0 = coherent_dm(0.8, n_max)
         finals = []
         for dt in (0.01, 0.005):
             cfg = GwConfig(rate_phaselock=1.0, rate_dephase=1.5,
                            n_max=n_max, dt=dt, t_max=2.0)
             ev = evolve(cfg, rho0, stop_when_steady=False)
-            finals.append(ev.final.matrix)
+            finals.append(ev.final)
         assert np.linalg.norm(finals[0] - finals[1]) < 1e-6
 
     @pytest.mark.parametrize("gamma", [0.0, 6.0])
@@ -246,10 +253,10 @@ class TestEvolve:
         ev = evolve(cfg)
         assert ev.converged
         a = SiteOperators(8).a
-        assert abs(ev.alphas[-1]) == abs(np.trace(ev.final.matrix @ a))
+        assert abs(ev.alphas[-1]) == abs(np.trace(ev.final @ a))
         # rerunning to times[-1] without the stop reaches the same state
         rerun = evolve(replace(cfg, t_max=ev.times[-1]), stop_when_steady=False)
-        np.testing.assert_array_equal(rerun.final.matrix, ev.final.matrix)
+        np.testing.assert_array_equal(rerun.final, ev.final)
 
     @pytest.mark.parametrize("gamma, alpha_abs, converged, t_reached", [
         (0.0, 0.999914513671257, True, 5.35),
@@ -280,7 +287,7 @@ class TestEvolve:
         cfg = GwConfig(filling=1.0, n_max=8)
         rho0 = default_initial_dm(cfg)
         ops = SiteOperators(8)
-        assert abs(np.trace(rho0.matrix @ ops.a)) > 0.9
+        assert abs(np.trace(rho0 @ ops.a)) > 0.9
 
 
 class TestSweep:

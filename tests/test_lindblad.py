@@ -60,7 +60,7 @@ class TestGenerator:
     def test_dark_state_is_fixed_point(self):
         # |D><D| is annihilated by every phase-lock channel.
         basis = build_basis(L=4, N=4, n_max=4)
-        dark = build_bec_dark_state(basis).amplitudes
+        dark = build_bec_dark_state(basis)
         rho = np.outer(dark, dark.conj())
         rhs = LindbladGenerator(basis, 1.0, 0.0).rhs(rho)
         assert np.abs(rhs).max() < 1e-12
@@ -107,11 +107,11 @@ class TestEvolve:
         # Pure phase-lock monitoring from the uniform Fock state reaches
         # the condensate: fidelity > 0.999 by Lambda*t = 20 at L = 2.
         basis = build_basis(L=2, N=2, n_max=2)
-        psi0 = fock_state(basis, (1, 1)).amplitudes
+        psi0 = fock_state(basis, (1, 1))
         series = evolve_lindblad(basis, np.outer(psi0, psi0.conj()),
                                  1.0, 0.0, times=[20.0])
         # recompute the final state to extract fidelity
-        dark = build_bec_dark_state(basis).amplitudes
+        dark = build_bec_dark_state(basis)
         rho = dense_propagator(basis, 1.0, 0.0)(np.outer(psi0, psi0.conj()), 20.0)
         fid = np.real(dark.conj() @ rho @ dark)
         assert fid > 0.999
@@ -120,7 +120,7 @@ class TestEvolve:
 
     def test_purity_bounds_and_decay(self):
         basis = build_basis(L=3, N=3, n_max=3)
-        psi0 = default_initial_state(basis).amplitudes
+        psi0 = default_initial_state(basis)
         series = evolve_lindblad(basis, np.outer(psi0, psi0.conj()),
                                  1.0, 1.0, times=[0.0, 0.2, 0.5])
         assert np.all(series.purity <= 1.0 + 1e-9)
@@ -178,7 +178,7 @@ def matched_pair():
                            t_max=1.0, seed=101,
                            snapshot_times=(0.5, 1.0))
     ens = run_ensemble(basis, psi0, cfg, M=300)
-    rho0 = np.outer(psi0.amplitudes, psi0.amplitudes.conj())
+    rho0 = np.outer(psi0, psi0.conj())
     series = evolve_lindblad(basis, rho0, 1.0, 1.0,
                              times=sorted(ens.states))
     return basis, series, ens, rho0

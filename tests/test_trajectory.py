@@ -25,7 +25,6 @@ from bosetraj import (
     build_jump,
     build_number,
     default_initial_state,
-    expectation,
     fock_state,
     run_ensemble,
     run_trajectory,
@@ -48,7 +47,7 @@ class RiggedRng:
 
 def total_number(basis, psi):
     return sum(
-        expectation(build_number(basis, j), psi).real
+        np.vdot(psi, build_number(basis, j) @ psi).real
         for j in range(1, basis.L + 1)
     )
 
@@ -67,7 +66,7 @@ class TestStep:
         channels = JumpChannels(basis, 1.0, 0.7)
         prop = (make(channels.decay, hermitian=True) if make is DenseExp
                 else make(channels.decay))
-        psi = default_initial_state(basis).amplitudes.real
+        psi = default_initial_state(basis)
         for r in (0.9, 0.5, 0.1, 1e-3):
             iv, tau, hit = prop.interval(psi, r, 50.0)
             assert hit
@@ -97,7 +96,7 @@ class TestStep:
         for idx in range(3):
             traj = run_trajectory(basis, psi0, cfg, channels=channels, traj_index=idx)
             events, snaps, final = unravel_oracle(
-                jumps, psi0.amplitudes.real, cfg.t_max, trajectory_rng(cfg.seed, idx),
+                jumps, psi0, cfg.t_max, trajectory_rng(cfg.seed, idx),
                 stops=cfg.snapshot_times)
             assert len(events) > 0
             assert [channels.labels[k] for _, k in events] == \
@@ -133,7 +132,7 @@ class TestStep:
         # the jump fires before t_stop exactly when r is below the
         # survival ||exp(-A t_stop) psi||^2
         basis = build_basis(L=2, N=2, n_max=2)
-        psi0 = fock_state(basis, (1, 1)).amplitudes.real
+        psi0 = fock_state(basis, (1, 1))
         channels = JumpChannels(basis, 1.0, 0.5)
         exact = no_jump(channels, psi0, 0.1)
         p = exact @ exact
@@ -152,7 +151,7 @@ class TestStep:
         # total.  r = 1 - 1e-12 makes the jump fire at tau ~ 1e-13, where
         # the state is still |1,1> to that order.
         basis = build_basis(L=2, N=2, n_max=2)
-        psi0 = fock_state(basis, (1, 1)).amplitudes.real
+        psi0 = fock_state(basis, (1, 1))
         lam, gam = 1.0, 0.5
         channels = JumpChannels(basis, lam, gam)
         cases = [
@@ -173,23 +172,22 @@ class TestStep:
         # d1 maps every N = 2 state onto |0,2> - |2,0>; the jump acts on
         # the no-jump state at the jump time
         basis = build_basis(L=2, N=2, n_max=2)
-        psi0 = fock_state(basis, (1, 1)).amplitudes.real
+        psi0 = fock_state(basis, (1, 1))
         channels = JumpChannels(basis, 1.0, 0.0)
         out, t, _, k, _ = step(psi0, channels, 0.0, 10.0, 0.7, RiggedRng([0.0, 0.5]))
         assert channels.labels[k] == (JumpKind.PHASE_LOCK, 1)
         pre = no_jump(channels, psi0, t)
         assert pre @ pre == pytest.approx(0.7, abs=1e-10)
-        d1 = build_jump(JumpKind.PHASE_LOCK, 1, basis).matrix.toarray().real
+        d1 = build_jump(JumpKind.PHASE_LOCK, 1, basis).toarray()
         oracle = d1 @ pre
         np.testing.assert_allclose(out, oracle / np.linalg.norm(oracle), atol=1e-10)
-        expect = (fock_state(basis, (0, 2)).amplitudes
-                  - fock_state(basis, (2, 0)).amplitudes) / math.sqrt(2)
+        expect = (fock_state(basis, (0, 2)) - fock_state(basis, (2, 0))) / math.sqrt(2)
         overlap = abs(np.vdot(expect, out))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_no_jump_renormalized(self):
         basis = build_basis(L=3, N=3, n_max=3)
-        psi0 = fock_state(basis, (1, 1, 1)).amplitudes.real
+        psi0 = fock_state(basis, (1, 1, 1))
         channels = JumpChannels(basis, 1.0, 1.0)
         out, t, _, k, _ = step(psi0, channels, 0.0, 1e-4, 0.5, RiggedRng([]))
         assert k is None and t == 1e-4
@@ -205,7 +203,7 @@ class TestStep:
         basis = build_basis(L=3, N=3, n_max=3)
         channels = JumpChannels(basis, 1.0, 0.0)
         assert {kind for kind, _ in channels.labels} == {JumpKind.PHASE_LOCK}
-        psi0 = fock_state(basis, (2, 0, 1)).amplitudes.real
+        psi0 = fock_state(basis, (2, 0, 1))
         channels = JumpChannels(basis, 0.0, 1.0)
         # weights n_j^2 = (4, 0, 1): the empty site's interval is [0.8, 0.8)
         for u in [0.0, 0.8 - 1e-16, 0.8, 0.8 + 1e-16, 1.0 - 1e-16]:
@@ -225,7 +223,7 @@ class TestDarkState:
                                t_max=2.0, seed=11)
         traj = run_trajectory(basis, dark, cfg)
         assert traj.jumps == []
-        overlap = abs(np.vdot(dark.amplitudes, traj.final_state))
+        overlap = abs(np.vdot(dark, traj.final_state))
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
     def test_dephasing_destroys_darkness(self):
@@ -246,7 +244,7 @@ class TestFockUnderDephasing:
         cfg = MonitoringConfig(rate_phaselock=0.0, rate_dephase=1.0,
                                t_max=3.0, seed=7)
         traj = run_trajectory(basis, psi0, cfg)
-        overlap = abs(np.vdot(psi0.amplitudes, traj.final_state))
+        overlap = abs(np.vdot(psi0, traj.final_state))
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
     def test_jump_counts_poisson(self):
@@ -291,8 +289,7 @@ class TestConservation:
                                t_max=0.5, seed=seed)
         traj = run_trajectory(basis, psi0, cfg)
         assert np.linalg.norm(traj.final_state) == pytest.approx(1.0, abs=1e-10)
-        from bosetraj.fock import StateVector
-        n_tot = total_number(basis, StateVector(basis, traj.final_state))
+        n_tot = total_number(basis, traj.final_state)
         assert n_tot == pytest.approx(basis.N, abs=1e-9)
 
 
@@ -340,6 +337,30 @@ class TestDeterminism:
         np.testing.assert_array_equal(res.states_at(0.5)[0],
                                       traj.snapshots[-1][1])
 
+    @pytest.mark.parametrize("L", [3, 6], ids=["dense", "lanczos"])
+    def test_complex_start_runs_the_real_trajectory_up_to_phase(self, L):
+        # a global phase changes no survival or channel weight: the same
+        # jumps at the same times, and every state keeps the phase
+        basis = build_basis(L=L, N=L, n_max=3)
+        psi0 = default_initial_state(basis)
+        phase = np.exp(0.9j)
+        cfg = MonitoringConfig(rate_phaselock=1.0, rate_dephase=0.7, t_max=1.0,
+                               seed=6, snapshot_times=(0.5,))
+        channels = JumpChannels(basis, 1.0, 0.7)
+        real = run_trajectory(basis, psi0, cfg, channels=channels)
+        cplx = run_trajectory(basis, phase * psi0, cfg, channels=channels)
+        assert real.final_state.dtype == np.float64
+        assert cplx.final_state.dtype == np.complex128
+        assert len(real.jumps) > 0
+        assert [(j.kind, j.site) for j in cplx.jumps] == \
+            [(j.kind, j.site) for j in real.jumps]
+        np.testing.assert_allclose([j.time for j in cplx.jumps],
+                                   [j.time for j in real.jumps], atol=1e-10)
+        for (_, a), (_, b) in zip(cplx.snapshots, real.snapshots):
+            np.testing.assert_allclose(a, phase * b, atol=1e-10)
+        np.testing.assert_allclose(cplx.final_state, phase * real.final_state,
+                                   atol=1e-10)
+
     def test_rng_streams_independent_of_spawn(self):
         a = trajectory_rng(17, 4).random(8)
         b = trajectory_rng(17, 4).random(8)
@@ -350,14 +371,15 @@ class TestDeterminism:
 
 class TestSharedUnitJumps:
     def test_shared_blocks_are_bitwise_fresh_ones(self):
+        # channels on one basis share its cached unit-rate stacks; a
+        # fresh basis builds its own
         basis = build_basis(L=8, N=8, n_max=3)
-        units = {}
         for gamma in (0.5, 8.0):
-            shared = JumpChannels(basis, 1.0, gamma, units)
-            fresh = JumpChannels(basis, 1.0, gamma)
-            assert set(units) == set(JumpKind)
+            shared = JumpChannels(basis, 1.0, gamma)
+            fresh = JumpChannels(build_basis(L=8, N=8, n_max=3), 1.0, gamma)
+            assert set(basis._jump_cache) == set(JumpKind)
             # and both are the channels scaled one operator at a time
-            per_op = sp.vstack([math.sqrt(rate) * build_jump(kind, j, basis).matrix.real
+            per_op = sp.vstack([math.sqrt(rate) * build_jump(kind, j, basis)
                                 for kind, rate, count in ((JumpKind.PHASE_LOCK, 1.0, 7),
                                                           (JumpKind.DEPHASE, gamma, 8))
                                 for j in range(1, count + 1)], format="csr")
