@@ -49,8 +49,11 @@ class CircuitConfig:
     n_max: int = 4
 
     def __post_init__(self):
-        if self.kappa <= 0 or self.g_eff < 0:
-            raise ValueError("need kappa > 0 and g_eff >= 0")
+        finite = all(map(math.isfinite, (self.g_eff, self.h_eff, self.kappa, self.t_max)))
+        if not (finite and self.kappa > 0 and self.g_eff >= 0 and self.t_max >= 0):
+            raise ValueError("need finite kappa > 0, g_eff >= 0, h_eff and t_max >= 0")
+        if self.n_max < 1:
+            raise ValueError("need n_max >= 1")
 
     @property
     def born_markov_ok(self) -> bool:
@@ -199,6 +202,8 @@ def run_dephasing_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray,
 
 
 def superposition_cavity_state(n1: int, n2: int, n_max: int) -> np.ndarray:
+    if n1 == n2 or not (0 <= n1 <= n_max and 0 <= n2 <= n_max):
+        raise ValueError(f"need two distinct levels in [0, {n_max}], got {n1}, {n2}")
     psi = np.zeros(n_max + 1, dtype=complex)
     psi[n1] = psi[n2] = 1.0 / math.sqrt(2.0)
     return psi

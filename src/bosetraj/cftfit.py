@@ -31,18 +31,25 @@ def chord_regressor(L: int, l) -> np.ndarray:
     return np.log((2.0 * L / np.pi) * np.sin(np.pi * l / L))
 
 
-def fit_profile(profile: EntropyProfile, l_min: int = None, l_max: int = None,
-                weighted: bool = True) -> CftFit:
-    """Weighted linear least squares of the profile against the chord
-    regressor.  Default window drops l = 1 and l = L-1 (boundary
-    contamination) whenever enough cuts remain."""
-    L = profile.L
+def fit_window(L: int, l_min: int = None, l_max: int = None) -> tuple:
+    """The cuts [l_min, l_max] a fit of an L-site profile uses.  The
+    default drops l = 1 and l = L-1 (boundary contamination) whenever
+    enough cuts remain; the window must hold two of the cuts 1..L-1."""
     if l_min is None:
         l_min = 2 if L >= 5 else 1
     if l_max is None:
         l_max = L - 2 if L >= 5 else L - 1
-    if l_max - l_min < 1:
+    if min(l_max, L - 1) - max(l_min, 1) < 1:
         raise ValueError("fit window must contain at least two cuts")
+    return l_min, l_max
+
+
+def fit_profile(profile: EntropyProfile, l_min: int = None, l_max: int = None,
+                weighted: bool = True) -> CftFit:
+    """Weighted linear least squares of the profile against the chord
+    regressor over the `fit_window`."""
+    L = profile.L
+    l_min, l_max = fit_window(L, l_min, l_max)
     sel = (profile.ls >= l_min) & (profile.ls <= l_max)
     ls = profile.ls[sel]
     y = profile.mean[sel]

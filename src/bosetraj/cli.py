@@ -26,11 +26,12 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError
 
 from . import __version__
-from .cftfit import fit_profile
-from .entropy import EntropyProfile, average_profile, average_profiles
+from .cftfit import fit_profile, fit_window
+from .entropy import EntropyProfile, _order, average_profile, average_profiles
 from .fock import JumpKind, NumericGuardError, build_basis, build_bec_dark_state
 from .gutzwiller import GwConfig, check_sweep, order_parameter_sweep
-from .lindblad import compare_with_ensemble, default_observables, evolve_lindblad
+from .lindblad import (compare_with_ensemble, default_observables, evolve_lindblad,
+                       expectations)
 from .trajectory import MonitoringConfig, default_initial_state, run_ensemble
 from . import ancilla as anc
 
@@ -100,6 +101,13 @@ def build_model(spec: dict, basis=None):
     return basis, cfg
 
 
+def ensemble_size(spec: dict, default: int, least: int = 1) -> int:
+    M = int(spec.get("M", default))
+    if M < least:
+        raise ValueError(f"M must be at least {least}, got {M}")
+    return M
+
+
 def initial_state(spec: dict, basis):
     name = spec.get("initial_state", "fock")
     if name == "fock":
@@ -147,8 +155,7 @@ def _write_observables(outdir: Path, ensemble):
     for t in ensemble.snapshot_times:
         states = ensemble.states_at(t)
         for name, op in observables.items():
-            vals = np.einsum("mi,ij,mj->m", states.conj(), op, states)
-            for m, v in enumerate(vals):
+            for m, v in enumerate(expectations(states, op)):
                 rows.append((t, m, name, v.real, v.imag))
     write_csv(outdir / "observables.csv", OBS_HEADER, rows)
 
@@ -159,8 +166,8 @@ def cmd_trajectories(spec: dict, outdir: Path) -> int:
         times = np.linspace(0.0, cfg.t_max, int(spec.get("n_snapshots", 21)))
         cfg = replace(cfg, snapshot_times=tuple(times))
     psi0 = initial_state(spec, basis)
+    M = ensemble_size(spec, 100)
     write_manifest(outdir, spec)
-    M = int(spec.get("M", 100))
     ensemble = run_ensemble(basis, psi0, cfg, M, int(spec.get("workers", 1)))
     _write_observables(outdir, ensemble)
     gamma = cfg.reduced_dephasing if cfg.rate_phaselock else -1.0  # -1: Lambda = 0
@@ -184,12 +191,14 @@ def cmd_entropy_scan(spec: dict, outdir: Path) -> int:
         basis, cfg = build_model(spec | {"gamma": gamma}, basis)
         cfgs.append(replace(cfg, snapshot_times=(cfg.t_max,)))
     psi0 = initial_state(spec, basis)
+    M = ensemble_size(spec, 100)
+    kinds = [("vn", None)] + [("renyi", _order("renyi", a))
+                              for a in spec.get("renyi_orders", [])]
+    fit_window(basis.L, spec.get("fit_l_min"), spec.get("fit_l_max"))
     write_manifest(outdir, spec)
-    kinds = [("vn", None)] + [("renyi", a) for a in spec.get("renyi_orders", [])]
     prof_rows, fits, counters = [], [], []
     for gamma, cfg in zip(gammas, cfgs):
-        ensemble = run_ensemble(basis, psi0, cfg, int(spec.get("M", 100)),
-                                int(spec.get("workers", 1)))
+        ensemble = run_ensemble(basis, psi0, cfg, M, int(spec.get("workers", 1)))
         counters.append({"gamma": gamma} | _counters(ensemble))
         for prof in average_profiles(ensemble.states_at(cfg.t_max), basis, gamma,
                                      cfg.t_max, kinds):
@@ -225,9 +234,9 @@ def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
     times = tuple(spec.get("snapshot_times") or (0.5, 1.0, 2.0, 5.0))
     cfg = replace(cfg, t_max=max(times), snapshot_times=times)
     psi0 = initial_state(spec, basis)
+    M = ensemble_size(spec, 2000, least=2)    # a standard error needs two
     write_manifest(outdir, spec)
-    ensemble = run_ensemble(basis, psi0, cfg, int(spec.get("M", 2000)),
-                            int(spec.get("workers", 1)))
+    ensemble = run_ensemble(basis, psi0, cfg, M, int(spec.get("workers", 1)))
     rho0 = np.outer(psi0, psi0.conj())
     series = evolve_lindblad(basis, rho0, cfg.rate_phaselock, cfg.rate_dephase,
                              ensemble.snapshot_times)
@@ -276,9 +285,10 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
                 "final_entropy": anc._pair_entropy(traj.final_state, cfg.n_max)}
     else:
         raise ValueError(f"unknown ancilla scheme {scheme!r}")
+    M = ensemble_size(spec, 100)
     write_manifest(outdir, spec)
     rows, outcomes = [], []
-    for i in range(int(spec.get("M", 100))):
+    for i in range(M):
         clicks, outcome = run(i)
         rows.extend((c.time, c.channel) for c in clicks)
         outcomes.append({"trajectory": i} | outcome)

@@ -56,8 +56,10 @@ class MonitoringConfig:
             raise ValueError("at least one monitoring rate must be positive")
         if not (math.isfinite(self.t_max) and self.t_max >= 0):
             raise ValueError("t_max must be finite and nonnegative")
-        object.__setattr__(self, "snapshot_times",
-                           tuple(sorted(float(t) for t in self.snapshot_times)))
+        times = tuple(sorted(float(t) for t in self.snapshot_times))
+        if not all(math.isfinite(t) and t >= 0 for t in times):
+            raise ValueError("snapshot times must be finite and nonnegative")
+        object.__setattr__(self, "snapshot_times", times)
 
     @property
     def reduced_dephasing(self) -> float:

@@ -16,6 +16,7 @@ from bosetraj import (
     chord_regressor,
     fit_profile,
 )
+from bosetraj.cftfit import fit_window
 
 
 def synthetic_profile(L, c, s0, stderr=0.0, noise_seed=None):
@@ -81,6 +82,13 @@ class TestFitRoundTrip:
         prof = synthetic_profile(L=10, c=1.0, s0=0.0)
         with pytest.raises(ValueError):
             fit_profile(prof, l_min=4, l_max=4)
+
+    def test_window_outside_the_cuts_rejected(self):
+        assert fit_window(10) == (2, 8)
+        assert fit_window(6, l_min=0, l_max=9) == (0, 9)   # holds cuts 1..5
+        for l_min, l_max in [(5, None), (6, 9), (-3, 1)]:
+            with pytest.raises(ValueError):
+                fit_window(6, l_min, l_max)
 
     def test_degenerate_regressor_rejected(self):
         # l and L-l give identical chord lengths; a two-point window at

@@ -8,6 +8,7 @@ byte-identical regardless of worker count.
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -302,13 +303,51 @@ class TestValidateBeforeManifest:
         ("ancilla", "--scheme", "nope"),
         ("trajectories", "--L", "3", "--initial-state", "nope"),
         ("lindblad-check", "--L", "3", "--initial-state", "nope"),
+        ("trajectories", "--L", "3", "--snapshot-times=-1,0.5"),
+        ("trajectories", "--L", "3", "--snapshot-times", "nan,0.5"),
+        ("lindblad-check", "--L", "3", "--M", "4", "--snapshot-times=-1,1"),
+        ("trajectories", "--L", "3", "--M", "0"),
+        ("lindblad-check", "--L", "3", "--M", "1", "--snapshot-times", "0.5"),
+        ("entropy-scan", "--L", "4", "--M", "2", "--t-max", "0.1",
+         "--gamma-grid", "1", "--renyi-orders", "1"),
+        ("entropy-scan", "--L", "4", "--M", "2", "--t-max", "0.1",
+         "--gamma-grid", "1", "--fit-l-min", "5"),
+        ("ancilla", "--kappa", "nan"),
+        ("ancilla", "--t-max=-1"),
+        ("ancilla", "--t-max", "nan"),
+        ("ancilla", "--scheme", "phaselock", "--n-max", "0"),
+        ("ancilla", "--n1", "-1"),
+        ("ancilla", "--n1", "3", "--n2", "3"),
     ], ids=["gutzwiller-t_max", "gutzwiller-rate_phaselock", "gutzwiller-gamma",
             "entropy_scan-gamma", "ancilla-kappa", "ancilla-scheme",
-            "trajectories-initial_state", "lindblad_check-initial_state"])
+            "trajectories-initial_state", "lindblad_check-initial_state",
+            "trajectories-negative_snapshot", "trajectories-nan_snapshot",
+            "lindblad_check-negative_snapshot", "trajectories-M", "lindblad_check-M",
+            "entropy_scan-renyi_order", "entropy_scan-fit_window",
+            "ancilla-kappa_nan", "ancilla-negative_t_max", "ancilla-nan_t_max",
+            "ancilla-n_max", "ancilla-negative_level", "ancilla-equal_levels"])
     def test_rejected_run_leaves_no_manifest(self, tmp_path, args):
         code, outdir = run_cli(tmp_path, *args)
         assert code == EXIT_VALIDATION
         assert not outdir.exists()
+
+
+def test_observable_writer_holds_no_dense_operator(tmp_path):
+    # at L = 7 (dim 1520) one dense float64 operator takes 18 MB and the
+    # 13 site observables 240 MB; the sparse writer stays below a single one
+    basis = fock.build_basis(7, 7, 4)
+    cfg = trajectory.MonitoringConfig(rate_phaselock=1.0, rate_dephase=1.0,
+                                      t_max=0.2, seed=1, snapshot_times=(0.0, 0.2))
+    ens = trajectory.run_ensemble(basis, trajectory.default_initial_state(basis),
+                                  cfg, M=3)
+    tracemalloc.start()
+    try:
+        cli._write_observables(tmp_path, ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * basis.dim ** 2
+    assert len(read_csv(tmp_path / "observables.csv")) == 2 * 3 * 13
 
 
 class TestConfigFile:

@@ -27,6 +27,7 @@ from bosetraj.lindblad import (
     compare_with_ensemble,
     default_observables,
     evolve_lindblad,
+    expectations,
 )
 from bosetraj.superop import dissipator
 from oracles import probed_superoperator
@@ -168,6 +169,24 @@ class TestEvolve:
         basis = build_basis(L=3, N=3, n_max=2)
         obs = default_observables(basis)
         assert set(obs) == {"n_1", "n_2", "n_3", "hop_1_2", "hop_2_3"}
+
+    def test_observables_are_sparse(self):
+        basis = build_basis(L=4, N=4, n_max=3)
+        for op in default_observables(basis).values():
+            assert sp.issparse(op) and op.format == "csr"
+            assert op.shape == (basis.dim, basis.dim)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_expectations_match_vdot(self, dtype):
+        basis = build_basis(L=4, N=4, n_max=3)
+        rng = np.random.default_rng(5)
+        states = rng.normal(size=(6, basis.dim)).astype(dtype)
+        if dtype is complex:
+            states += 1j * rng.normal(size=states.shape)
+        for op in default_observables(basis).values():
+            want = [np.vdot(psi, op @ psi) for psi in states]
+            np.testing.assert_allclose(expectations(states, op), want,
+                                       rtol=1e-12, atol=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -12,8 +12,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script, args, header", [
-    ("run_growth_curve.py", ["--L", "4", "--M", "5", "--t-max", "1"],
-     "t,mean,stderr"),
     ("run_ancilla_rates.py", ["--kappas", "20,50", "--n-traj", "20"],
      "kappa,fitted_rate,predicted_rate,relative_error,n_clicks"),
 ])
