@@ -118,12 +118,13 @@ def dephasing_hamiltonian(cfg: CircuitConfig):
 @functools.lru_cache(maxsize=16)
 def _circuit(hamiltonian, cfg: CircuitConfig):
     """The event loop's view of one circuit: exp(-i H_nh tau) and the
-    click operator.  Cached per config (seed and t_max zeroed), so each
+    click operator, its one channel (none diagonal).  Cached per config (seed and t_max zeroed), so each
     generator is diagonalised once."""
     H, sm = hamiltonian(cfg)[:2]
     H_nh = H - 0.5j * DECAY_SCALE * cfg.kappa * (sm.conj().T @ sm)
     return SimpleNamespace(propagator=propagator(1j * H_nh, hermitian=False),
-                           stacked=math.sqrt(DECAY_SCALE * cfg.kappa) * sm)
+                           stacked=math.sqrt(DECAY_SCALE * cfg.kappa) * sm,
+                           diagonal=np.empty((sm.shape[0], 0)))
 
 
 def _unravel_circuit(hamiltonian, cfg: CircuitConfig, psi, traj_index):

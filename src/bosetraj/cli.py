@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -30,8 +31,8 @@ from .cftfit import fit_profile, fit_window
 from .entropy import EntropyProfile, _order, average_profile, average_profiles
 from .fock import JumpKind, NumericGuardError, build_basis, build_bec_dark_state
 from .gutzwiller import GwConfig, check_sweep, order_parameter_sweep
-from .lindblad import (compare_with_ensemble, default_observables, evolve_lindblad,
-                       expectations)
+from .lindblad import (check_oracle_dim, compare_with_ensemble, default_observables,
+                       evolve_lindblad, expectations)
 from .trajectory import MonitoringConfig, default_initial_state, run_ensemble
 from . import ancilla as anc
 
@@ -231,6 +232,7 @@ def cmd_gutzwiller(spec: dict, outdir: Path) -> int:
 
 def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
     basis, cfg = build_model(spec)
+    check_oracle_dim(basis)
     times = tuple(spec.get("snapshot_times") or (0.5, 1.0, 2.0, 5.0))
     cfg = replace(cfg, t_max=max(times), snapshot_times=times)
     psi0 = initial_state(spec, basis)
@@ -250,6 +252,18 @@ def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
     return EXIT_OK if report.passed else EXIT_COMPARISON
 
 
+def _default_divisor(spec: dict, name: str, default: float, fills: tuple) -> float:
+    """The option `name`, required finite and positive when it divides
+    into the default of any option in `fills` left unset."""
+    value = float(spec.get(name, default))
+    unset = [key for key in fills if key not in spec]
+    if unset and not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} = {value} cannot set the default "
+                         f"{' and '.join(unset)}; give a positive {name} "
+                         f"or set {' and '.join(unset)}")
+    return value
+
+
 def cmd_ancilla(spec: dict, outdir: Path) -> int:
     scheme = spec.get("scheme", "dephasing")
     seed = int(spec.get("seed", 0))
@@ -257,12 +271,13 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
     # each scheme gives its circuit config and a per-trajectory run that
     # returns (clicks, outcome fields)
     if scheme == "dephasing":
-        target = float(spec.get("rate_dephase", 1.0))
-        kappa = float(spec.get("kappa", 500.0 * g ** 2 / target))
+        target = _default_divisor(spec, "rate_dephase", 1.0, ("kappa", "t_max"))
+        kappa = float(spec["kappa"]) if "kappa" in spec else 500.0 * g ** 2 / target
         n1, n2 = int(spec.get("n1", 1)), int(spec.get("n2", 3))
         cfg = anc.CircuitConfig(g_eff=g, kappa=kappa, seed=seed,
                                 n_max=max(n2 + 1, 4),
-                                t_max=float(spec.get("t_max", 10.0 / target)))
+                                t_max=float(spec["t_max"]) if "t_max" in spec
+                                else 10.0 / target)
         psi0 = anc.superposition_cavity_state(n1, n2, cfg.n_max)
 
         def run(i):
@@ -272,11 +287,13 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
                 "dominant_weight": out.dominant_weight,
                 "click_count": out.click_count}
     elif scheme == "phaselock":
+        _default_divisor(spec, "g_eff", 1.0, ("t_max",))
         kappa = float(spec.get("kappa", 50.0 * g))
         cfg = anc.CircuitConfig(g_eff=g, kappa=kappa, seed=seed,
                                 h_eff=float(spec.get("h_eff", 0.0)),
                                 n_max=int(spec.get("n_max", 4)),
-                                t_max=float(spec.get("t_max", 2.0 * kappa / g ** 2)))
+                                t_max=float(spec["t_max"]) if "t_max" in spec
+                                else 2.0 * kappa / g ** 2)
 
         def run(i):
             traj = anc.run_phaselock_circuit(cfg, traj_index=i)

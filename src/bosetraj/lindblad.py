@@ -23,11 +23,16 @@ MAX_DENSE_DIM = 600
 Z_MAX = 3.0           # |z| at which a trajectory mean disagrees with the oracle
 
 
+def check_oracle_dim(basis: FockBasis):
+    """Reject a sector too large for the dense density-matrix oracle."""
+    if basis.dim > MAX_DENSE_DIM:
+        raise ValueError(f"sector dim {basis.dim} too large for the dense "
+                         f"oracle (cap {MAX_DENSE_DIM})")
+
+
 class LindbladGenerator:
     def __init__(self, basis: FockBasis, rate_phaselock: float, rate_dephase: float):
-        if basis.dim > MAX_DENSE_DIM:
-            raise ValueError(f"sector dim {basis.dim} too large for the dense "
-                             f"oracle (cap {MAX_DENSE_DIM})")
+        check_oracle_dim(basis)
         dim = self.dim = basis.dim
         self.channels = []     # (rate, b, b†, b†b), sparse, nonzero rates only
         for kind, rate in ((JumpKind.PHASE_LOCK, rate_phaselock),

@@ -37,6 +37,8 @@ DENSE_MAX_DIM = 500    # generators up to this dimension are diagonalised once
 RECON_TOL = 1e-10      # relative reconstruction error a decomposition may have
 KRYLOV_TOL = 1e-12     # bound on the Lanczos state error over an interval
 KRYLOV_MAX = 60        # largest Lanczos basis; past it the interval is cut short
+LOG_SKIP = math.log(2.0 * KRYLOV_TOL)  # log error floor above which a step skips eigh
+DGKS_RATIO = math.sqrt(0.5)   # a second Gram-Schmidt pass when ||w|| falls below this
 ROOT_RTOL = 1e-14      # relative accuracy of the survival at the jump time
 
 
@@ -219,11 +221,31 @@ class KrylovExp:
     from a Lanczos basis built per interval.
 
     The error of the Lanczos approximation y_k(tau) obeys
-    ||y(tau) - y_k(tau)|| <= beta_k int_0^tau |e_k^T exp(-s T_k) e_1| ds.
-    The integrand keeps the sign (-1)^(k-1) (exp(-s T_k) is entrywise
-    nonnegative up to that checkerboard sign), so the bound is the
-    modulus of one sum over the eigenpairs of T_k; it grows with tau, and
-    the basis grows until it is below KRYLOV_TOL at the sampled tau.
+    ||y(tau) - y_k(tau)|| <= ||psi|| beta_k int_0^tau |e_k^T exp(-s T_k) e_1| ds
+    (Saad, SIAM J. Numer. Anal. 29, 209 (1992)).  The integrand keeps the
+    sign (-1)^(k-1) (exp(-s T_k) is entrywise nonnegative up to that
+    checkerboard sign), so the bound is the modulus of one sum over the
+    eigenpairs of T_k; it grows with tau, and the basis grows until it is
+    below KRYLOV_TOL at the sampled tau.
+
+    The same sign structure bounds it from below with no eigensolve.  With
+    the checkerboard sign flipped out, -T_k is a Metzler matrix no smaller
+    than -d I + B, where d is the largest diagonal entry of T_k (>= 0) and
+    B holds the off-diagonals beta_1 .. beta_(k-1) > 0.  exp of a Metzler
+    matrix is monotone in its entries, and the only path of length k - 1
+    from site 1 to site k in B gives (B^(k-1))_(k,1) = beta_1 .. beta_(k-1),
+    so the bound is at least
+
+        ||psi|| beta_1 beta_2 .. beta_k exp(-tau d) tau^k / k!.
+
+    While that floor is above the tolerance (with a margin for rounding)
+    at the tau of the previous solve, that tau cannot be accepted, so the
+    step skips T_k's eigensolve and goes on to the next Lanczos vector.
+
+    Each new vector runs the three-term recurrence, then one classical
+    Gram-Schmidt pass against the whole basis; a second pass runs only
+    when the first cancels ||w|| below 1/sqrt(2) of its value (the DGKS
+    test of Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976)).
     """
 
     def __init__(self, A):
@@ -231,18 +253,34 @@ class KrylovExp:
 
     def interval(self, psi, r, tau_max):
         norm = np.linalg.norm(psi)
-        Q = np.empty((KRYLOV_MAX + 1, psi.size), dtype=psi.dtype)
+        Q = np.empty((KRYLOV_MAX, psi.size), dtype=psi.dtype)
         Q[0] = psi / norm
         T = np.zeros((KRYLOV_MAX, KRYLOV_MAX))
-        tau = None
+        tau, log_scale, d = None, math.log(norm), 0.0
         for j in range(KRYLOV_MAX):
+            if j:
+                Q[j] = w / beta
+                T[j - 1, j] = T[j, j - 1] = beta
             w = self.A @ Q[j]
-            T[j, j] = np.vdot(Q[j], w).real
+            T[j, j] = alpha = np.vdot(Q[j], w).real
+            w -= alpha * Q[j]
+            if j:
+                w -= beta * Q[j - 1]
             basis = Q[:j + 1]
-            for _ in range(2):              # full reorthogonalisation, twice
-                w -= basis.T @ (basis.conj() @ w)
-            beta = np.linalg.norm(w)
-            theta, S = np.linalg.eigh(T[:j + 1, :j + 1])
+            before = np.linalg.norm(w)
+            for _ in range(2):          # a second pass only on cancellation
+                w -= (basis @ w.conj()).conj() @ basis
+                beta = np.linalg.norm(w)
+                if beta >= before * DGKS_RATIO:
+                    break
+                before = beta
+            log_scale += math.log(beta) if beta > 0.0 else -math.inf
+            d = max(d, alpha)
+            k = j + 1
+            if (tau is not None and k < KRYLOV_MAX
+                    and _log_error_floor(log_scale, k, tau, d) > LOG_SKIP):
+                continue
+            theta, S = np.linalg.eigh(T[:k, :k])
             theta = np.maximum(theta, 0.0)
             iv = Interval(basis.T, theta, norm * S[0], rotation=S)
             weight = beta * S[-1] * iv.coef
@@ -251,14 +289,20 @@ class KrylovExp:
                 tau, hit = _jump_time(iv, r, tau_max, start=tau)
                 if _lanczos_error(weight, theta, tau) <= KRYLOV_TOL:
                     return iv, tau, hit
-            if j + 1 < KRYLOV_MAX:
-                Q[j + 1] = w / beta
-                T[j, j + 1] = T[j + 1, j] = beta
         # the largest basis cannot reach tau: solve again within the
         # horizon where its bound holds, and end the interval there
         while _lanczos_error(weight, theta, tau) > KRYLOV_TOL:
             tau *= 0.5
         return (iv, *_jump_time(iv, r, tau))
+
+
+def _log_error_floor(log_scale, k, tau, d):
+    """log of ||psi|| beta_1 .. beta_k exp(-tau d) tau^k / k!, the lower
+    bound on the Lanczos error bound of `KrylovExp`, from log_scale =
+    log(||psi|| beta_1 .. beta_k) and d = max(diag T_k, 0)."""
+    if not tau > 0.0:
+        return -math.inf
+    return log_scale + k * math.log(tau) - tau * d - math.lgamma(k + 1)
 
 
 def _lanczos_error(weight, theta, tau):
@@ -288,12 +332,14 @@ def propagator(G, hermitian: bool):
 class JumpChannels:
     """Operators shared by all trajectories of one (basis, Lambda, Gamma).
 
-    `stacked` holds sqrt(rate_k) b_k for every live channel k, one block
-    of rows each in the fixed channel order, and `labels` their
-    (kind, site).  decay is the real symmetric
-    A = (1/2) sum_k rate_k b_k† b_k = stacked† stacked / 2, the no-jump
-    generator: the survival over tau is ||exp(-A tau) psi||^2.  The
-    unit-rate b_k come from the basis's cache, shared across rates.
+    `stacked` holds sqrt(Lambda) d_j for every phase-lock bond, one block
+    of rows each in bond order; `diagonal` holds the dephasing channels
+    c_j = sqrt(Gamma) n_j, which are diagonal, as the (dim, L) table of
+    their rates Gamma n_j^2 per basis state (no columns when Gamma = 0).
+    `labels` gives the (kind, site) of every live channel, bonds first.
+    decay is the real symmetric A = (1/2) sum_k rate_k b_k† b_k, the
+    no-jump generator: the survival over tau is ||exp(-A tau) psi||^2.
+    The unit-rate b_k come from the basis's cache, shared across rates.
     """
 
     def __init__(self, basis: FockBasis, rate_phaselock: float, rate_dephase: float):
@@ -305,8 +351,11 @@ class JumpChannels:
                 continue
             blocks.append(math.sqrt(rate) * unit_jumps(basis, kind))
             self.labels += [(kind, j) for j in range(1, count + 1)]
-        self.stacked = sp.vstack(blocks, format="csr")
-        self.decay = sp.csr_matrix(0.5 * (self.stacked.T @ self.stacked))
+        full = sp.vstack(blocks, format="csr")
+        self.decay = sp.csr_matrix(0.5 * (full.T @ full))
+        self.stacked = blocks[0] if rate_phaselock != 0.0 else sp.csr_matrix((0, basis.dim))
+        live_sites = basis.L if rate_dephase != 0.0 else 0
+        self.diagonal = rate_dephase * basis.table[:, :live_sites] ** 2.0
         self.propagator = propagator(self.decay, hermitian=True)
 
     def max_total_rate(self) -> float:
@@ -323,12 +372,25 @@ class JumpChannels:
                                 return_eigenvectors=False)[0])
 
 
-def select_jump(phi: np.ndarray, stacked, u: float):
-    """Inverse-CDF channel choice with the uniform draw u, from one matvec
-    against the stacked jump operators.  Returns (channel, normalised
-    post-jump state)."""
+def jump_weights(phi: np.ndarray, stacked, diagonal: np.ndarray):
+    """(outputs, weights) of every channel on phi, in channel order.
+
+    The channels are the row blocks of `stacked`, whose outputs
+    `stacked @ phi` come back one row per channel, then the columns of
+    `diagonal`: each holds the rates |c_j|^2 of a diagonal jump operator
+    c_j with nonnegative entries, weighed as |phi|^2 @ diagonal with no
+    operator product.  The weights are ||b_k phi||^2.
+    """
     out = (stacked @ phi).reshape(-1, phi.size)
-    weights = np.einsum("ij,ij->i", out.conj(), out).real
+    return out, np.concatenate((np.einsum("ij,ij->i", out.conj(), out).real,
+                                (phi.conj() * phi).real @ diagonal))
+
+
+def select_jump(phi: np.ndarray, stacked, diagonal: np.ndarray, u: float):
+    """Inverse-CDF channel choice with the uniform draw u over the
+    channels of `jump_weights`.  Returns (channel, normalised post-jump
+    state)."""
+    out, weights = jump_weights(phi, stacked, diagonal)
     weights[weights <= CHANNEL_EPS * weights.sum()] = 0.0
     cum = np.cumsum(weights)
     if not cum[-1] > 0.0:
@@ -336,7 +398,8 @@ def select_jump(phi: np.ndarray, stacked, u: float):
     k = min(int(np.searchsorted(cum, u * cum[-1], side="right")), len(cum) - 1)
     while weights[k] == 0.0:  # u * total rounded onto the end of the CDF
         k -= 1
-    return k, out[k] / math.sqrt(weights[k])
+    post = out[k] if k < len(out) else np.sqrt(diagonal[:, k - len(out)]) * phi
+    return k, post / math.sqrt(weights[k])
 
 
 def step(psi: np.ndarray, channels, t: float, t_stop: float, r: float, rng):
@@ -354,7 +417,7 @@ def step(psi: np.ndarray, channels, t: float, t_stop: float, r: float, rng):
         p = float(np.vdot(phi, phi).real)
         t_new = t_stop if tau == t_stop - t else t + tau
         return phi / math.sqrt(p), t_new, r / p, None, iv
-    k, out = select_jump(phi, channels.stacked, rng.random())
+    k, out = select_jump(phi, channels.stacked, channels.diagonal, rng.random())
     return out, t + tau, 1.0 - rng.random(), k, iv
 
 
@@ -374,8 +437,9 @@ def unravel(psi: np.ndarray, channels, t_max: float, rng, stops=()):
 
     Intervals end exactly at every stop time in (0, t_max) and at t_max.
     channels supplies `propagator` (exp(-G tau) for the no-jump
-    generator G) and `stacked` (the jump operators, one block of rows per
-    channel).
+    generator G) and the jump operators in channel order: `stacked`, one
+    block of rows per channel, then the diagonal ones as the columns of
+    `diagonal` (see `jump_weights`).
     """
     t, r = 0.0, 1.0 - rng.random()
     for t_stop in [s for s in stops if 0.0 < s < t_max] + [t_max]:

@@ -318,6 +318,9 @@ class TestValidateBeforeManifest:
         ("ancilla", "--scheme", "phaselock", "--n-max", "0"),
         ("ancilla", "--n1", "-1"),
         ("ancilla", "--n1", "3", "--n2", "3"),
+        ("lindblad-check", "--L", "7", "--M", "2", "--snapshot-times", "0.1"),
+        ("ancilla", "--rate-dephase", "0", "--M", "2"),
+        ("ancilla", "--scheme", "phaselock", "--g-eff", "0", "--M", "2"),
     ], ids=["gutzwiller-t_max", "gutzwiller-rate_phaselock", "gutzwiller-gamma",
             "entropy_scan-gamma", "ancilla-kappa", "ancilla-scheme",
             "trajectories-initial_state", "lindblad_check-initial_state",
@@ -325,11 +328,29 @@ class TestValidateBeforeManifest:
             "lindblad_check-negative_snapshot", "trajectories-M", "lindblad_check-M",
             "entropy_scan-renyi_order", "entropy_scan-fit_window",
             "ancilla-kappa_nan", "ancilla-negative_t_max", "ancilla-nan_t_max",
-            "ancilla-n_max", "ancilla-negative_level", "ancilla-equal_levels"])
+            "ancilla-n_max", "ancilla-negative_level", "ancilla-equal_levels",
+            "lindblad_check-oracle_dim", "ancilla-zero_rate_dephase",
+            "ancilla-zero_g_eff"])
     def test_rejected_run_leaves_no_manifest(self, tmp_path, args):
         code, outdir = run_cli(tmp_path, *args)
         assert code == EXIT_VALIDATION
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("args,named", [
+        (("ancilla", "--rate-dephase", "0", "--M", "2"), "rate_dephase"),
+        (("ancilla", "--rate-dephase", "0", "--kappa", "500", "--M", "2"), "rate_dephase"),
+        (("ancilla", "--scheme", "phaselock", "--g-eff", "0", "--M", "2"), "g_eff"),
+    ], ids=["rate_dephase", "rate_dephase-t_max", "g_eff"])
+    def test_ancilla_default_names_its_divisor(self, tmp_path, capsys, args, named):
+        code, outdir = run_cli(tmp_path, *args)
+        assert code == EXIT_VALIDATION and not outdir.exists()
+        assert named in capsys.readouterr().err
+
+    def test_ancilla_unused_divisor_may_be_zero(self, tmp_path):
+        # with kappa and t_max given, rate_dephase fills no default
+        code, _ = run_cli(tmp_path, "ancilla", "--rate-dephase", "0", "--kappa", "500",
+                          "--t-max", "0.5", "--M", "2")
+        assert code == EXIT_OK
 
 
 def test_observable_writer_holds_no_dense_operator(tmp_path):

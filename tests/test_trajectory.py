@@ -91,8 +91,9 @@ class TestStep:
         channels = JumpChannels(basis, 1.0, 0.7)
         channels.propagator = (make(channels.decay, hermitian=True)
                                if make is DenseExp else make(channels.decay))
-        jumps = [channels.stacked[k * basis.dim:(k + 1) * basis.dim].toarray()
-                 for k in range(len(channels.labels))]
+        rates = {JumpKind.PHASE_LOCK: 1.0, JumpKind.DEPHASE: 0.7}
+        jumps = [math.sqrt(rates[kind]) * build_jump(kind, site, basis).toarray()
+                 for kind, site in channels.labels]
         for idx in range(3):
             traj = run_trajectory(basis, psi0, cfg, channels=channels, traj_index=idx)
             events, snaps, final = unravel_oracle(
@@ -195,8 +196,35 @@ class TestStep:
         exact = no_jump(channels, psi0, 1e-4)
         np.testing.assert_allclose(out, exact / np.linalg.norm(exact), atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_jump_weights_match_per_channel_products(self, dtype):
+        # weights and post-jump states against each channel's own sparse
+        # product sqrt(rate_k) b_k phi, for real and complex states
+        basis = build_basis(L=5, N=5, n_max=3)
+        lam, gam = 1.3, 0.7
+        channels = JumpChannels(basis, lam, gam)
+        rng = np.random.default_rng(2)
+        phi = rng.standard_normal(basis.dim).astype(dtype)
+        if dtype is complex:
+            phi += 1j * rng.standard_normal(basis.dim)
+        phi /= np.linalg.norm(phi)
+        rates = {JumpKind.PHASE_LOCK: lam, JumpKind.DEPHASE: gam}
+        outs = [math.sqrt(rates[kind]) * (build_jump(kind, site, basis) @ phi)
+                for kind, site in channels.labels]
+        weights = np.array([np.vdot(o, o).real for o in outs])
+        _, got = trajectory.jump_weights(phi, channels.stacked, channels.diagonal)
+        np.testing.assert_allclose(got, weights, rtol=1e-14, atol=0)
+        cum = np.cumsum(weights) / weights.sum()
+        for k, (lo, hi) in enumerate(zip(np.r_[0.0, cum[:-1]], cum)):
+            got_k, post = trajectory.select_jump(phi, channels.stacked,
+                                                 channels.diagonal, 0.5 * (lo + hi))
+            assert got_k == k
+            assert post.dtype == phi.dtype
+            np.testing.assert_allclose(post, outs[k] / math.sqrt(weights[k]),
+                                       rtol=0, atol=1e-14)
+
     def test_dead_channel_never_selected(self):
-        # Gamma = 0: the dephasing channels are not stacked at all.  From
+        # Gamma = 0: the dephasing channels are absent altogether.  From
         # the Fock state (2,0,1) under dephasing alone, site 2 is empty:
         # its channel has zero weight, and no channel draw, not even one
         # on its (degenerate) CDF boundary, may select it.
@@ -211,6 +239,64 @@ class TestStep:
                                    RiggedRng([u, 0.5]))
             assert channels.labels[k] != (JumpKind.DEPHASE, 2)
             assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestLanczos:
+    @given(diag=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=10),
+           betas=st.lists(st.floats(0.05, 5.0), min_size=10, max_size=10),
+           tau=st.floats(1e-3, 1.0), norm=st.floats(0.1, 2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_error_floor_never_exceeds_the_bound(self, diag, betas, tau, norm):
+        # the floor that lets a Lanczos step skip its eigensolve, against
+        # ||psi|| beta_k int_0^tau |e_k^T exp(-s T_k) e_1| ds, the integral
+        # read off the exponential of the augmented matrix [[-T, e_1], [0, 0]]
+        k = len(diag)
+        T = np.diag(diag) + np.diag(betas[:k - 1], 1) + np.diag(betas[:k - 1], -1)
+        aug = np.zeros((k + 1, k + 1))
+        aug[:k, :k], aug[0, k] = -T, 1.0
+        integral = abs(expm(aug * tau)[k - 1, k])
+        exact = norm * betas[k - 1] * integral
+        log_scale = math.log(norm) + sum(math.log(b) for b in betas[:k])
+        floor = math.exp(trajectory._log_error_floor(log_scale, k, tau, max(diag)))
+        assert floor <= exact * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("rates,state", [((1.0, 0.0), "condensate"),
+                                             ((0.0, 1.0), "fock")])
+    def test_breakdown_on_the_first_step(self, rates, state):
+        # an eigenvector of A leaves nothing after the first Lanczos step
+        # (beta = 0 for the Fock state under dephasing, ~1e-14 for the
+        # dark condensate): the interval returns a one-vector basis
+        # without dividing by zero, and the state does not move
+        basis = build_basis(L=7, N=7, n_max=7)
+        assert basis.dim > trajectory.DENSE_MAX_DIM
+        psi0 = (build_bec_dark_state(basis) if state == "condensate"
+                else fock_state(basis, (1, 1, 1, 1, 1, 1, 1)))
+        cfg = MonitoringConfig(rate_phaselock=rates[0], rate_dephase=rates[1],
+                               t_max=2.0, seed=5, snapshot_times=(0.5, 1.0))
+        channels = JumpChannels(basis, *rates)
+        assert isinstance(channels.propagator, KrylovExp)
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            traj = run_trajectory(basis, psi0, cfg, channels=channels)
+        assert set(traj.krylov_dims) == {1}
+        if state == "condensate":
+            assert traj.jumps == []
+        assert abs(np.vdot(psi0, traj.final_state)) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("gamma", [0.5, 8.0])
+    def test_interval_bases_are_orthonormal(self, gamma):
+        # every interval of a trajectory, and one long interval (survival
+        # down to 1e-8: 17-34 vectors) where the recurrence alone would
+        # lose orthogonality to ~1e-11
+        basis = build_basis(L=7, N=7, n_max=3)
+        psi0 = default_initial_state(basis)
+        channels = JumpChannels(basis, 1.0, gamma)
+        assert isinstance(channels.propagator, KrylovExp)
+        bases = [ev.interval.basis for ev in trajectory.unravel(
+            psi0, channels, 0.5, trajectory_rng(3, 0), stops=(0.25,))]
+        bases.append(channels.propagator.interval(psi0, 1e-8, 100.0)[0].basis)
+        for V in bases:
+            assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-12
+        assert bases[-1].shape[1] > 15
 
 
 class TestDarkState:
@@ -378,14 +464,21 @@ class TestSharedUnitJumps:
             shared = JumpChannels(basis, 1.0, gamma)
             fresh = JumpChannels(build_basis(L=8, N=8, n_max=3), 1.0, gamma)
             assert set(basis._jump_cache) == set(JumpKind)
-            # and both are the channels scaled one operator at a time
-            per_op = sp.vstack([math.sqrt(rate) * build_jump(kind, j, basis)
-                                for kind, rate, count in ((JumpKind.PHASE_LOCK, 1.0, 7),
-                                                          (JumpKind.DEPHASE, gamma, 8))
-                                for j in range(1, count + 1)], format="csr")
-            for stacked, decay in ((fresh.stacked, fresh.decay),
-                                   (per_op, sp.csr_matrix(0.5 * (per_op.T @ per_op)))):
+            # and both are the channels scaled one operator at a time:
+            # the bonds stacked, the sites as the diagonals' rates
+            bonds = [build_jump(JumpKind.PHASE_LOCK, j, basis) for j in range(1, 8)]
+            sites = [math.sqrt(gamma) * build_jump(JumpKind.DEPHASE, j, basis)
+                     for j in range(1, 9)]
+            per_op = sp.vstack(bonds + sites, format="csr")
+            site_rates = np.column_stack([gamma * build_jump(JumpKind.DEPHASE, j,
+                                                             basis).diagonal() ** 2
+                                          for j in range(1, 9)])
+            for stacked, diagonal, decay in (
+                    (fresh.stacked, fresh.diagonal, fresh.decay),
+                    (sp.vstack(bonds, format="csr"), site_rates,
+                     sp.csr_matrix(0.5 * (per_op.T @ per_op)))):
                 assert (shared.stacked != stacked).nnz == 0
+                np.testing.assert_array_equal(shared.diagonal, diagonal)
                 assert (shared.decay != decay).nnz == 0
             assert shared.labels == fresh.labels
 
