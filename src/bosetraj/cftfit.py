@@ -31,16 +31,22 @@ def chord_regressor(L: int, l) -> np.ndarray:
     return np.log((2.0 * L / np.pi) * np.sin(np.pi * l / L))
 
 
-def fit_window(L: int, l_min: int = None, l_max: int = None) -> tuple:
+def fit_window(L: int, l_min: int = None, l_max: int = None, ls=None) -> tuple:
     """The cuts [l_min, l_max] a fit of an L-site profile uses.  The
     default drops l = 1 and l = L-1 (boundary contamination) whenever
-    enough cuts remain; the window must hold two of the cuts 1..L-1."""
+    enough cuts remain.  Among the profile's cuts `ls` (default 1..L-1)
+    the window must hold two with different chord lengths: l and L - l
+    have the same one, so mirror pairs alone leave the fit degenerate."""
     if l_min is None:
         l_min = 2 if L >= 5 else 1
     if l_max is None:
         l_max = L - 2 if L >= 5 else L - 1
-    if min(l_max, L - 1) - max(l_min, 1) < 1:
-        raise ValueError("fit window must contain at least two cuts")
+    ls = np.arange(1, L) if ls is None else np.asarray(ls)
+    inside = ls[(ls >= max(l_min, 1)) & (ls <= min(l_max, L - 1))]
+    if len(set(np.minimum(inside, L - inside).tolist())) < 2:
+        raise ValueError(f"fit window [{l_min}, {l_max}] of an L = {L} profile "
+                         f"must hold two cuts of different chord length "
+                         f"(l and L - l have the same one)")
     return l_min, l_max
 
 
@@ -49,15 +55,12 @@ def fit_profile(profile: EntropyProfile, l_min: int = None, l_max: int = None,
     """Weighted linear least squares of the profile against the chord
     regressor over the `fit_window`."""
     L = profile.L
-    l_min, l_max = fit_window(L, l_min, l_max)
+    l_min, l_max = fit_window(L, l_min, l_max, profile.ls)
     sel = (profile.ls >= l_min) & (profile.ls <= l_max)
     ls = profile.ls[sel]
     y = profile.mean[sel]
     sig = profile.stderr[sel]
     x = chord_regressor(L, ls)
-    if np.ptp(x) < 1e-12:
-        raise ValueError("degenerate regressor: all chord lengths equal "
-                         "inside the fit window")
     if weighted and np.all(sig > 0):
         w = 1.0 / sig ** 2
         known_sigma = True

@@ -102,11 +102,12 @@ def build_model(spec: dict, basis=None):
     return basis, cfg
 
 
-def ensemble_size(spec: dict, default: int, least: int = 1) -> int:
-    M = int(spec.get("M", default))
-    if M < least:
-        raise ValueError(f"M must be at least {least}, got {M}")
-    return M
+def count_option(spec: dict, name: str, default: int, least: int = 1) -> int:
+    """The integer option `name`, which must be at least `least`."""
+    value = int(spec.get(name, default))
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def initial_state(spec: dict, basis):
@@ -142,7 +143,8 @@ def _counters(ensemble) -> dict:
            "intervals_mean": float(ensemble.intervals.mean())}
     if ensemble.krylov_dims.size:
         out |= {"krylov_dim_mean": float(ensemble.krylov_dims.mean()),
-                "krylov_dim_max": int(ensemble.krylov_dims.max())}
+                "krylov_dim_max": int(ensemble.krylov_dims.max()),
+                "reorth_reruns": int(ensemble.reorth_reruns.sum())}
     return out
 
 
@@ -167,9 +169,9 @@ def cmd_trajectories(spec: dict, outdir: Path) -> int:
         times = np.linspace(0.0, cfg.t_max, int(spec.get("n_snapshots", 21)))
         cfg = replace(cfg, snapshot_times=tuple(times))
     psi0 = initial_state(spec, basis)
-    M = ensemble_size(spec, 100)
+    M, workers = count_option(spec, "M", 100), count_option(spec, "workers", 1)
     write_manifest(outdir, spec)
-    ensemble = run_ensemble(basis, psi0, cfg, M, int(spec.get("workers", 1)))
+    ensemble = run_ensemble(basis, psi0, cfg, M, workers)
     _write_observables(outdir, ensemble)
     gamma = cfg.reduced_dephasing if cfg.rate_phaselock else -1.0  # -1: Lambda = 0
     prof_rows = []
@@ -192,14 +194,14 @@ def cmd_entropy_scan(spec: dict, outdir: Path) -> int:
         basis, cfg = build_model(spec | {"gamma": gamma}, basis)
         cfgs.append(replace(cfg, snapshot_times=(cfg.t_max,)))
     psi0 = initial_state(spec, basis)
-    M = ensemble_size(spec, 100)
+    M, workers = count_option(spec, "M", 100), count_option(spec, "workers", 1)
     kinds = [("vn", None)] + [("renyi", _order("renyi", a))
                               for a in spec.get("renyi_orders", [])]
     fit_window(basis.L, spec.get("fit_l_min"), spec.get("fit_l_max"))
     write_manifest(outdir, spec)
     prof_rows, fits, counters = [], [], []
     for gamma, cfg in zip(gammas, cfgs):
-        ensemble = run_ensemble(basis, psi0, cfg, M, int(spec.get("workers", 1)))
+        ensemble = run_ensemble(basis, psi0, cfg, M, workers)
         counters.append({"gamma": gamma} | _counters(ensemble))
         for prof in average_profiles(ensemble.states_at(cfg.t_max), basis, gamma,
                                      cfg.t_max, kinds):
@@ -236,9 +238,10 @@ def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
     times = tuple(spec.get("snapshot_times") or (0.5, 1.0, 2.0, 5.0))
     cfg = replace(cfg, t_max=max(times), snapshot_times=times)
     psi0 = initial_state(spec, basis)
-    M = ensemble_size(spec, 2000, least=2)    # a standard error needs two
+    M = count_option(spec, "M", 2000, least=2)    # a standard error needs two
+    workers = count_option(spec, "workers", 1)
     write_manifest(outdir, spec)
-    ensemble = run_ensemble(basis, psi0, cfg, M, int(spec.get("workers", 1)))
+    ensemble = run_ensemble(basis, psi0, cfg, M, workers)
     rho0 = np.outer(psi0, psi0.conj())
     series = evolve_lindblad(basis, rho0, cfg.rate_phaselock, cfg.rate_dephase,
                              ensemble.snapshot_times)
@@ -302,7 +305,7 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
                 "final_entropy": anc._pair_entropy(traj.final_state, cfg.n_max)}
     else:
         raise ValueError(f"unknown ancilla scheme {scheme!r}")
-    M = ensemble_size(spec, 100)
+    M = count_option(spec, "M", 100)
     write_manifest(outdir, spec)
     rows, outcomes = [], []
     for i in range(M):
@@ -319,7 +322,6 @@ def cmd_fit(spec: dict, outdir: Path) -> int:
     src = spec.get("profile_csv")
     if not src or not Path(src).exists():
         raise ValueError("fit needs an existing profile_csv")
-    write_manifest(outdir, spec)
     with open(src) as fh:
         rows = list(csv.DictReader(fh))
     groups = {}
@@ -327,19 +329,21 @@ def cmd_fit(spec: dict, outdir: Path) -> int:
         key = (float(r["gamma"]), int(r["L"]), float(r["t"]), r["kind"],
                r["alpha"] or None)
         groups.setdefault(key, []).append(r)
-    fits = []
+    profiles = []
     for (gamma, L, t, kind, alpha), rs in groups.items():
         rs = sorted(rs, key=lambda r: int(r["l"]))
-        prof = EntropyProfile(
+        profiles.append(EntropyProfile(
             gamma=gamma, L=L, t=t, kind=kind,
             alpha=float(alpha) if alpha else None,
             ls=np.array([int(r["l"]) for r in rs]),
             mean=np.array([float(r["mean"]) for r in rs]),
             stderr=np.array([float(r["stderr"]) for r in rs]),
-            M=int(rs[0]["M"]))
-        fit = fit_profile(prof, l_min=spec.get("fit_l_min"),
-                          l_max=spec.get("fit_l_max"))
-        fits.append(_fit_record(prof, fit))
+            M=int(rs[0]["M"])))
+        fit_window(L, spec.get("fit_l_min"), spec.get("fit_l_max"), profiles[-1].ls)
+    write_manifest(outdir, spec)
+    fits = [_fit_record(prof, fit_profile(prof, l_min=spec.get("fit_l_min"),
+                                          l_max=spec.get("fit_l_max")))
+            for prof in profiles]
     with open(outdir / "fits.json", "w") as fh:
         json.dump(fits, fh, indent=2)
     return EXIT_OK

@@ -44,7 +44,7 @@ class FockBasis:
         self.weights = (n_max + 1) ** np.arange(L - 1, -1, -1, dtype=np.int64)
         self.codes = table @ self.weights
         self._cut_cache: dict = {}  # partial-trace bookkeeping, filled lazily
-        self._jump_cache: dict = {}  # JumpKind -> stacked unit-rate jumps, lazily
+        self._jump_cache: dict = {}  # unit-rate jump stacks and "gram", lazily
 
     @property
     def dim(self) -> int:
@@ -163,6 +163,15 @@ def unit_jumps(basis: FockBasis, kind: JumpKind) -> sp.csr_matrix:
         basis._jump_cache[kind] = sp.vstack(blocks or [sp.csr_matrix((0, basis.dim))],
                                             format="csr")
     return basis._jump_cache[kind]
+
+
+def phaselock_gram(basis: FockBasis) -> sp.csr_matrix:
+    """K = sum_j d_j† d_j over the phase-lock bonds, from their cached
+    unit-rate stack; built once per basis."""
+    if "gram" not in basis._jump_cache:
+        stack = unit_jumps(basis, JumpKind.PHASE_LOCK)
+        basis._jump_cache["gram"] = sp.csr_matrix(stack.T @ stack)
+    return basis._jump_cache["gram"]
 
 
 def build_bec_dark_state(basis: FockBasis) -> np.ndarray:

@@ -28,9 +28,10 @@ import multiprocessing as mp
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import expm
+from scipy.linalg import expm, get_blas_funcs
 
-from .fock import FockBasis, JumpKind, NumericGuardError, fock_state, unit_jumps
+from .fock import (FockBasis, JumpKind, NumericGuardError, fock_state, phaselock_gram,
+                   unit_jumps)
 
 CHANNEL_EPS = 1e-14    # channel weights below this share of the total are dead
 DENSE_MAX_DIM = 500    # generators up to this dimension are diagonalised once
@@ -38,6 +39,7 @@ RECON_TOL = 1e-10      # relative reconstruction error a decomposition may have
 KRYLOV_TOL = 1e-12     # bound on the Lanczos state error over an interval
 KRYLOV_MAX = 60        # largest Lanczos basis; past it the interval is cut short
 LOG_SKIP = math.log(2.0 * KRYLOV_TOL)  # log error floor above which a step skips eigh
+ORTHO_TOL = 1e-12      # largest |V^H V - I| a bare Lanczos basis may keep
 DGKS_RATIO = math.sqrt(0.5)   # a second Gram-Schmidt pass when ||w|| falls below this
 ROOT_RTOL = 1e-14      # relative accuracy of the survival at the jump time
 
@@ -85,6 +87,7 @@ class Trajectory:
     final_state: np.ndarray
     n_steps: int               # intervals: one per jump or stop
     krylov_dims: tuple = ()    # Lanczos basis size per interval, if Lanczos ran
+    reorth_reruns: int = 0     # Lanczos intervals rebuilt with reorthogonalisation
 
 
 class Interval:
@@ -93,6 +96,8 @@ class Interval:
     The columns of basis @ rotation are orthonormal unless a Gram matrix
     is given.
     """
+
+    reorthogonalised = False   # a Lanczos basis rebuilt with reorthogonalisation
 
     def __init__(self, basis, rates, coef, gram=None, rotation=None):
         self.basis, self.rates, self.coef = basis, rates, coef
@@ -110,9 +115,11 @@ class Interval:
 
     def states(self, taus) -> np.ndarray:
         """Unnormalised states, one column per tau (a vector for a scalar)."""
-        taus = np.asarray(taus, dtype=float)
-        x = (np.exp(-np.multiply.outer(self.rates, taus))
-             * (self.coef if taus.ndim == 0 else self.coef[:, None]))
+        if np.ndim(taus) == 0:
+            x = np.exp(-self.rates * taus) * self.coef
+        else:
+            x = (np.exp(-np.multiply.outer(self.rates, np.asarray(taus, dtype=float)))
+                 * self.coef[:, None])
         if self.rotation is not None:
             x = self.rotation @ x
         return self.basis @ x
@@ -242,46 +249,67 @@ class KrylovExp:
     at the tau of the previous solve, that tau cannot be accepted, so the
     step skips T_k's eigensolve and goes on to the next Lanczos vector.
 
-    Each new vector runs the three-term recurrence, then one classical
-    Gram-Schmidt pass against the whole basis; a second pass runs only
-    when the first cancels ||w|| below 1/sqrt(2) of its value (the DGKS
-    test of Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976)).
+    Each new vector runs the bare three-term recurrence.  The bound needs
+    only the Lanczos relation A V_k = V_k T_k + beta_k q_(k+1) e_k^T, which
+    holds to rounding without reorthogonalisation (Druskin, Greenbaum &
+    Knizhnerman, SIAM J. Sci. Comput. 19, 38 (1998)), and orthogonality is
+    lost only slowly at the basis sizes a jump needs.  Once the bound
+    accepts tau, one Gram matrix V^H V checks the basis; if it is off the
+    identity by more than ORTHO_TOL, the interval is rebuilt with one
+    classical Gram-Schmidt pass per vector against the whole basis, and a
+    second pass when the first cancels ||w|| below 1/sqrt(2) of its value
+    (the DGKS test of Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772
+    (1976)).  The rebuilt interval is flagged `reorthogonalised`.
     """
 
     def __init__(self, A):
         self.A = sp.csr_matrix(A)
 
     def interval(self, psi, r, tau_max):
-        norm = np.linalg.norm(psi)
+        iv, tau, hit = self._lanczos(psi, r, tau_max, reorth=False)
+        V = iv.basis        # Fortran-ordered, so one gemm forms V^H V
+        gram = get_blas_funcs("gemm", (V,))(1.0, V, V, trans_a=2)
+        if np.abs(gram - np.eye(len(gram))).max() > ORTHO_TOL:
+            iv, tau, hit = self._lanczos(psi, r, tau_max, reorth=True)
+            iv.reorthogonalised = True
+        return iv, tau, hit
+
+    def _lanczos(self, psi, r, tau_max, reorth):
+        norm = math.sqrt(np.vdot(psi, psi).real)
         Q = np.empty((KRYLOV_MAX, psi.size), dtype=psi.dtype)
-        Q[0] = psi / norm
+        np.divide(psi, norm, out=Q[0])
+        axpy = get_blas_funcs("axpy", (Q,))
         T = np.zeros((KRYLOV_MAX, KRYLOV_MAX))
         tau, log_scale, d = None, math.log(norm), 0.0
         for j in range(KRYLOV_MAX):
             if j:
-                Q[j] = w / beta
+                np.divide(w, beta, out=Q[j])
                 T[j - 1, j] = T[j, j - 1] = beta
             w = self.A @ Q[j]
             T[j, j] = alpha = np.vdot(Q[j], w).real
-            w -= alpha * Q[j]
+            w = axpy(Q[j], w, a=-alpha)         # in place
             if j:
-                w -= beta * Q[j - 1]
+                w = axpy(Q[j - 1], w, a=-beta)
             basis = Q[:j + 1]
-            before = np.linalg.norm(w)
-            for _ in range(2):          # a second pass only on cancellation
-                w -= (basis @ w.conj()).conj() @ basis
-                beta = np.linalg.norm(w)
-                if beta >= before * DGKS_RATIO:
-                    break
-                before = beta
+            beta = math.sqrt(np.vdot(w, w).real)
+            if reorth:
+                for _ in range(2):      # a second pass only on cancellation
+                    before = beta
+                    w -= (basis @ w.conj()).conj() @ basis
+                    beta = math.sqrt(np.vdot(w, w).real)
+                    if beta >= before * DGKS_RATIO:
+                        break
             log_scale += math.log(beta) if beta > 0.0 else -math.inf
             d = max(d, alpha)
             k = j + 1
             if (tau is not None and k < KRYLOV_MAX
                     and _log_error_floor(log_scale, k, tau, d) > LOG_SKIP):
                 continue
-            theta, S = np.linalg.eigh(T[:k, :k])
-            theta = np.maximum(theta, 0.0)
+            if k == 1:
+                theta, S = np.array([max(alpha, 0.0)]), np.ones((1, 1))
+            else:
+                theta, S = np.linalg.eigh(T[:k, :k])
+                theta = np.maximum(theta, 0.0)
             iv = Interval(basis.T, theta, norm * S[0], rotation=S)
             weight = beta * S[-1] * iv.coef
             # solve for tau only once the bound holds at the previous tau
@@ -308,6 +336,8 @@ def _log_error_floor(log_scale, k, tau, d):
 def _lanczos_error(weight, theta, tau):
     """|sum_i weight_i int_0^tau exp(-theta_i s) ds|."""
     x = theta * tau
+    if x.min() >= 1e-8:
+        return abs(float(weight @ (-np.expm1(-x) / theta)))
     small = x < 1e-8
     return abs(float(weight @ np.where(small, tau, -np.expm1(-x)
                                         / np.where(small, 1.0, theta))))
@@ -339,23 +369,25 @@ class JumpChannels:
     `labels` gives the (kind, site) of every live channel, bonds first.
     decay is the real symmetric A = (1/2) sum_k rate_k b_k† b_k, the
     no-jump generator: the survival over tau is ||exp(-A tau) psi||^2.
-    The unit-rate b_k come from the basis's cache, shared across rates.
+    It is (1/2)(Lambda K + diag(Gamma sum_j n_j^2)), with the phase-lock
+    Gram K and the unit-rate d_j from the basis's cache, shared across
+    rates.
     """
 
     def __init__(self, basis: FockBasis, rate_phaselock: float, rate_dephase: float):
         self.basis = basis
-        blocks, self.labels = [], []
-        for kind, rate, count in ((JumpKind.PHASE_LOCK, rate_phaselock, basis.L - 1),
-                                  (JumpKind.DEPHASE, rate_dephase, basis.L)):
-            if rate == 0.0:
-                continue
-            blocks.append(math.sqrt(rate) * unit_jumps(basis, kind))
-            self.labels += [(kind, j) for j in range(1, count + 1)]
-        full = sp.vstack(blocks, format="csr")
-        self.decay = sp.csr_matrix(0.5 * (full.T @ full))
-        self.stacked = blocks[0] if rate_phaselock != 0.0 else sp.csr_matrix((0, basis.dim))
+        live_bonds = basis.L - 1 if rate_phaselock != 0.0 else 0
         live_sites = basis.L if rate_dephase != 0.0 else 0
+        self.labels = ([(JumpKind.PHASE_LOCK, j) for j in range(1, live_bonds + 1)]
+                       + [(JumpKind.DEPHASE, j) for j in range(1, live_sites + 1)])
         self.diagonal = rate_dephase * basis.table[:, :live_sites] ** 2.0
+        decay = sp.diags(self.diagonal.sum(axis=1), format="csr")
+        if live_bonds:
+            self.stacked = math.sqrt(rate_phaselock) * unit_jumps(basis, JumpKind.PHASE_LOCK)
+            decay = rate_phaselock * phaselock_gram(basis) + decay
+        else:
+            self.stacked = sp.csr_matrix((0, basis.dim))
+        self.decay = sp.csr_matrix(0.5 * decay)
         self.propagator = propagator(self.decay, hermitian=True)
 
     def max_total_rate(self) -> float:
@@ -372,34 +404,60 @@ class JumpChannels:
                                 return_eigenvectors=False)[0])
 
 
-def jump_weights(phi: np.ndarray, stacked, diagonal: np.ndarray):
-    """(outputs, weights) of every channel on phi, in channel order.
-
-    The channels are the row blocks of `stacked`, whose outputs
-    `stacked @ phi` come back one row per channel, then the columns of
-    `diagonal`: each holds the rates |c_j|^2 of a diagonal jump operator
-    c_j with nonnegative entries, weighed as |phi|^2 @ diagonal with no
-    operator product.  The weights are ||b_k phi||^2.
-    """
+def _bond_weights(phi: np.ndarray, stacked):
+    """(outputs, weights) of the row blocks of `stacked` on phi: the
+    outputs one row per channel, the weights ||b_k phi||^2."""
     out = (stacked @ phi).reshape(-1, phi.size)
-    return out, np.concatenate((np.einsum("ij,ij->i", out.conj(), out).real,
-                                (phi.conj() * phi).real @ diagonal))
+    return out, np.einsum("ij,ij->i", out.conj(), out).real
 
 
-def select_jump(phi: np.ndarray, stacked, diagonal: np.ndarray, u: float):
-    """Inverse-CDF channel choice with the uniform draw u over the
-    channels of `jump_weights`.  Returns (channel, normalised post-jump
-    state)."""
-    out, weights = jump_weights(phi, stacked, diagonal)
-    weights[weights <= CHANNEL_EPS * weights.sum()] = 0.0
+def _inverse_cdf(weights: np.ndarray, target: float):
+    """The channel whose CDF interval over `weights` (dead ones already
+    zero) holds target, clamped onto the first and last live channel;
+    None when no channel is live."""
     cum = np.cumsum(weights)
-    if not cum[-1] > 0.0:
-        raise NumericGuardError("jump selected but every channel amplitude is zero")
-    k = min(int(np.searchsorted(cum, u * cum[-1], side="right")), len(cum) - 1)
-    while weights[k] == 0.0:  # u * total rounded onto the end of the CDF
+    if not (cum.size and cum[-1] > 0.0):
+        return None
+    k = min(int(np.searchsorted(cum, max(target, 0.0), side="right")), len(cum) - 1)
+    while weights[k] == 0.0:  # target rounded onto the end of the CDF
         k -= 1
-    post = out[k] if k < len(out) else np.sqrt(diagonal[:, k - len(out)]) * phi
-    return k, post / math.sqrt(weights[k])
+    return k
+
+
+def select_jump(phi: np.ndarray, stacked, diagonal: np.ndarray, u: float,
+                total: float = None):
+    """Inverse-CDF channel choice with the uniform draw u.  Returns
+    (channel, normalised post-jump state).
+
+    The channels are the row blocks of `stacked`, weighed by the product
+    `stacked @ phi`, then the columns of `diagonal`: each holds the rates
+    |c_j|^2 of a diagonal jump operator c_j with nonnegative entries,
+    weighed as |phi|^2 @ diagonal with no operator product.  Weights at
+    or below CHANNEL_EPS of the total are dead.  total, if given, is the
+    summed weight of every channel (2 phi^H A phi for the no-jump
+    generator A); the bonds are then weighed only if u * total falls
+    below the share the sites leave them, and if every bond turns out
+    dead, the sites take the draw.
+    """
+    sites = (phi.conj() * phi).real @ diagonal
+    out = None
+    if total is None or not total > 0.0:
+        out, bonds = _bond_weights(phi, stacked)
+        total = bonds.sum() + sites.sum()
+    sites[sites <= CHANNEL_EPS * total] = 0.0
+    target, bond_share = u * total, total - sites.sum()
+    if target < bond_share:
+        if out is None:
+            out, bonds = _bond_weights(phi, stacked)
+        bonds[bonds <= CHANNEL_EPS * total] = 0.0
+        k = _inverse_cdf(bonds, target)
+        if k is not None:
+            return k, out[k] / math.sqrt(bonds[k])
+    j = _inverse_cdf(sites, target - bond_share)
+    if j is None:
+        raise NumericGuardError("jump selected but every channel amplitude is zero")
+    post = np.sqrt(diagonal[:, j]) * phi
+    return stacked.shape[0] // phi.size + j, post / math.sqrt(sites[j])
 
 
 def step(psi: np.ndarray, channels, t: float, t_stop: float, r: float, rng):
@@ -417,7 +475,11 @@ def step(psi: np.ndarray, channels, t: float, t_stop: float, r: float, rng):
         p = float(np.vdot(phi, phi).real)
         t_new = t_stop if tau == t_stop - t else t + tau
         return phi / math.sqrt(p), t_new, r / p, None, iv
-    k, out = select_jump(phi, channels.stacked, channels.diagonal, rng.random())
+    # the survival's decay rate -dP/dtau is the total channel weight: with
+    # both kinds of channel, a site can be chosen without the bond products
+    total = (-iv.survival_slope(tau)[1]
+             if channels.stacked.shape[0] and channels.diagonal.shape[1] else None)
+    k, out = select_jump(phi, channels.stacked, channels.diagonal, rng.random(), total)
     return out, t + tau, 1.0 - rng.random(), k, iv
 
 
@@ -439,7 +501,7 @@ def unravel(psi: np.ndarray, channels, t_max: float, rng, stops=()):
     channels supplies `propagator` (exp(-G tau) for the no-jump
     generator G) and the jump operators in channel order: `stacked`, one
     block of rows per channel, then the diagonal ones as the columns of
-    `diagonal` (see `jump_weights`).
+    `diagonal` (see `select_jump`).
     """
     t, r = 0.0, 1.0 - rng.random()
     for t_stop in [s for s in stops if 0.0 < s < t_max] + [t_max]:
@@ -475,10 +537,11 @@ def run_trajectory(basis: FockBasis, psi0: np.ndarray, cfg: MonitoringConfig,
     snap_times = [s for s in cfg.snapshot_times if s <= cfg.t_max]
     snapshots = [(s, psi.copy()) for s in snap_times if s <= 0.0]
     pending = snap_times[len(snapshots):]
-    jumps, sizes = [], []   # sizes: propagator basis per interval
+    jumps, sizes, reruns = [], [], 0   # sizes: propagator basis per interval
     for ev in unravel(psi, channels, cfg.t_max, trajectory_rng(cfg.seed, traj_index),
                       stops=pending):
         sizes.append(ev.interval.basis.shape[1])
+        reruns += ev.interval.reorthogonalised
         psi = ev.psi
         if ev.channel is not None:
             kind, site = channels.labels[ev.channel]
@@ -487,7 +550,8 @@ def run_trajectory(basis: FockBasis, psi0: np.ndarray, cfg: MonitoringConfig,
             snapshots.append((pending.pop(0), psi.copy()))
     lanczos = isinstance(channels.propagator, KrylovExp)
     return Trajectory(jumps=jumps, snapshots=snapshots, final_state=psi,
-                      n_steps=len(sizes), krylov_dims=tuple(sizes) if lanczos else ())
+                      n_steps=len(sizes), krylov_dims=tuple(sizes) if lanczos else (),
+                      reorth_reruns=reruns)
 
 
 @dataclass
@@ -500,6 +564,7 @@ class EnsembleResult:
     jumps_by_kind: dict = field(default_factory=dict)   # JumpKind -> (M,) counts
     intervals: np.ndarray = None                        # (M,) intervals
     krylov_dims: np.ndarray = None      # Lanczos size of every interval, in order
+    reorth_reruns: np.ndarray = None    # (M,) Lanczos intervals rebuilt, per trajectory
     basis: FockBasis = field(repr=False, default=None)
 
     def states_at(self, t: float) -> np.ndarray:
@@ -516,7 +581,7 @@ _WORKER_CTX = {}     # run_trajectory's arguments but traj_index, per worker
 def _summary(traj: Trajectory):
     kinds = [j.kind for j in traj.jumps]
     return (traj.snapshots, {k: kinds.count(k) for k in JumpKind}, traj.n_steps,
-            traj.krylov_dims)
+            traj.krylov_dims, traj.reorth_reruns)
 
 
 def _worker_run(i):
@@ -556,6 +621,7 @@ def run_ensemble(basis: FockBasis, psi0: np.ndarray, cfg: MonitoringConfig,
                           jumps_by_kind=by_kind,
                           intervals=np.array([r[2] for r in results]),
                           krylov_dims=np.array([d for r in results for d in r[3]], dtype=int),
+                          reorth_reruns=np.array([r[4] for r in results]),
                           basis=basis)
 
 

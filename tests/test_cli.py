@@ -161,6 +161,16 @@ class TestDeterminism:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         for c in json.loads((out1 / "manifest.json").read_text())["counters_by_gamma"]:
             assert 1 <= c["krylov_dim_mean"] <= c["krylov_dim_max"] <= trajectory.KRYLOV_MAX
+            assert 0 <= c["reorth_reruns"] <= 3 * c["intervals_mean"]
+
+    def test_manifest_counts_the_reorthogonalised_reruns(self, tmp_path, monkeypatch):
+        # with no orthogonality loss tolerated every Lanczos interval is
+        # rebuilt, and the manifest counts each one
+        monkeypatch.setattr(trajectory, "ORTHO_TOL", -1.0)
+        _, out = run_cli(tmp_path, "entropy-scan", "--L", "7", "--gamma-grid", "8",
+                         "--M", "2", "--t-max", "0.1", "--seed", "5")
+        c, = json.loads((out / "manifest.json").read_text())["counters_by_gamma"]
+        assert c["reorth_reruns"] == 2 * c["intervals_mean"] > 0
 
 
 class TestEntropyScanAndFit:
@@ -179,6 +189,7 @@ class TestEntropyScanAndFit:
             assert c["jumps_phaselock_mean"] + c["jumps_dephase_mean"] \
                 == pytest.approx(c["jump_count_mean"], rel=1e-12)
             assert "krylov_dim_mean" not in c     # dim 35: dense propagator
+            assert "reorth_reruns" not in c
         # a standalone re-fit of the emitted profile reproduces the fits
         code2, outdir2 = run_cli(tmp_path / "refit", "fit",
                                  "--profile-csv", str(outdir / "profile.csv"))
@@ -190,11 +201,30 @@ class TestEntropyScanAndFit:
             assert a["s0"] == pytest.approx(b["s0"], rel=1e-12, abs=1e-12)
 
     def test_scan_builds_unit_jumps_once(self, tmp_path, monkeypatch):
+        # the bonds once per scan; the diagonal dephasing channels are
+        # read off the occupation table, with no operator built
         calls = count_jump_builds(monkeypatch)
         code, _ = run_cli(tmp_path, "entropy-scan", "--L", "4", "--M", "2",
                           "--gamma-grid", "0.5,4.0,8.0", "--t-max", "0.5")
         assert code == EXIT_OK
-        assert len(calls) == len(set(calls)) == 2 * 4 - 1
+        assert len(calls) == len(set(calls)) == 4 - 1
+        assert {kind for kind, _ in calls} == {fock.JumpKind.PHASE_LOCK}
+
+    @pytest.mark.parametrize("ls,window", [
+        ((1, 2, 3, 4, 5), ("--fit-l-min", "3", "--fit-l-max", "3")),
+        ((2, 4), ()),
+        ((1, 2, 4, 5), ("--fit-l-min", "2", "--fit-l-max", "4"))],
+        ids=["one_cut", "mirror_rows", "mirror_window"])
+    def test_fit_rejects_a_degenerate_window_before_its_manifest(self, tmp_path, ls,
+                                                                 window):
+        # one cut, or only the mirror cuts l and L - l among the profile's
+        # rows, cannot fix a slope: exit 2 and no output directory
+        path = tmp_path / "profile.csv"
+        cli.write_csv(path, cli.PROFILE_HEADER,
+                      [(0.5, 6, 1.0, l, "vn", "", 0.3, 0.01, 10) for l in ls])
+        code, outdir = run_cli(tmp_path, "fit", "--profile-csv", str(path), *window)
+        assert code == EXIT_VALIDATION
+        assert not outdir.exists()
 
     def test_scan_requires_grid(self, tmp_path):
         code, _ = run_cli(tmp_path, "entropy-scan", "--L", "4", "--M", "5")
@@ -321,6 +351,13 @@ class TestValidateBeforeManifest:
         ("lindblad-check", "--L", "7", "--M", "2", "--snapshot-times", "0.1"),
         ("ancilla", "--rate-dephase", "0", "--M", "2"),
         ("ancilla", "--scheme", "phaselock", "--g-eff", "0", "--M", "2"),
+        ("entropy-scan", "--L", "3", "--M", "2", "--gamma-grid", "1", "--t-max", "0.5"),
+        ("trajectories", "--L", "3", "--M", "2", "--t-max", "0.1", "--workers", "0"),
+        ("trajectories", "--L", "3", "--M", "2", "--t-max", "0.1", "--workers=-3"),
+        ("entropy-scan", "--L", "4", "--M", "2", "--gamma-grid", "1", "--t-max", "0.1",
+         "--workers", "0"),
+        ("lindblad-check", "--L", "2", "--M", "4", "--snapshot-times", "0.1",
+         "--workers=-1"),
     ], ids=["gutzwiller-t_max", "gutzwiller-rate_phaselock", "gutzwiller-gamma",
             "entropy_scan-gamma", "ancilla-kappa", "ancilla-scheme",
             "trajectories-initial_state", "lindblad_check-initial_state",
@@ -330,7 +367,9 @@ class TestValidateBeforeManifest:
             "ancilla-kappa_nan", "ancilla-negative_t_max", "ancilla-nan_t_max",
             "ancilla-n_max", "ancilla-negative_level", "ancilla-equal_levels",
             "lindblad_check-oracle_dim", "ancilla-zero_rate_dephase",
-            "ancilla-zero_g_eff"])
+            "ancilla-zero_g_eff", "entropy_scan-mirror_window",
+            "trajectories-zero_workers", "trajectories-negative_workers",
+            "entropy_scan-zero_workers", "lindblad_check-negative_workers"])
     def test_rejected_run_leaves_no_manifest(self, tmp_path, args):
         code, outdir = run_cli(tmp_path, *args)
         assert code == EXIT_VALIDATION

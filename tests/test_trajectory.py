@@ -197,9 +197,10 @@ class TestStep:
         np.testing.assert_allclose(out, exact / np.linalg.norm(exact), atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_jump_weights_match_per_channel_products(self, dtype):
-        # weights and post-jump states against each channel's own sparse
-        # product sqrt(rate_k) b_k phi, for real and complex states
+    def test_jump_weights_match_per_channel_products(self, dtype, monkeypatch):
+        # channel choice and post-jump states against each channel's own
+        # sparse product sqrt(rate_k) b_k phi, for real and complex states,
+        # with the total weight 2 phi^H A phi given and without
         basis = build_basis(L=5, N=5, n_max=3)
         lam, gam = 1.3, 0.7
         channels = JumpChannels(basis, lam, gam)
@@ -212,16 +213,50 @@ class TestStep:
         outs = [math.sqrt(rates[kind]) * (build_jump(kind, site, basis) @ phi)
                 for kind, site in channels.labels]
         weights = np.array([np.vdot(o, o).real for o in outs])
-        _, got = trajectory.jump_weights(phi, channels.stacked, channels.diagonal)
-        np.testing.assert_allclose(got, weights, rtol=1e-14, atol=0)
+        total = 2.0 * np.vdot(phi, channels.decay @ phi).real
+        assert total == pytest.approx(weights.sum(), rel=1e-13)
+        select = lambda u, given: trajectory.select_jump(
+            phi, channels.stacked, channels.diagonal, u, given)
         cum = np.cumsum(weights) / weights.sum()
-        for k, (lo, hi) in enumerate(zip(np.r_[0.0, cum[:-1]], cum)):
-            got_k, post = trajectory.select_jump(phi, channels.stacked,
-                                                 channels.diagonal, 0.5 * (lo + hi))
-            assert got_k == k
-            assert post.dtype == phi.dtype
-            np.testing.assert_allclose(post, outs[k] / math.sqrt(weights[k]),
-                                       rtol=0, atol=1e-14)
+        for given in (None, total):
+            for k, (lo, hi) in enumerate(zip(np.r_[0.0, cum[:-1]], cum)):
+                got_k, post = select(0.5 * (lo + hi), given)
+                assert got_k == k
+                assert post.dtype == phi.dtype
+                np.testing.assert_allclose(post, outs[k] / math.sqrt(weights[k]),
+                                           rtol=0, atol=1e-14)
+            # draws 1e-12 either side of the bond/site boundary
+            bonds = basis.L - 1
+            assert select(cum[bonds - 1] - 1e-12, given)[0] == bonds - 1
+            assert select(cum[bonds - 1] + 1e-12, given)[0] == bonds
+        # with the total given, a site is chosen without any bond product
+        monkeypatch.setattr(trajectory, "_bond_weights",
+                            lambda *a: pytest.fail("bond product formed"))
+        assert select(0.5 * (cum[bonds - 1] + 1.0), total)[0] >= bonds
+
+    @pytest.mark.parametrize("total", ["none", "rate", "above"])
+    def test_dead_bonds_give_the_draw_to_the_sites(self, total):
+        # the condensate is annihilated by every d_j: with Lambda > 0 the
+        # bonds are all dead and only the dephasing sites can fire, even
+        # for u = 0 and when the given total leaves the bonds a share
+        basis = build_basis(L=4, N=4, n_max=4)
+        channels = JumpChannels(basis, 1.0, 0.5)
+        phi = build_bec_dark_state(basis)
+        assert np.abs(channels.stacked @ phi).max() < 1e-12
+        rate = 2.0 * np.vdot(phi, channels.decay @ phi).real
+        given = {"none": None, "rate": rate, "above": rate * (1.0 + 1e-9)}[total]
+        for u in [0.0, 1e-300, 1e-16, 1e-10, 0.5, 1.0 - 1e-16]:
+            k, post = trajectory.select_jump(phi, channels.stacked, channels.diagonal,
+                                             u, given)
+            assert channels.labels[k][0] is JumpKind.DEPHASE
+            assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-12)
+        # through the event loop: r = 1 - 1e-12 fires the jump at tau ~
+        # 1e-13, where the bond weights are still ~1e-26 of the total
+        for u in [0.0, 0.5]:
+            _, t, _, k, _ = step(phi, channels, 0.0, 1.0, 1.0 - 1e-12,
+                                 RiggedRng([u, 0.5]))
+            assert 0.0 < t < 1e-12
+            assert channels.labels[k][0] is JumpKind.DEPHASE
 
     def test_dead_channel_never_selected(self):
         # Gamma = 0: the dephasing channels are absent altogether.  From
@@ -282,21 +317,59 @@ class TestLanczos:
             assert traj.jumps == []
         assert abs(np.vdot(psi0, traj.final_state)) == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("gamma", [0.5, 8.0])
-    def test_interval_bases_are_orthonormal(self, gamma):
+    @pytest.mark.parametrize("L,gamma,dtype", [
+        (7, 0.5, float), (7, 8.0, float), (7, 0.5, complex), (7, 8.0, complex),
+        (8, 8.0, float), (8, 8.0, complex)],
+        ids=["0.5", "8.0", "0.5-complex", "8.0-complex", "L8-8.0", "L8-8.0-complex"])
+    def test_interval_bases_are_orthonormal(self, L, gamma, dtype):
         # every interval of a trajectory, and one long interval (survival
-        # down to 1e-8: 17-34 vectors) where the recurrence alone would
-        # lose orthogonality to ~1e-11
-        basis = build_basis(L=7, N=7, n_max=3)
-        psi0 = default_initial_state(basis)
+        # down to 1e-8: 17-35 vectors) where the bare recurrence loses
+        # orthogonality past the tolerance, so the interval is rebuilt
+        # with reorthogonalisation
+        basis = build_basis(L=L, N=L, n_max=3)
         channels = JumpChannels(basis, 1.0, gamma)
         assert isinstance(channels.propagator, KrylovExp)
-        bases = [ev.interval.basis for ev in trajectory.unravel(
+        psi0 = default_initial_state(basis).astype(dtype)
+        if dtype is complex:    # a relative phase, not just a global one
+            kick = channels.decay @ psi0
+            psi0 = np.exp(0.9j) * psi0 + 0.3j * kick / np.linalg.norm(kick)
+            psi0 /= np.linalg.norm(psi0)
+        intervals = [ev.interval for ev in trajectory.unravel(
             psi0, channels, 0.5, trajectory_rng(3, 0), stops=(0.25,))]
-        bases.append(channels.propagator.interval(psi0, 1e-8, 100.0)[0].basis)
-        for V in bases:
-            assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-12
-        assert bases[-1].shape[1] > 15
+        long = channels.propagator.interval(psi0, 1e-8, 100.0)[0]
+        for iv in intervals + [long]:
+            V = iv.basis
+            assert V.dtype == psi0.dtype
+            assert np.abs(V.conj().T @ V - np.eye(V.shape[1])).max() <= 1e-12
+        assert long.basis.shape[1] > 15
+        # the rerun happens exactly when the bare basis is off by more than
+        # the tolerance: by 3e-11 or more at gamma = 0.5, and by about
+        # 1e-12 (either side) at gamma = 8
+        bare = channels.propagator._lanczos(psi0, 1e-8, 100.0, reorth=False)[0].basis
+        loss = np.abs(bare.conj().T @ bare - np.eye(bare.shape[1])).max()
+        assert long.reorthogonalised == (loss > trajectory.ORTHO_TOL)
+        if gamma == 0.5:
+            assert long.reorthogonalised
+
+    def test_reruns_are_counted_and_agree(self, monkeypatch):
+        # with no orthogonality loss tolerated, every interval is rebuilt
+        # with reorthogonalisation and counted once; the trajectory agrees
+        # with the bare-recurrence one to the Lanczos tolerance
+        basis = build_basis(L=7, N=7, n_max=3)
+        psi0 = default_initial_state(basis)
+        cfg = MonitoringConfig(rate_phaselock=1.0, rate_dephase=2.0, t_max=0.5,
+                               seed=8, snapshot_times=(0.25,))
+        channels = JumpChannels(basis, 1.0, 2.0)
+        bare = run_trajectory(basis, psi0, cfg, channels=channels)
+        assert bare.reorth_reruns == 0
+        monkeypatch.setattr(trajectory, "ORTHO_TOL", -1.0)
+        every = run_trajectory(basis, psi0, cfg, channels=channels)
+        assert every.reorth_reruns == every.n_steps == bare.n_steps
+        assert [(j.kind, j.site) for j in every.jumps] == \
+            [(j.kind, j.site) for j in bare.jumps]
+        np.testing.assert_allclose(every.final_state, bare.final_state, atol=1e-10)
+        ens = run_ensemble(basis, psi0, cfg, M=2, channels=channels)
+        np.testing.assert_array_equal(ens.reorth_reruns, ens.intervals)
 
 
 class TestDarkState:
@@ -457,13 +530,14 @@ class TestDeterminism:
 
 class TestSharedUnitJumps:
     def test_shared_blocks_are_bitwise_fresh_ones(self):
-        # channels on one basis share its cached unit-rate stacks; a
-        # fresh basis builds its own
+        # channels on one basis share its cached unit-rate bond stack and
+        # bond Gram (no dephasing operator is built); a fresh basis builds
+        # its own
         basis = build_basis(L=8, N=8, n_max=3)
         for gamma in (0.5, 8.0):
             shared = JumpChannels(basis, 1.0, gamma)
             fresh = JumpChannels(build_basis(L=8, N=8, n_max=3), 1.0, gamma)
-            assert set(basis._jump_cache) == set(JumpKind)
+            assert set(basis._jump_cache) == {JumpKind.PHASE_LOCK, "gram"}
             # and both are the channels scaled one operator at a time:
             # the bonds stacked, the sites as the diagonals' rates
             bonds = [build_jump(JumpKind.PHASE_LOCK, j, basis) for j in range(1, 8)]
@@ -473,13 +547,20 @@ class TestSharedUnitJumps:
             site_rates = np.column_stack([gamma * build_jump(JumpKind.DEPHASE, j,
                                                              basis).diagonal() ** 2
                                           for j in range(1, 9)])
-            for stacked, diagonal, decay in (
-                    (fresh.stacked, fresh.diagonal, fresh.decay),
-                    (sp.vstack(bonds, format="csr"), site_rates,
-                     sp.csr_matrix(0.5 * (per_op.T @ per_op)))):
+            for stacked, diagonal in ((fresh.stacked, fresh.diagonal),
+                                      (sp.vstack(bonds, format="csr"), site_rates)):
                 assert (shared.stacked != stacked).nnz == 0
                 np.testing.assert_array_equal(shared.diagonal, diagonal)
-                assert (shared.decay != decay).nnz == 0
+            assert (shared.decay != fresh.decay).nnz == 0
+            # decay sums its diagonal from the bond Gram and the table, in
+            # another order than the product of the stacked operators: the
+            # same pattern and off-diagonal, the diagonal to a few ulp
+            decay = sp.csr_matrix(0.5 * (per_op.T @ per_op))
+            diff = shared.decay - decay
+            assert shared.decay.nnz == decay.nnz
+            assert (diff - sp.diags(diff.diagonal())).nnz == 0
+            np.testing.assert_allclose(shared.decay.diagonal(), decay.diagonal(),
+                                       rtol=4 * np.finfo(float).eps, atol=0)
             assert shared.labels == fresh.labels
 
 
