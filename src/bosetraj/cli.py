@@ -217,15 +217,15 @@ def cmd_entropy_scan(spec: dict, outdir: Path) -> int:
 
 
 def cmd_gutzwiller(spec: dict, outdir: Path) -> int:
-    grid = spec.get("gamma_grid") or list(np.linspace(0.0, 6.0, 25))
+    grid = spec.get("gamma_grid", list(np.linspace(0.0, 6.0, 25)))
     template = GwConfig(rate_phaselock=float(spec.get("rate_phaselock", 1.0)),
                         n_max=int(spec.get("n_max", 8)),
                         dt=float(spec.get("dt", 0.005)),
                         t_max=float(spec.get("t_max", 400.0)))
-    check_sweep(grid, template)
+    threshold = float(spec.get("alpha_threshold", 1e-3))
+    check_sweep(grid, template, threshold)
     write_manifest(outdir, spec)
-    sweep = order_parameter_sweep(grid, template,
-                                  alpha_threshold=float(spec.get("alpha_threshold", 1e-3)))
+    sweep = order_parameter_sweep(grid, template, alpha_threshold=threshold)
     write_csv(outdir / "sweep.csv", ["gamma", "alpha_abs", "converged", "t_reached"],
               [(p.gamma, p.alpha_abs, p.converged, p.t_reached) for p in sweep.points])
     _append_manifest(outdir, {"gamma_c": sweep.gamma_c} | sweep.counters)

@@ -3,9 +3,15 @@
 The phase-locking channel reduces, under the product ansatz for
 neighboring sites, to a nonlinear single-site generator whose moment
 coefficients are refreshed from the current density matrix at every
-integrator stage, all from one cached sparse matrix per cutoff.  The
-state is a plain (n_max + 1)-square density matrix and RK4 runs in its
-dtype.  Dephasing stays a plain number-operator dissipator.
+integrator stage.  For a Hermitian state the generator is K rho + (K rho)†
+with a half-generator K, one cached sparse matrix per cutoff and rates;
+dephasing is the number-operator dissipator inside it.  The state is a
+plain (n_max + 1)-square density matrix and RK4 runs in its dtype.
+evolve_batch advances several dephasing rates in lockstep, one sparse
+product per RK4 stage for all of them; evolve is a batch of one.  The
+sweep evolves its grid as one batch, then bisects for the critical point
+LOOKAHEAD steps at a time: every midpoint those steps could visit is
+evolved as one batch and the sequential walk is replayed through them.
 The order parameter alpha = <a> vanishes across a critical reduced
 dephasing rate that depends on the local cutoff n_max.  At n_max = 8 the
 ordered branch vanishes continuously at gamma ~ 4.5, where the truncated
@@ -20,17 +26,18 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fock import NumericGuardError
-from .superop import anticommutator, dissipator, sandwich
+from .superop import anticommutator, sandwich
 
 TRACE_TOL = 1e-6
 ALPHA_TOL = 1e-8      # steady-state criterion on |alpha| drift over 1/Lambda
 RECORD_EVERY = 20     # steps between recorded (t, alpha) points
+LOOKAHEAD = 3         # bisection steps whose midpoints are evolved as one batch
 
 
 @dataclass(frozen=True)
@@ -62,45 +69,70 @@ class SiteOperators:
         self.a2 = self.a @ self.a
         self.ad_a2 = self.ad @ self.a2
 
-    @cached_property
-    def generator(self):
-        """Sparse (6 + 9 d^2) x d^2 matrix on vec(rho), built on first use,
-        one per cutoff: rows for the moments (<a†aa† + a†a†a>/2, <aa>, <a>)
-        and their conjugates, then the rate-free blocks: the three maps Le
-        those moments weight, their partners Le†, and D[a†], D[a], D[n]."""
-        return _site_generator(len(self.a) - 1)
-
 
 @cache
-def _site_generator(n_max: int):
-    ops = SiteOperators(n_max)      # every map here is real, and built sparse
+def _site_maps(n_max: int):
+    """Rate-free sparse maps on vec(rho) at one cutoff, all real: the rows
+    of the moments (<a†aa† + a†a†a>/2, <aa>, <a>) and of the trace, the
+    three maps Le those moments weight, and the halves
+    H[b] rho = (b rho b† - b†b rho) / 2 of D[b] for b = a†, a, n."""
+    ops = SiteOperators(n_max)
     a, ad, n, a2 = (sp.csr_matrix(x.real) for x in (ops.a, ops.ad, ops.n, ops.a2))
     adad, ad_a_ad, ad_ad_a = ad @ ad, n @ ad, ad @ n
     eye = sp.identity(n_max + 1, format="csr")
     moments = sp.vstack([x.T.reshape(1, -1) for x in   # <X> = vec(X^T) . vec(rho)
-                         (0.5 * (ad_a_ad + ad_ad_a), a2, a)], format="csr")
+                         (0.5 * (ad_a_ad + ad_ad_a), a2, a, eye)], format="csr")
     le = [sandwich(eye, a) - sandwich(a, eye),
           0.5 * anticommutator(adad) - sandwich(ad, ad),
           sandwich(n, ad) - sandwich(ad, n)
           + 0.5 * (anticommutator(ad_a_ad) - anticommutator(ad_ad_a))]
-    # Hermitian rho, real X, Y: <X>* = vec(X) . vec(rho), (X rho Y)† = Y^T rho X^T,
-    # so the conjugate rows are M P and a block L's partner P L P (P: vec transpose)
-    perm = np.arange((n_max + 1) ** 2).reshape(n_max + 1, -1).T.ravel()
-    P = sp.csr_matrix((np.ones(perm.size), perm, np.arange(perm.size + 1)))
-    return sp.vstack([moments, moments @ P, *le, *(P @ x @ P for x in le),
-                      dissipator(ad), dissipator(a), dissipator(n)], format="csr")
+    halves = [0.5 * (sandwich(b, b.T) - sandwich(b.T @ b, eye)) for b in (ad, a, n)]
+    return moments, le, halves
 
 
-def meanfield_rhs(rho, ops, cfg: GwConfig):
+@lru_cache(maxsize=4)
+def _generator(n_max: int, rate_phaselock: float, filling: float, rates_dephase: tuple):
+    """Sparse matrix of the half-generator K of the B = len(rates_dephase)
+    members, on their stacked vec(rho), built on first use: the RHS of a
+    Hermitian rho is K rho + (K rho)†, since D[b] rho = H[b] rho + (H[b] rho)†
+    and the partner of <X> Le rho is its adjoint <X>* Le† rho.  Rows: the
+    four moment rows member by member, then 2 Lambda Le_j rho (j = 0, 1, 2)
+    and the member's fixed part 2 Lambda (f H[a†] + (f + 1) H[a] + H[n]) +
+    Gamma H[n], each for all members in turn.  A member's rows, and the
+    order their entries are added in, do not depend on the batch."""
+    moments, le, (h_ad, h_a, h_n) = _site_maps(n_max)
+    lam2 = 2.0 * rate_phaselock
+    eye = sp.identity(len(rates_dephase), format="csr")
+    fixed = lam2 * (filling * h_ad + (filling + 1.0) * h_a + h_n)
+    return sp.vstack([sp.kron(eye, moments, format="csr"),
+                      *(sp.kron(eye, lam2 * x, format="csr") for x in le),
+                      sp.block_diag([fixed + g * h_n for g in rates_dephase], format="csr")],
+                     format="csr")
+
+
+def meanfield_rhs(rho, ops, cfg: GwConfig, rates_dephase=None, moments=None):
     """2 Lambda (f D[a†] + (f + 1) D[a] + D[n] + Le + Le†) + Gamma D[n] at
-    filling f, for a Hermitian rho: one matvec of ops.generator, then its
-    nine blocks weighted by 2 Lambda times the six moment rows and by the
-    three rates."""
-    lam2 = 2.0 * cfg.rate_phaselock
-    y = ops.generator @ rho.reshape(-1)
-    c = lam2 * y[:9]            # its last three entries become the rates
-    c[6:] = lam2 * cfg.filling, lam2 * (cfg.filling + 1.0), lam2 + cfg.rate_dephase
-    return (c @ y[6:].reshape(9, -1)).reshape(rho.shape)
+    filling f, for a Hermitian rho, as W + W†: one sparse product gives the
+    moments and the blocks of the half-generator, and W is the Le blocks
+    weighted by their moments plus the fixed block.
+
+    rho is one (d, d) density matrix, or a (B, d^2) batch whose rows are
+    the vec(rho) of B members with the dephasing rates rates_dephase
+    (default cfg.rate_dephase).  Every member is computed on its own: the
+    sparse kernel, the sum over the block axis and the elementwise
+    operations add in a fixed order, so a member's result does not depend
+    on the batch it is in.  A (B, 4) array `moments` receives each member's
+    moments and trace: <a> in column 2, the trace in column 3."""
+    d = len(ops.a)
+    x = rho.reshape(-1, d * d)
+    rates = (cfg.rate_dephase,) if rates_dephase is None else tuple(rates_dephase)
+    y = _generator(d - 1, cfg.rate_phaselock, cfg.filling, rates) @ x.reshape(-1)
+    m = y[:4 * len(x)].reshape(-1, 4)
+    if moments is not None:
+        moments[...] = m
+    blocks = y[4 * len(x):].reshape(4, len(x), -1)
+    w = ((m.T[:3, :, None] * blocks[:3]).sum(0) + blocks[3]).reshape(-1, d, d)
+    return (w + w.transpose(0, 2, 1).conj()).reshape(rho.shape)
 
 
 def coherent_dm(alpha: complex, n_max: int) -> np.ndarray:
@@ -136,48 +168,93 @@ def evolve(cfg: GwConfig, rho0: np.ndarray = None, store_rhos: bool = False,
     real seed stays real: every map is), recording (t, alpha) every
     RECORD_EVERY steps and on the last step.
     With stop_when_steady it stops once |alpha| varied by < ALPHA_TOL over
-    the last 1/Lambda; a trace drift > TRACE_TOL raises NumericGuardError."""
-    rho = np.array(default_initial_dm(cfg) if rho0 is None else rho0)
-    if rho.shape != (cfg.n_max + 1,) * 2:
-        raise ValueError(f"rho0 of shape {rho.shape} does not fit n_max={cfg.n_max}")
-    ops = SiteOperators(cfg.n_max)
-    dt, t = cfg.dt, 0.0
-    stages = np.empty((4, *rho.shape), dtype=rho.dtype)
-    weights = np.array([dt, 2.0 * dt, 2.0 * dt, dt]) / 6.0
-    times, alphas = [0.0], [np.trace(rho @ ops.a)]
-    rhos = [rho.copy()] if store_rhos else []
-    window = max(1, int(round(1.0 / max(cfg.rate_phaselock, 1e-12) / dt)))
-    hist = deque([abs(alphas[0])], maxlen=window)   # |alpha| over the window
-    a_row = ops.a.real.T.ravel()    # alpha = vec(a^T) . vec(rho), for the window
-    converged, k = False, 0         # k: RK4 steps taken
-    n_steps = int(round(cfg.t_max / dt))
-    for k in range(1, n_steps + 1):
-        stages[0] = meanfield_rhs(rho, ops, cfg)
-        stages[1] = meanfield_rhs(rho + 0.5 * dt * stages[0], ops, cfg)
-        stages[2] = meanfield_rhs(rho + 0.5 * dt * stages[1], ops, cfg)
-        stages[3] = meanfield_rhs(rho + dt * stages[2], ops, cfg)
-        rho = rho + (weights @ stages.reshape(4, -1)).reshape(rho.shape)
-        t += dt
-        drift = abs(rho.trace().real - 1.0)
-        if drift > TRACE_TOL:
-            raise NumericGuardError(f"trace drift {drift:.3g} at t={t:.3g}: "
-                                    f"integration step too large")
-        hist.append(abs(a_row @ rho.reshape(-1)))
-        # the window's range is at least its end points' gap: scan it only then
-        if (stop_when_steady and k >= window
-                and abs(hist[-1] - hist[0]) < ALPHA_TOL):
-            converged = bool(max(hist) - min(hist) < ALPHA_TOL)
-        # the step the run stops on is always recorded
-        if converged or k % RECORD_EVERY == 0 or k == n_steps:
-            times.append(t)
-            alphas.append(np.trace(rho @ ops.a))
-            if store_rhos:
-                rhos.append(rho.copy())
-        if converged:
+    the last 1/Lambda; a trace drift > TRACE_TOL raises NumericGuardError.
+    A batch of one of evolve_batch."""
+    return evolve_batch(cfg, [cfg.rate_dephase], rho0, store_rhos,
+                        stop_when_steady)[0]
+
+
+def evolve_batch(template: GwConfig, rates_dephase, rho0: np.ndarray = None,
+                 store_rhos: bool = False, stop_when_steady: bool = True) -> list:
+    """evolve of replace(template, rate_dephase=Gamma) for every Gamma in
+    rates_dephase, advanced in lockstep from the same seed: the members'
+    vec(rho) are the rows of one (B, d^2) array, so each RK4 stage is one
+    meanfield_rhs call for all of them.  Each member keeps its own stop,
+    records and trace guard, and leaves the batch when it converges.  Every
+    member is computed on its own (see meanfield_rhs), so its GwEvolution
+    is bitwise the one a batch of one gives."""
+    gam = tuple(replace(template, rate_dephase=g).rate_dephase
+                for g in rates_dephase)     # each one checked
+    rho = np.array(default_initial_dm(template) if rho0 is None else rho0)
+    d = template.n_max + 1
+    if rho.shape != (d, d):
+        raise ValueError(f"rho0 of shape {rho.shape} does not fit n_max={template.n_max}")
+    ops, n = SiteOperators(template.n_max), len(gam)
+    if not n:
+        return []
+    alpha0 = np.trace(rho @ ops.a)
+    runs = [GwEvolution(times=[0.0], alphas=[alpha0], final=None, converged=False,
+                        rhos=[rho.copy()] if store_rhos else []) for _ in range(n)]
+    live = np.arange(n)             # the member in each row of X
+    X = np.repeat(rho.reshape(1, -1), n, axis=0)
+    dt, t, k = template.dt, 0.0, 0  # k: RK4 steps taken
+    weights = (np.array([dt, 2.0 * dt, 2.0 * dt, dt]) / 6.0)[:, None, None]
+    window = max(1, int(round(1.0 / max(template.rate_phaselock, 1e-12) / dt)))
+    hists = [deque(maxlen=window) for _ in range(n)]    # |alpha| over the window
+    n_steps = int(round(template.t_max / dt))
+
+    def leave(rows, converged):     # the members in rows stop at step k
+        for j in rows:
+            run = runs[live[j]]
+            run.final, run.steps, run.converged = X[j].reshape(d, d).copy(), k, converged
+
+    # a step's first stage also gives the moments of the state it starts
+    # from, so the checks of step k run at the top of step k + 1
+    m = np.empty((n, 4), dtype=X.dtype)
+    stages = np.empty((4, *X.shape), dtype=X.dtype)
+    while True:
+        stages[0] = meanfield_rhs(X, ops, template, gam, moments=m)
+        if k:
+            for j, trace in enumerate(m[:, 3].real.tolist()):
+                if not abs(trace - 1.0) <= TRACE_TOL:
+                    raise NumericGuardError(f"trace drift {abs(trace - 1.0):.3g} at t={t:.3g}, "
+                                            f"rate_dephase={gam[j]:g}: integration step too large")
+            stop = []
+            if stop_when_steady:
+                for j, (alpha, hist) in enumerate(zip(np.abs(m[:, 2]).tolist(), hists)):
+                    hist.append(alpha)
+                    # the window's range is at least its end points' gap: scan it only then
+                    if (k >= window and abs(hist[-1] - hist[0]) < ALPHA_TOL
+                            and max(hist) - min(hist) < ALPHA_TOL):
+                        stop.append(j)
+            # the step a member stops on is always recorded
+            for j in (range(live.size) if k % RECORD_EVERY == 0 or k == n_steps else stop):
+                run, rho = runs[live[j]], X[j].reshape(d, d).copy()
+                run.times.append(t)
+                run.alphas.append(np.trace(rho @ ops.a))
+                if store_rhos:
+                    run.rhos.append(rho)
+            if stop:
+                leave(stop, converged=True)
+                keep = np.ones(live.size, dtype=bool)
+                keep[stop] = False
+                live, X, m, stages = live[keep], X[keep], m[keep], stages[:, keep]
+                gam = tuple(g for g, kept in zip(gam, keep) if kept)
+                hists = [h for h, kept in zip(hists, keep) if kept]
+                if not live.size:
+                    break
+        if k == n_steps:
             break
-    return GwEvolution(times=np.array(times), alphas=np.array(alphas),
-                       final=rho,
-                       converged=converged, rhos=rhos, steps=k)
+        stages[1] = meanfield_rhs(X + 0.5 * dt * stages[0], ops, template, gam)
+        stages[2] = meanfield_rhs(X + 0.5 * dt * stages[1], ops, template, gam)
+        stages[3] = meanfield_rhs(X + dt * stages[2], ops, template, gam)
+        X = X + (weights * stages).sum(0)
+        t += dt
+        k += 1
+    leave(range(live.size), converged=False)
+    for run in runs:
+        run.times, run.alphas = np.array(run.times), np.array(run.alphas)
+    return runs
 
 
 def order_parameter_ode(rho, ops, cfg: GwConfig) -> complex:
@@ -215,13 +292,28 @@ class SweepPoint:
 class SweepResult:
     points: list
     gamma_c: float
-    counters: dict = field(default_factory=dict)   # evolves, rk4_steps, unconverged
+    # evolves, rk4_steps, unconverged, lockstep_steps
+    counters: dict = field(default_factory=dict)
 
 
-def check_sweep(gammas, template: GwConfig):
-    """Raise ValueError unless the sweep can run: Lambda > 0, gammas >= 0."""
-    if template.rate_phaselock == 0 or not all(g >= 0 for g in gammas):
-        raise ValueError("the sweep needs rate_phaselock > 0 and every gamma >= 0")
+def check_sweep(gammas, template: GwConfig, alpha_threshold: float = 1e-3):
+    """Raise ValueError unless the sweep can run: at least one gamma, every
+    gamma finite and >= 0, Lambda > 0 and a finite alpha_threshold > 0."""
+    if not len(gammas):
+        raise ValueError("the sweep needs at least one gamma")
+    if template.rate_phaselock == 0 or not all(math.isfinite(g) and g >= 0 for g in gammas):
+        raise ValueError("the sweep needs rate_phaselock > 0 and every gamma finite and >= 0")
+    if not (math.isfinite(alpha_threshold) and alpha_threshold > 0):
+        raise ValueError(f"alpha_threshold must be finite and positive, got {alpha_threshold}")
+
+
+def _midpoints(lo, hi, levels):
+    """Every midpoint the next `levels` bisection steps from [lo, hi] can
+    visit, by the arithmetic of the bisection itself."""
+    if not levels:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid, *_midpoints(lo, mid, levels - 1), *_midpoints(mid, hi, levels - 1)]
 
 
 def order_parameter_sweep(gammas, template: GwConfig,
@@ -229,29 +321,40 @@ def order_parameter_sweep(gammas, template: GwConfig,
                           bisection_steps: int = 6) -> SweepResult:
     """Steady-state |alpha| per reduced dephasing rate, with the critical
     point refined by bisection between the last ordered and first
-    disordered grid points."""
+    disordered grid points.
+
+    The grid is evolved as one batch.  The bisection then evolves, as one
+    batch, every midpoint its next LOOKAHEAD steps could visit, and
+    replays its walk through them, so gamma_c is the sequential
+    bisection's own."""
     gammas = sorted(gammas)
-    check_sweep(gammas, template)
+    check_sweep(gammas, template, alpha_threshold)
     counters = Counter()
 
-    def steady(gamma):
-        ev = evolve(replace(template, rate_dephase=gamma * template.rate_phaselock))
-        counters.update(evolves=1, rk4_steps=ev.steps, unconverged=int(not ev.converged))
-        return abs(ev.alphas[-1]), ev.converged, ev.times[-1]
+    def steady(batch):
+        evs = evolve_batch(template, [g * template.rate_phaselock for g in batch])
+        counters.update(evolves=len(evs), rk4_steps=sum(ev.steps for ev in evs),
+                        unconverged=sum(not ev.converged for ev in evs),
+                        lockstep_steps=max(ev.steps for ev in evs))
+        return [(abs(ev.alphas[-1]), ev.converged, ev.times[-1]) for ev in evs]
 
-    points = [SweepPoint(g, *steady(g)) for g in gammas]
+    points = [SweepPoint(g, *s) for g, s in zip(gammas, steady(gammas))]
 
     gamma_c = math.nan
     below = [p.gamma for p in points if p.alpha_abs >= alpha_threshold]
     above = [p.gamma for p in points if p.alpha_abs < alpha_threshold]
     if below and above:
         lo, hi = max(below), min(above)
-        for _ in range(bisection_steps):
-            mid = 0.5 * (lo + hi)
-            a, _, _ = steady(mid)
-            if a >= alpha_threshold:
-                lo = mid
-            else:
-                hi = mid
+        for done in range(0, bisection_steps, LOOKAHEAD):
+            levels = min(LOOKAHEAD, bisection_steps - done)
+            # a bracket down to adjacent floats repeats a midpoint: evolve it once
+            mids = list(dict.fromkeys(_midpoints(lo, hi, levels)))
+            alpha = {g: s[0] for g, s in zip(mids, steady(mids))}
+            for _ in range(levels):
+                mid = 0.5 * (lo + hi)
+                if alpha[mid] >= alpha_threshold:
+                    lo = mid
+                else:
+                    hi = mid
         gamma_c = 0.5 * (lo + hi)
     return SweepResult(points, gamma_c, dict(counters))

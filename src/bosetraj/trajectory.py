@@ -126,19 +126,19 @@ class Interval:
 
 
 def _jump_time(interval: Interval, r: float, tau_max: float, start=None):
-    """(tau, hit): the time the survival falls to r, or tau_max if it
-    stays above r until then.  Newton on log(survival), which is linear
-    for a single decay rate, from `start` (default 0), safeguarded by
-    bisection of the bracket."""
+    """(tau, rate): the time the survival falls to r and its decay rate
+    -dP/dtau there, or (tau_max, None) if it stays above r until then.
+    Newton on log(survival), which is linear for a single decay rate, from
+    `start` (default 0), safeguarded by bisection of the bracket."""
     if interval.survival(tau_max) >= r:
-        return tau_max, False
+        return tau_max, None
     lo, hi, log_r = 0.0, tau_max, math.log(r)
     tau = start if start is not None and 0.0 < start < tau_max else 0.0
     while True:
         p, slope = interval.survival_slope(tau)
         f = math.log(p) - log_r if p > 0.0 else -math.inf
         if abs(f) <= ROOT_RTOL:
-            return tau, True
+            return tau, -slope
         if f > 0.0:
             lo = tau
         else:
@@ -147,7 +147,7 @@ def _jump_time(interval: Interval, r: float, tau_max: float, start=None):
         if not lo < new < hi:
             new = 0.5 * (lo + hi)
         if new == tau:          # the bracket is down to adjacent floats
-            return tau, True
+            return tau, -slope
         tau = new
 
 
@@ -266,13 +266,13 @@ class KrylovExp:
         self.A = sp.csr_matrix(A)
 
     def interval(self, psi, r, tau_max):
-        iv, tau, hit = self._lanczos(psi, r, tau_max, reorth=False)
+        iv, tau, rate = self._lanczos(psi, r, tau_max, reorth=False)
         V = iv.basis        # Fortran-ordered, so one gemm forms V^H V
         gram = get_blas_funcs("gemm", (V,))(1.0, V, V, trans_a=2)
         if np.abs(gram - np.eye(len(gram))).max() > ORTHO_TOL:
-            iv, tau, hit = self._lanczos(psi, r, tau_max, reorth=True)
+            iv, tau, rate = self._lanczos(psi, r, tau_max, reorth=True)
             iv.reorthogonalised = True
-        return iv, tau, hit
+        return iv, tau, rate
 
     def _lanczos(self, psi, r, tau_max, reorth):
         norm = math.sqrt(np.vdot(psi, psi).real)
@@ -314,9 +314,9 @@ class KrylovExp:
             weight = beta * S[-1] * iv.coef
             # solve for tau only once the bound holds at the previous tau
             if tau is None or _lanczos_error(weight, theta, tau) <= KRYLOV_TOL:
-                tau, hit = _jump_time(iv, r, tau_max, start=tau)
+                tau, rate = _jump_time(iv, r, tau_max, start=tau)
                 if _lanczos_error(weight, theta, tau) <= KRYLOV_TOL:
-                    return iv, tau, hit
+                    return iv, tau, rate
         # the largest basis cannot reach tau: solve again within the
         # horizon where its bound holds, and end the interval there
         while _lanczos_error(weight, theta, tau) > KRYLOV_TOL:
@@ -469,16 +469,15 @@ def step(psi: np.ndarray, channels, t: float, t_stop: float, r: float, rng):
     Returns (state, time reached, r, channel or None, Interval of the
     no-jump evolution from psi).
     """
-    iv, tau, hit = channels.propagator.interval(psi, r, t_stop - t)
+    iv, tau, rate = channels.propagator.interval(psi, r, t_stop - t)
     phi = iv.states(tau)
-    if not hit:
+    if rate is None:
         p = float(np.vdot(phi, phi).real)
         t_new = t_stop if tau == t_stop - t else t + tau
         return phi / math.sqrt(p), t_new, r / p, None, iv
     # the survival's decay rate -dP/dtau is the total channel weight: with
     # both kinds of channel, a site can be chosen without the bond products
-    total = (-iv.survival_slope(tau)[1]
-             if channels.stacked.shape[0] and channels.diagonal.shape[1] else None)
+    total = rate if channels.stacked.shape[0] and channels.diagonal.shape[1] else None
     k, out = select_jump(phi, channels.stacked, channels.diagonal, rng.random(), total)
     return out, t + tau, 1.0 - rng.random(), k, iv
 

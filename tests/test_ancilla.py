@@ -124,8 +124,8 @@ class TestPhaselockCircuit:
         prop = propagator(jordan, hermitian=False)
         assert isinstance(prop, ExpmExp)
         psi = np.array([0.6, 0.8])
-        iv, tau, hit = prop.interval(psi, 0.3, 10.0)
-        assert hit and iv.survival(tau) == pytest.approx(0.3, abs=1e-12)
+        iv, tau, rate = prop.interval(psi, 0.3, 10.0)
+        assert rate is not None and iv.survival(tau) == pytest.approx(0.3, abs=1e-12)
         np.testing.assert_allclose(iv.states(tau), expm(-jordan * tau) @ psi,
                                    atol=1e-12)
         # an evenly spaced grid is stepped with one expm; any other is not

@@ -255,9 +255,10 @@ class TestGutzwiller:
                                "--n-max", "8", "--dt", "0.01", "--t-max", "10")
         assert code == EXIT_OK
         manifest = json.loads((outdir / "manifest.json").read_text())
-        # three grid points and six bisection steps; only gamma = 0 settles
-        assert (manifest["evolves"], manifest["rk4_steps"],
-                manifest["unconverged"]) == (9, 8535, 8)
+        # one batch of three grid points, then the six bisection steps as two
+        # batches of seven midpoints; only gamma = 0 settles
+        assert (manifest["evolves"], manifest["rk4_steps"], manifest["unconverged"],
+                manifest["lockstep_steps"]) == (17, 16535, 16, 3000)
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--t-max", "-1", "t_max"), ("--dt", "inf", "dt"), ("--dt", "nan", "dt"),
@@ -358,6 +359,12 @@ class TestValidateBeforeManifest:
          "--workers", "0"),
         ("lindblad-check", "--L", "2", "--M", "4", "--snapshot-times", "0.1",
          "--workers=-1"),
+        ("gutzwiller", "--alpha-threshold", "nan"),
+        ("gutzwiller", "--alpha-threshold=-1"),
+        ("gutzwiller", "--alpha-threshold", "0"),
+        ("gutzwiller", "--gamma-grid", ""),
+        ("gutzwiller", {"gamma_grid": []}),
+        ("gutzwiller", "--gamma-grid", "1,inf"),
     ], ids=["gutzwiller-t_max", "gutzwiller-rate_phaselock", "gutzwiller-gamma",
             "entropy_scan-gamma", "ancilla-kappa", "ancilla-scheme",
             "trajectories-initial_state", "lindblad_check-initial_state",
@@ -369,8 +376,15 @@ class TestValidateBeforeManifest:
             "lindblad_check-oracle_dim", "ancilla-zero_rate_dephase",
             "ancilla-zero_g_eff", "entropy_scan-mirror_window",
             "trajectories-zero_workers", "trajectories-negative_workers",
-            "entropy_scan-zero_workers", "lindblad_check-negative_workers"])
+            "entropy_scan-zero_workers", "lindblad_check-negative_workers",
+            "gutzwiller-nan_threshold", "gutzwiller-negative_threshold",
+            "gutzwiller-zero_threshold", "gutzwiller-empty_grid",
+            "gutzwiller-empty_config_grid", "gutzwiller-inf_gamma"])
     def test_rejected_run_leaves_no_manifest(self, tmp_path, args):
+        if isinstance(args[-1], dict):      # the content of a config file
+            cfg_file = tmp_path / "config.json"
+            cfg_file.write_text(json.dumps(args[-1]))
+            args = (*args[:-1], "--config", str(cfg_file))
         code, outdir = run_cli(tmp_path, *args)
         assert code == EXIT_VALIDATION
         assert not outdir.exists()

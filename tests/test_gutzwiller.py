@@ -21,6 +21,7 @@ from bosetraj.gutzwiller import (
     coherent_dm,
     default_initial_dm,
     evolve,
+    evolve_batch,
     meanfield_rhs,
     order_parameter_consistency,
     order_parameter_sweep,
@@ -146,17 +147,19 @@ class TestVectorisedGenerator:
 class TestSparseGenerator:
     def test_built_lazily_and_without_dense_blocks(self):
         # one dense d^2 x d^2 block at n_max = 40 alone is 22.6 MB
-        gutzwiller._site_generator.cache_clear()
-        ops = SiteOperators(40)
-        assert "generator" not in vars(ops)     # the constructor builds none
+        gutzwiller._site_maps.cache_clear()
+        gutzwiller._generator.cache_clear()
+        SiteOperators(40)                       # the constructor builds none
+        assert gutzwiller._site_maps.cache_info().currsize == 0
         tracemalloc.start()
         try:
-            G = ops.generator
+            G = gutzwiller._generator(40, 1.0, 1.0, (0.5,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8e6
-        assert G.shape == (6 + 9 * 41 ** 2, 41 ** 2)
+        # four moment rows, three Le blocks and the fixed block
+        assert G.shape == (4 + 4 * 41 ** 2, 41 ** 2)
 
     def test_real_seed_evolves_in_real_arithmetic(self):
         cfg = GwConfig(rate_dephase=1.5, n_max=8, dt=0.01, t_max=2.0)
@@ -336,17 +339,85 @@ class TestSweep:
                                                    dt=0.01, t_max=0.1))
 
     def test_counters_match_the_evolves_run(self, monkeypatch):
-        runs = []
+        batches = []
 
         def recording(*args, **kwargs):
-            runs.append(evolve(*args, **kwargs))
-            return runs[-1]
+            batches.append(evolve_batch(*args, **kwargs))
+            return batches[-1]
 
-        monkeypatch.setattr(gutzwiller, "evolve", recording)
+        monkeypatch.setattr(gutzwiller, "evolve_batch", recording)
         res = order_parameter_sweep([0.0, 6.0], GwConfig(n_max=8, dt=0.01, t_max=10.0),
                                     bisection_steps=2)
+        runs = [ev for batch in batches for ev in batch]
+        # the grid, then one batch for both bisection levels (three midpoints)
+        assert [len(batch) for batch in batches] == [2, 3]
         assert res.counters == {
-            "evolves": 4, "rk4_steps": sum(ev.steps for ev in runs),
-            "unconverged": sum(not ev.converged for ev in runs)}
+            "evolves": 5, "rk4_steps": sum(ev.steps for ev in runs),
+            "unconverged": sum(not ev.converged for ev in runs),
+            "lockstep_steps": sum(max(ev.steps for ev in batch) for batch in batches)}
         # a converged run stops on its step, the others run to t_max
         assert [ev.steps for ev in runs[:2]] == [535, 1000]
+
+    @pytest.mark.parametrize("steps", range(8))
+    def test_bisection_replays_the_sequential_walk(self, monkeypatch, steps):
+        # a non-monotone alpha(gamma): several crossings of the threshold,
+        # so only the walk's own path through the batch gives its answer
+        def alpha(gamma):
+            return abs(math.cos(2.3 * gamma)) * math.exp(-0.2 * gamma)
+
+        def stub(template, rates, *args, **kwargs):
+            return [gutzwiller.GwEvolution(times=np.array([0.0]),
+                                           alphas=np.array([alpha(g)]), final=None,
+                                           converged=True) for g in rates]
+
+        monkeypatch.setattr(gutzwiller, "evolve_batch", stub)
+        grid = [0.0, 2.0, 6.0]
+        res = order_parameter_sweep(grid, GwConfig(), alpha_threshold=0.1,
+                                    bisection_steps=steps)
+        # the plain sequential bisection between the last ordered and the
+        # first disordered grid point
+        lo = max(g for g in grid if alpha(g) >= 0.1)
+        hi = min(g for g in grid if alpha(g) < 0.1)
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if alpha(mid) >= 0.1 else (lo, mid)
+        assert res.gamma_c == 0.5 * (lo + hi)
+        per_batch = [min(gutzwiller.LOOKAHEAD, steps - done)
+                     for done in range(0, steps, gutzwiller.LOOKAHEAD)]
+        assert res.counters["evolves"] == len(grid) + sum(2 ** r - 1 for r in per_batch)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("rates", [(0.0, 3.0, 6.0),
+                                       (0.0, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0)])
+    def test_members_match_their_batch_of_one(self, rates):
+        # every member, converged or not, bitwise equal to its own evolve
+        template = GwConfig(n_max=8, dt=0.01, t_max=10.0)
+        batch = evolve_batch(template, rates)
+        assert batch[0].converged and not batch[-1].converged   # both kinds of stop
+        for gamma, ev in zip(rates, batch):
+            one = evolve(replace(template, rate_dephase=gamma))
+            np.testing.assert_array_equal(ev.alphas, one.alphas)
+            np.testing.assert_array_equal(ev.times, one.times)
+            np.testing.assert_array_equal(ev.final, one.final)
+            assert (ev.steps, ev.converged) == (one.steps, one.converged)
+
+    def test_complex_seed_keeps_its_dtype(self):
+        template = GwConfig(n_max=6, dt=0.01, t_max=0.5)
+        seed = coherent_dm(0.7 * np.exp(0.4j), 6)
+        batch = evolve_batch(template, (0.5, 2.0), seed, store_rhos=True)
+        for gamma, ev in zip((0.5, 2.0), batch):
+            assert ev.final.dtype == np.complex128
+            one = evolve(replace(template, rate_dephase=gamma), seed, store_rhos=True)
+            np.testing.assert_array_equal(ev.final, one.final)
+            np.testing.assert_array_equal(np.array(ev.rhos), np.array(one.rhos))
+
+    def test_trace_guard_names_the_rate(self):
+        with pytest.raises(RuntimeError, match="rate_dephase=0.25"):
+            evolve_batch(GwConfig(n_max=8, dt=0.8, t_max=8.0), (0.25,),
+                         stop_when_steady=False)
+
+    def test_bad_rate_rejected_and_empty_batch(self):
+        with pytest.raises(ValueError, match="rate_dephase"):
+            evolve_batch(GwConfig(n_max=4), (0.5, -1.0))
+        assert evolve_batch(GwConfig(n_max=4), ()) == []

@@ -68,14 +68,15 @@ class TestStep:
                 else make(channels.decay))
         psi = default_initial_state(basis)
         for r in (0.9, 0.5, 0.1, 1e-3):
-            iv, tau, hit = prop.interval(psi, r, 50.0)
-            assert hit
+            iv, tau, rate = prop.interval(psi, r, 50.0)
+            # the decay rate handed back is the survival's slope at tau, bitwise
+            assert rate == -iv.survival_slope(tau)[1] > 0.0
             exact = no_jump(channels, psi, tau)
             assert abs(exact @ exact - r) < 1e-10
             assert np.abs(iv.states(tau) - exact).max() < 1e-10
         # a stop before the jump: the interval ends exactly there
-        iv, tau, hit = prop.interval(psi, 1e-6, 0.3)
-        assert not hit and tau == 0.3
+        iv, tau, rate = prop.interval(psi, 1e-6, 0.3)
+        assert rate is None and tau == 0.3
         exact = no_jump(channels, psi, 0.3)
         assert abs(iv.survival(0.3) - exact @ exact) < 1e-10
         assert np.abs(iv.states(0.3) - exact).max() < 1e-10
