@@ -13,6 +13,11 @@ circuit config (`trajectory.propagator`): a dense eigendecomposition,
 or expm at every evaluation where i H_nh sits at or near an exceptional
 point and the decomposition fails its reconstruction check.  Click
 times are exact and the stiff ancilla decay costs no steps.
+
+A run keeps the `trajectory.Event`s its diagnostics need (every
+interval for the dephasing circuit, the clicks for the phase-lock one)
+and computes the diagnostics from them when they are first read, so a
+run that reads only its clicks and final state pays for neither.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .gutzwiller import SiteOperators
-from .trajectory import propagator, trajectory_rng, unravel
+from .trajectory import ExpmExp, propagator, trajectory_rng, unravel
 
 # kappa parameterizes the ancilla loss so that the eliminated jump rate
 # is exactly g_eff^2/kappa; with a Lindblad decay operator sqrt(K) sigma-
@@ -76,7 +81,20 @@ class Click:
 class CircuitTrajectory:
     clicks: list
     final_state: np.ndarray
-    click_entropy_steps: list = field(default_factory=list)  # (t, S_before, S_after)
+    n_max: int
+    intervals: int                 # event-loop intervals the run took
+    click_events: list = field(repr=False)   # the trajectory.Event of each click
+
+    @functools.cached_property
+    def click_entropy_steps(self) -> list:
+        """(t, S_before, S_after) per click: the cavity-1 entropy of the
+        state just before the click and of the heralded state."""
+        steps = []
+        for ev in self.click_events:
+            before = ev.interval.states(ev.t - ev.t0)
+            steps.append((ev.t, _pair_entropy(before / np.linalg.norm(before), self.n_max),
+                          _pair_entropy(ev.psi, self.n_max)))
+        return steps
 
 
 def _pair_entropy(psi: np.ndarray, n_max: int) -> float:
@@ -127,6 +145,12 @@ def _circuit(hamiltonian, cfg: CircuitConfig):
                            diagonal=np.empty((sm.shape[0], 0)))
 
 
+def circuit_propagator(hamiltonian, cfg: CircuitConfig) -> str:
+    """"dense" or "expm": the propagator the circuit's runs use."""
+    circuit = _circuit(hamiltonian, replace(cfg, seed=0, t_max=0.0))
+    return "expm" if isinstance(circuit.propagator, ExpmExp) else "dense"
+
+
 def _unravel_circuit(hamiltonian, cfg: CircuitConfig, psi, traj_index):
     circuit = _circuit(hamiltonian, replace(cfg, seed=0, t_max=0.0))
     return unravel(psi / np.linalg.norm(psi), circuit, cfg.t_max,
@@ -145,20 +169,18 @@ def run_phaselock_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray = None,
         psi_cav0 = np.zeros(dim_c, dtype=complex)
         psi_cav0[(cfg.n_max + 1) * 1 + 1] = 1.0  # |1,1>
     psi = np.kron(psi_cav0, np.array([1.0, 0.0], dtype=complex))
-    clicks = []
-    entropy_steps = []
+    click_events, intervals = [], 0
     for ev in _unravel_circuit(phaselock_hamiltonian, cfg, psi, traj_index):
+        intervals += 1
         if ev.channel is not None:
-            before = ev.interval.states(ev.t - ev.t0)
-            entropy_steps.append((ev.t, _pair_entropy(before / np.linalg.norm(before),
-                                                       cfg.n_max),
-                                  _pair_entropy(ev.psi, cfg.n_max)))
-            clicks.append(Click(time=ev.t, channel="ancilla_decay"))
+            click_events.append(ev)
         psi = ev.psi
-        if stop_after_clicks is not None and len(clicks) >= stop_after_clicks:
+        if stop_after_clicks is not None and len(click_events) >= stop_after_clicks:
             break
-    return CircuitTrajectory(clicks=clicks, final_state=psi,
-                             click_entropy_steps=entropy_steps)
+    return CircuitTrajectory(clicks=[Click(time=ev.t, channel="ancilla_decay")
+                                     for ev in click_events],
+                             final_state=psi, n_max=cfg.n_max, intervals=intervals,
+                             click_events=click_events)
 
 
 @dataclass
@@ -167,39 +189,51 @@ class DephasingOutcome:
     collapsed_to: int         # dominant cavity number state at t_max
     dominant_weight: float
     click_count: int
-    max_ancilla_occupation: float
+    spacing: float            # of the ancilla-occupation grid
+    events: list = field(repr=False)         # every trajectory.Event of the run
+
+    @property
+    def intervals(self) -> int:
+        return len(self.events)
+
+    @functools.cached_property
+    def max_ancilla_occupation(self) -> float:
+        """Largest ancilla occupation on the grid of the given spacing,
+        one matmul per interval."""
+        spacing, max_na = self.spacing, 0.0
+        for ev in self.events:
+            grid = np.arange(math.floor(ev.t0 / spacing) + 1,
+                             math.floor(ev.t / spacing) + 1) * spacing
+            if grid.size:
+                pops = np.abs(ev.interval.states(grid - ev.t0)) ** 2
+                # rows alternate ancilla ground / excited
+                max_na = max(max_na, float(np.max(pops[1::2].sum(axis=0)
+                                                  / pops.sum(axis=0))))
+        return max_na
 
 
 def run_dephasing_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray,
                           traj_index: int = 0) -> DephasingOutcome:
     """Unravel a single cavity coupled to a lossy qubit via g n sigma_x.
 
-    The ancilla occupation is sampled on the grid of spacing
-    1/(200 Gamma n_max^2), with one matmul per interval.
+    The ancilla occupation is sampled, when read, on the grid of spacing
+    1/(200 Gamma n_max^2).
     """
-    spacing = 0.005 / max(cfg.reduced_rate * cfg.n_max ** 2, 1e-12)
     psi = np.kron(np.asarray(psi_cav0, dtype=complex),
                   np.array([1.0, 0.0], dtype=complex))
-    clicks = []
-    max_na = 0.0
-    for ev in _unravel_circuit(dephasing_hamiltonian, cfg, psi, traj_index):
-        grid = np.arange(math.floor(ev.t0 / spacing) + 1,
-                         math.floor(ev.t / spacing) + 1) * spacing
-        if grid.size:
-            pops = np.abs(ev.interval.states(grid - ev.t0)) ** 2
-            # rows alternate ancilla ground / excited
-            max_na = max(max_na, float(np.max(pops[1::2].sum(axis=0)
-                                              / pops.sum(axis=0))))
-        if ev.channel is not None:
-            clicks.append(Click(time=ev.t, channel="ancilla_decay"))
-        psi = ev.psi
+    events = list(_unravel_circuit(dephasing_hamiltonian, cfg, psi, traj_index))
+    if events:
+        psi = events[-1].psi
+    clicks = [Click(time=ev.t, channel="ancilla_decay")
+              for ev in events if ev.channel is not None]
     pops = np.abs(psi.reshape(cfg.n_max + 1, 2)) ** 2
     cav_pops = pops.sum(axis=1)
     winner = int(np.argmax(cav_pops))
     return DephasingOutcome(clicks=clicks, collapsed_to=winner,
                             dominant_weight=float(cav_pops[winner]),
                             click_count=len(clicks),
-                            max_ancilla_occupation=max_na)
+                            spacing=0.005 / max(cfg.reduced_rate * cfg.n_max ** 2, 1e-12),
+                            events=events)
 
 
 def superposition_cavity_state(n1: int, n2: int, n_max: int) -> np.ndarray:

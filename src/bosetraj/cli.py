@@ -7,9 +7,9 @@ manifest.json before any compute starts: crashed runs still carry full
 provenance, and rejected ones leave no directory.
 
 Exit codes: 0 success, 2 validation error (bad flag, config key or
-value), 3 numeric guard tripped (NumericGuardError, LinAlgError,
-ArpackError), 4 acceptance-comparison failure.  Any other exception
-propagates with its traceback.
+value), 3 numeric guard tripped (NumericGuardError, LinAlgError),
+4 acceptance-comparison failure.  Any other exception propagates with
+its traceback.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError
 
 from . import __version__
 from .cftfit import fit_profile, fit_window
@@ -271,8 +270,8 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
     scheme = spec.get("scheme", "dephasing")
     seed = int(spec.get("seed", 0))
     g = float(spec.get("g_eff", 1.0))
-    # each scheme gives its circuit config and a per-trajectory run that
-    # returns (clicks, outcome fields)
+    # each scheme gives its circuit config, its Hamiltonian and a
+    # per-trajectory run that returns (run result, outcome fields)
     if scheme == "dephasing":
         target = _default_divisor(spec, "rate_dephase", 1.0, ("kappa", "t_max"))
         kappa = float(spec["kappa"]) if "kappa" in spec else 500.0 * g ** 2 / target
@@ -282,10 +281,11 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
                                 t_max=float(spec["t_max"]) if "t_max" in spec
                                 else 10.0 / target)
         psi0 = anc.superposition_cavity_state(n1, n2, cfg.n_max)
+        hamiltonian = anc.dephasing_hamiltonian
 
         def run(i):
             out = anc.run_dephasing_circuit(cfg, psi0, traj_index=i)
-            return out.clicks, {
+            return out, {
                 "collapsed_to": out.collapsed_to,
                 "dominant_weight": out.dominant_weight,
                 "click_count": out.click_count}
@@ -297,24 +297,28 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
                                 n_max=int(spec.get("n_max", 4)),
                                 t_max=float(spec["t_max"]) if "t_max" in spec
                                 else 2.0 * kappa / g ** 2)
+        hamiltonian = anc.phaselock_hamiltonian
 
         def run(i):
             traj = anc.run_phaselock_circuit(cfg, traj_index=i)
-            return traj.clicks, {
+            return traj, {
                 "click_count": len(traj.clicks),
                 "final_entropy": anc._pair_entropy(traj.final_state, cfg.n_max)}
     else:
         raise ValueError(f"unknown ancilla scheme {scheme!r}")
     M = count_option(spec, "M", 100)
     write_manifest(outdir, spec)
-    rows, outcomes = [], []
+    rows, outcomes, intervals = [], [], 0
     for i in range(M):
-        clicks, outcome = run(i)
-        rows.extend((c.time, c.channel) for c in clicks)
+        result, outcome = run(i)
+        rows.extend((c.time, c.channel) for c in result.clicks)
         outcomes.append({"trajectory": i} | outcome)
+        intervals += result.intervals
     write_csv(outdir / "clicks.csv", ["t", "channel"], rows)
     with open(outdir / "outcomes.json", "w") as fh:
         json.dump(outcomes, fh, indent=2)
+    _append_manifest(outdir, {"propagator": anc.circuit_propagator(hamiltonian, cfg),
+                              "intervals": intervals, "clicks": len(rows)})
     return EXIT_OK
 
 
@@ -438,7 +442,7 @@ def main(argv=None) -> int:
             argv if argv is not None else sys.argv[1:])
         return COMMANDS[command](spec, outdir)
     # LinAlgError is a ValueError, so the numeric guards come first
-    except (NumericGuardError, np.linalg.LinAlgError, ArpackError) as e:
+    except (NumericGuardError, np.linalg.LinAlgError) as e:
         print(f"numeric guard: {e}", file=sys.stderr)
         return EXIT_GUARD
     except ValueError as e:

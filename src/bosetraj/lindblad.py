@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .fock import FockBasis, JumpKind, build_hopping, build_number, unit_jumps
 from .superop import dissipator
@@ -89,6 +88,8 @@ def expectations(states: np.ndarray, op) -> np.ndarray:
 def evolve_lindblad(basis: FockBasis, rho0: np.ndarray, rate_phaselock: float,
                     rate_dephase: float, times) -> OracleSeries:
     """Exact propagation; observables recorded at the requested times."""
+    from scipy.sparse.linalg import expm_multiply
+
     times = np.sort(np.asarray(times, dtype=float))
     if times.size and times[0] < 0:
         raise ValueError(f"negative oracle time {times[0]}")

@@ -19,6 +19,7 @@ same event loop on their non-Hermitian i H_nh.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -27,8 +28,6 @@ import multiprocessing as mp
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import expm, get_blas_funcs
 
 from .fock import (FockBasis, JumpKind, NumericGuardError, fock_state, phaselock_gram,
                    unit_jumps)
@@ -203,11 +202,15 @@ class ExpmInterval:
         return self.survival_slope(tau)[0]
 
     def survival_slope(self, tau: float):
+        from scipy.linalg import expm
+
         x = expm(-tau * self.G) @ self.psi
         return (float(np.vdot(x, x).real),
                 -2.0 * float(np.vdot(x, self.G @ x).real))
 
     def states(self, taus) -> np.ndarray:
+        from scipy.linalg import expm
+
         taus = np.asarray(taus, dtype=float)
         if taus.ndim == 0:
             return expm(-float(taus) * self.G) @ self.psi
@@ -268,7 +271,7 @@ class KrylovExp:
     def interval(self, psi, r, tau_max):
         iv, tau, rate = self._lanczos(psi, r, tau_max, reorth=False)
         V = iv.basis        # Fortran-ordered, so one gemm forms V^H V
-        gram = get_blas_funcs("gemm", (V,))(1.0, V, V, trans_a=2)
+        gram = _blas(V.dtype)[1](1.0, V, V, trans_a=2)
         if np.abs(gram - np.eye(len(gram))).max() > ORTHO_TOL:
             iv, tau, rate = self._lanczos(psi, r, tau_max, reorth=True)
             iv.reorthogonalised = True
@@ -278,7 +281,7 @@ class KrylovExp:
         norm = math.sqrt(np.vdot(psi, psi).real)
         Q = np.empty((KRYLOV_MAX, psi.size), dtype=psi.dtype)
         np.divide(psi, norm, out=Q[0])
-        axpy = get_blas_funcs("axpy", (Q,))
+        axpy = _blas(Q.dtype)[0]
         T = np.zeros((KRYLOV_MAX, KRYLOV_MAX))
         tau, log_scale, d = None, math.log(norm), 0.0
         for j in range(KRYLOV_MAX):
@@ -322,6 +325,16 @@ class KrylovExp:
         while _lanczos_error(weight, theta, tau) > KRYLOV_TOL:
             tau *= 0.5
         return (iv, *_jump_time(iv, r, tau))
+
+
+@functools.cache
+def _blas(dtype):
+    """BLAS (axpy, gemm) for arrays of `dtype`, looked up at the first
+    Lanczos interval: importing scipy.linalg at module load would slow
+    every run that never needs it."""
+    from scipy.linalg import get_blas_funcs
+
+    return get_blas_funcs(("axpy", "gemm"), dtype=dtype)
 
 
 def _log_error_floor(log_scale, k, tau, d):
@@ -399,9 +412,11 @@ class JumpChannels:
         """
         if self.basis.dim <= 64:
             return float(np.linalg.eigvalsh(2.0 * self.decay.toarray())[-1])
+        from scipy.sparse.linalg import eigsh
+
         v0 = np.random.default_rng(0).standard_normal(self.basis.dim)
-        return float(spla.eigsh(2.0 * self.decay, k=1, which="LA", v0=v0,
-                                return_eigenvectors=False)[0])
+        return float(eigsh(2.0 * self.decay, k=1, which="LA", v0=v0,
+                           return_eigenvectors=False)[0])
 
 
 def _bond_weights(phi: np.ndarray, stacked):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from bosetraj import ancilla
+from bosetraj import ancilla, cli, trajectory
 from bosetraj.ancilla import (
     CircuitConfig,
     DECAY_SCALE,
@@ -276,3 +276,125 @@ class TestPairEntropy:
         psi_c[2 * d1 + 0] = -1.0 / math.sqrt(2.0)
         psi = np.kron(psi_c, np.array([1.0, 0.0]))
         assert _pair_entropy(psi, 2) == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+def _eager_dephasing_occupation(cfg, psi_cav0, traj_index):
+    """The largest ancilla occupation on the 1/(200 Gamma n_max^2) grid,
+    computed interval by interval while the run unravels."""
+    spacing = 0.005 / max(cfg.reduced_rate * cfg.n_max ** 2, 1e-12)
+    psi = np.kron(np.asarray(psi_cav0, dtype=complex),
+                  np.array([1.0, 0.0], dtype=complex))
+    max_na = 0.0
+    for ev in ancilla._unravel_circuit(dephasing_hamiltonian, cfg, psi, traj_index):
+        grid = np.arange(math.floor(ev.t0 / spacing) + 1,
+                         math.floor(ev.t / spacing) + 1) * spacing
+        if grid.size:
+            pops = np.abs(ev.interval.states(grid - ev.t0)) ** 2
+            max_na = max(max_na, float(np.max(pops[1::2].sum(axis=0)
+                                              / pops.sum(axis=0))))
+    return max_na
+
+
+def _eager_click_entropies(cfg, traj_index, stop_after_clicks=None):
+    """(t, S_before, S_after) per click, computed at each click while the
+    run unravels from |1,1>|g>."""
+    d1 = cfg.n_max + 1
+    psi = np.zeros(d1 * d1 * 2, dtype=complex)
+    psi[(1 * d1 + 1) * 2] = 1.0
+    steps = []
+    for ev in ancilla._unravel_circuit(phaselock_hamiltonian, cfg, psi, traj_index):
+        if ev.channel is not None:
+            before = ev.interval.states(ev.t - ev.t0)
+            steps.append((ev.t, _pair_entropy(before / np.linalg.norm(before), cfg.n_max),
+                          _pair_entropy(ev.psi, cfg.n_max)))
+        if stop_after_clicks is not None and len(steps) >= stop_after_clicks:
+            break
+    return steps
+
+
+class TestLazyDiagnostics:
+    """The ancilla-occupation grid and the per-click entropies are computed
+    from the stored events when read, and only then."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of `_pair_entropy`, of `Interval.states` (scalar and grid
+        arguments apart) and of the event loop's `step` from now on."""
+        calls = {"pair_entropy": 0, "states": 0, "grid_states": 0, "steps": 0}
+        pair_entropy, states = ancilla._pair_entropy, trajectory.Interval.states
+        step = trajectory.step
+
+        def counted_pair_entropy(*args):
+            calls["pair_entropy"] += 1
+            return pair_entropy(*args)
+
+        def counted_states(self, taus):
+            calls["grid_states" if np.ndim(taus) else "states"] += 1
+            return states(self, taus)
+
+        def counted_step(*args):
+            calls["steps"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(ancilla, "_pair_entropy", counted_pair_entropy)
+        monkeypatch.setattr(trajectory.Interval, "states", counted_states)
+        monkeypatch.setattr(trajectory, "step", counted_step)
+        return calls
+
+    @pytest.mark.parametrize("scheme,args", [("dephasing", ("--t-max", "400.0")),
+                                             ("phaselock", ("--kappa", "50.0"))])
+    def test_cli_run_computes_no_unread_diagnostic(self, tmp_path, counts, scheme, args):
+        # the CLI reads clicks and final states: one state per interval
+        # (the step's own) and one pair entropy per phase-lock trajectory
+        # (its final entropy), none per click and no occupation grid
+        M = 6
+        code = cli.main(["ancilla", "--scheme", scheme, "--M", str(M), "--seed", "2",
+                         *args, "--outdir", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        assert len((tmp_path / "clicks.csv").read_text().splitlines()) > 1
+        assert counts["steps"] > M
+        assert counts == {"pair_entropy": M if scheme == "phaselock" else 0,
+                          "states": counts["steps"], "grid_states": 0,
+                          "steps": counts["steps"]}
+
+    @pytest.mark.parametrize("cfg,levels,indices", [
+        (CircuitConfig(g_eff=1.0, kappa=500.0, n_max=3, t_max=1500.0, seed=3),
+         (0, 2), [0]),
+        (CircuitConfig(g_eff=1.0, kappa=500.0, n_max=3, t_max=400.0, seed=6),
+         (1, 3), range(4)),
+    ], ids=["collapse", "born_rule"])
+    def test_occupation_is_bitwise_the_eager_value(self, cfg, levels, indices, counts):
+        psi0 = superposition_cavity_state(*levels, cfg.n_max)
+        for idx in indices:
+            out = run_dephasing_circuit(cfg, psi0, traj_index=idx)
+            assert counts["grid_states"] == 0
+            value = out.max_ancilla_occupation
+            assert counts["grid_states"] > 0
+            assert value == _eager_dephasing_occupation(cfg, psi0, idx)
+            assert out.max_ancilla_occupation is value     # computed once
+            counts["grid_states"] = 0
+
+    @pytest.mark.parametrize("cfg,indices,stop", [
+        (CircuitConfig(g_eff=1.0, kappa=200.0, n_max=2, t_max=200.0, seed=2),
+         range(4), 1),
+        (CircuitConfig(g_eff=1.0, kappa=100.0, n_max=2, t_max=30.0, seed=5),
+         range(6, 8), None),
+        (CircuitConfig(g_eff=1.0, kappa=100.0, n_max=2, t_max=20.0, seed=7),
+         range(3), None),
+        (CircuitConfig(g_eff=1.0, kappa=50.0, n_max=4, t_max=100.0, seed=1),
+         range(3), 2),
+    ], ids=["first_click", "determinism", "norm", "stopped_after_two"])
+    def test_click_entropies_are_bitwise_the_eager_values(self, cfg, indices, stop,
+                                                          counts):
+        clicked = 0
+        for idx in indices:
+            traj = run_phaselock_circuit(cfg, traj_index=idx, stop_after_clicks=stop)
+            assert counts["pair_entropy"] == 0
+            steps = traj.click_entropy_steps
+            assert counts["pair_entropy"] == 2 * len(traj.clicks)
+            assert steps == _eager_click_entropies(cfg, idx, stop)
+            assert [t for t, _, _ in steps] == [c.time for c in traj.clicks]
+            assert traj.click_entropy_steps is steps       # computed once
+            counts["pair_entropy"] = 0
+            clicked += bool(steps)
+        assert clicked >= 1

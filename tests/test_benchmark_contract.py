@@ -1,0 +1,84 @@
+"""What the benchmark harness in `perfbench/` relies on.
+
+Its result is the last line of standard output, one JSON object; it
+breaks if the package writes to stdout or if a function the tracer
+wraps goes missing (the metrics that need it read null).  Its set-up
+time counts every module that `import bosetraj` loads.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import bosetraj
+from bosetraj import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(bosetraj.__file__).resolve().parent.parent
+
+
+def test_tracer_finds_every_target(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    tr = tracer.Tracer()
+    try:
+        round_ = tr.install()
+        assert round_.absent == frozenset()
+    finally:
+        tr.uninstall()
+
+
+def _tiny_runs(tmp_path):
+    """(name, argv, accepted exit codes): every subcommand, and both
+    ancilla schemes, at a size that runs in well under a second."""
+    scan = tmp_path / "entropy-scan"
+    return [
+        ("trajectories", ["trajectories", "--L", "3", "--gamma", "1.0", "--M", "2",
+                          "--t-max", "1.0", "--n-snapshots", "3"], {0}),
+        ("entropy-scan", ["entropy-scan", "--L", "4", "--gamma-grid", "0.5,4",
+                          "--M", "3", "--t-max", "0.5", "--renyi-orders", "2",
+                          "--outdir", str(scan)], {0}),
+        ("fit", ["fit", "--profile-csv", str(scan / "profile.csv")], {0}),
+        ("gutzwiller", ["gutzwiller", "--gamma-grid", "0,6", "--n-max", "4",
+                        "--dt", "0.01", "--t-max", "1.0"], {0}),
+        ("lindblad-check", ["lindblad-check", "--L", "3", "--gamma", "1.0", "--M", "4",
+                            "--snapshot-times", "0.5"], {0, cli.EXIT_COMPARISON}),
+        ("ancilla", ["ancilla", "--scheme", "dephasing", "--M", "2",
+                     "--t-max", "50.0"], {0}),
+        ("ancilla", ["ancilla", "--scheme", "phaselock", "--M", "2",
+                     "--kappa", "50.0", "--n-max", "2"], {0}),
+    ]
+
+
+def test_no_subcommand_writes_to_stdout(tmp_path, capfd):
+    runs = _tiny_runs(tmp_path)
+    assert {name for name, _, _ in runs} == set(cli.COMMANDS)
+    for name, argv, accepted in runs:
+        if "--outdir" not in argv:
+            argv = [*argv, "--outdir", str(tmp_path / f"{name}-{len(argv)}")]
+        code = cli.main(argv)
+        out, err = capfd.readouterr()
+        assert code in accepted, (name, err)
+        assert out == "", name
+
+
+def test_import_and_model_setup_leave_scipy_linalg_unloaded():
+    code = (
+        "import sys, json\n"
+        "import bosetraj\n"
+        "from bosetraj import JumpChannels, build_basis\n"
+        "from bosetraj.gutzwiller import SiteOperators\n"
+        "for L in (3, 8):\n"
+        "    JumpChannels(build_basis(L, L, 3), 1.0, 0.5)\n"
+        "SiteOperators(8)\n"
+        "print(json.dumps([m for m in ('scipy.linalg', 'scipy.sparse.linalg')\n"
+        "                  if m in sys.modules]))\n")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert json.loads(proc.stdout) == []
+

@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError
 
-from bosetraj import cli, entropy, fock, trajectory
+from bosetraj import ancilla, cli, entropy, fock, trajectory
 from bosetraj.cli import (
     EXIT_COMPARISON,
     EXIT_GUARD,
@@ -114,8 +113,7 @@ class TestTrajectories:
     @pytest.mark.parametrize("patched", [
         lambda psi, l, basis=None: np.array([1.2, -0.2]),  # corrupted spectrum
         raiser(np.linalg.LinAlgError("SVD did not converge")),
-        raiser(ArpackError(-9999)),
-    ], ids=["corrupted_spectrum", "linalg_error", "arpack_error"])
+    ], ids=["corrupted_spectrum", "linalg_error"])
     def test_numeric_failures_exit_guard(self, tmp_path, monkeypatch, patched):
         monkeypatch.setattr(entropy, "schmidt_spectrum", patched)
         code, _ = run_cli(tmp_path, "trajectories", "--L", "2", "--gamma",
@@ -322,6 +320,55 @@ class TestAncilla:
     def test_unknown_scheme(self, tmp_path):
         code, _ = run_cli(tmp_path, "ancilla", "--scheme", "bogus")
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("scheme,args,hamiltonian,expected", [
+        ("dephasing", ("--rate-dephase", "1.0", "--t-max", "10.0"),
+         ancilla.dephasing_hamiltonian, "dense"),
+        ("phaselock", ("--kappa", "100.0", "--t-max", "50.0", "--n-max", "2"),
+         ancilla.phaselock_hamiltonian, "dense"),
+        # the n = 4 block of i H_nh is at an exceptional point for kappa = 4 g
+        ("dephasing", ("--kappa", "4.0", "--t-max", "3.0"),
+         ancilla.dephasing_hamiltonian, "expm"),
+    ], ids=["dephasing", "phaselock", "dephasing_expm"])
+    def test_manifest_counters_match_the_event_loop(self, tmp_path, scheme, args,
+                                                    hamiltonian, expected):
+        M = 3
+        code, outdir = run_cli(tmp_path, "ancilla", "--scheme", scheme, "--M", str(M),
+                               "--seed", "4", *args)
+        assert code == EXIT_OK
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        # recount from the event loop itself, with the config the run recorded
+        spec = manifest["spec"]
+        if scheme == "dephasing":         # kappa = 500 g^2 / rate_dephase by default
+            cfg = ancilla.CircuitConfig(g_eff=1.0, kappa=spec.get("kappa", 500.0),
+                                        t_max=spec["t_max"], seed=4, n_max=4)
+            psi = np.kron(ancilla.superposition_cavity_state(1, 3, 4), [1.0, 0.0])
+        else:
+            cfg = ancilla.CircuitConfig(g_eff=1.0, kappa=spec["kappa"],
+                                        t_max=spec["t_max"], seed=4, n_max=2)
+            psi = np.zeros(18, dtype=complex)
+            psi[(1 * 3 + 1) * 2] = 1.0                   # |1,1>|g>
+        events = [ev for i in range(M)
+                  for ev in ancilla._unravel_circuit(hamiltonian, cfg, psi, i)]
+        clicks = sum(ev.channel is not None for ev in events)
+        assert clicks == len(read_csv(outdir / "clicks.csv"))
+        assert {k: manifest[k] for k in ("propagator", "intervals", "clicks")} == {
+            "propagator": expected, "intervals": len(events), "clicks": clicks}
+        H, sm = hamiltonian(cfg)[:2]
+        H_nh = H - 0.5j * ancilla.DECAY_SCALE * cfg.kappa * (sm.conj().T @ sm)
+        assert isinstance(trajectory.propagator(1j * H_nh, hermitian=False),
+                          trajectory.ExpmExp if expected == "expm" else trajectory.DenseExp)
+
+    @pytest.mark.parametrize("scheme", ["dephasing", "phaselock"])
+    def test_reruns_write_identical_manifests(self, tmp_path, scheme):
+        args = ("ancilla", "--scheme", scheme, "--M", "4", "--t-max", "20.0",
+                "--seed", "9")
+        code_a, out_a = run_cli(tmp_path / "a", *args)
+        code_b, out_b = run_cli(tmp_path / "b", *args)
+        assert code_a == code_b == EXIT_OK
+        for name in ("manifest.json", "clicks.csv", "outcomes.json"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert json.loads((out_a / "manifest.json").read_text())["intervals"] >= 4
 
 
 class TestValidateBeforeManifest:
