@@ -40,8 +40,7 @@ DECAY_SCALE = 4.0
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
 SIGMA_PLUS = SIGMA_MINUS.conj().T
-P_EXCITED = SIGMA_PLUS @ SIGMA_MINUS
-P_GROUND = np.eye(2, dtype=complex) - P_EXCITED
+P_GROUND = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)  # |0><0|
 
 
 @dataclass(frozen=True)
@@ -61,25 +60,14 @@ class CircuitConfig:
             raise ValueError("need n_max >= 1")
 
     @property
-    def born_markov_ok(self) -> bool:
-        """Flag for the kappa >> g regime where the reduction is valid."""
-        return self.g_eff == 0 or self.kappa / self.g_eff > 20
-
-    @property
     def reduced_rate(self) -> float:
         """Effective chain jump rate after ancilla elimination."""
         return self.g_eff ** 2 / self.kappa
 
 
 @dataclass
-class Click:
-    time: float
-    channel: str
-
-
-@dataclass
 class CircuitTrajectory:
-    clicks: list
+    clicks: list                   # click times
     final_state: np.ndarray
     n_max: int
     intervals: int                 # event-loop intervals the run took
@@ -177,15 +165,14 @@ def run_phaselock_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray = None,
         psi = ev.psi
         if stop_after_clicks is not None and len(click_events) >= stop_after_clicks:
             break
-    return CircuitTrajectory(clicks=[Click(time=ev.t, channel="ancilla_decay")
-                                     for ev in click_events],
+    return CircuitTrajectory(clicks=[ev.t for ev in click_events],
                              final_state=psi, n_max=cfg.n_max, intervals=intervals,
                              click_events=click_events)
 
 
 @dataclass
 class DephasingOutcome:
-    clicks: list
+    clicks: list              # click times
     collapsed_to: int         # dominant cavity number state at t_max
     dominant_weight: float
     click_count: int
@@ -224,8 +211,7 @@ def run_dephasing_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray,
     events = list(_unravel_circuit(dephasing_hamiltonian, cfg, psi, traj_index))
     if events:
         psi = events[-1].psi
-    clicks = [Click(time=ev.t, channel="ancilla_decay")
-              for ev in events if ev.channel is not None]
+    clicks = [ev.t for ev in events if ev.channel is not None]
     pops = np.abs(psi.reshape(cfg.n_max + 1, 2)) ** 2
     cav_pops = pops.sum(axis=1)
     winner = int(np.argmax(cav_pops))
@@ -303,7 +289,7 @@ def first_click_rate(cfg: CircuitConfig, n_traj: int):
     for i in range(n_traj):
         traj = run_phaselock_circuit(run_cfg, traj_index=i, stop_after_clicks=1)
         if traj.clicks:
-            click_times.append(traj.clicks[0].time)
+            click_times.append(traj.clicks[0])
         else:
             n_censored += 1
     if not click_times:

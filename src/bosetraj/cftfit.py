@@ -50,10 +50,11 @@ def fit_window(L: int, l_min: int = None, l_max: int = None, ls=None) -> tuple:
     return l_min, l_max
 
 
-def fit_profile(profile: EntropyProfile, l_min: int = None, l_max: int = None,
-                weighted: bool = True) -> CftFit:
+def fit_profile(profile: EntropyProfile, l_min: int = None,
+                l_max: int = None) -> CftFit:
     """Weighted linear least squares of the profile against the chord
-    regressor over the `fit_window`."""
+    regressor over the `fit_window`; unweighted, with the noise scale
+    taken from the residuals, if any standard error is zero."""
     L = profile.L
     l_min, l_max = fit_window(L, l_min, l_max, profile.ls)
     sel = (profile.ls >= l_min) & (profile.ls <= l_max)
@@ -61,12 +62,8 @@ def fit_profile(profile: EntropyProfile, l_min: int = None, l_max: int = None,
     y = profile.mean[sel]
     sig = profile.stderr[sel]
     x = chord_regressor(L, ls)
-    if weighted and np.all(sig > 0):
-        w = 1.0 / sig ** 2
-        known_sigma = True
-    else:
-        w = np.ones_like(y)
-        known_sigma = False
+    known_sigma = bool(np.all(sig > 0))
+    w = 1.0 / sig ** 2 if known_sigma else np.ones_like(y)
 
     X = np.column_stack([x / 6.0, np.ones_like(x)])
     XtW = X.T * w

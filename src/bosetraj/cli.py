@@ -96,8 +96,7 @@ def build_model(spec: dict, basis=None):
     lam, gam = resolve_rates(spec)
     cfg = MonitoringConfig(rate_phaselock=lam, rate_dephase=gam,
                            t_max=float(spec.get("t_max", 10.0)),
-                           seed=int(spec.get("seed", 0)),
-                           snapshot_times=tuple(spec.get("snapshot_times", [])))
+                           seed=int(spec.get("seed", 0)))
     return basis, cfg
 
 
@@ -164,9 +163,9 @@ def _write_observables(outdir: Path, ensemble):
 
 def cmd_trajectories(spec: dict, outdir: Path) -> int:
     basis, cfg = build_model(spec)
-    if not cfg.snapshot_times:
-        times = np.linspace(0.0, cfg.t_max, int(spec.get("n_snapshots", 21)))
-        cfg = replace(cfg, snapshot_times=tuple(times))
+    times = spec.get("snapshot_times") or np.linspace(
+        0.0, cfg.t_max, count_option(spec, "n_snapshots", 21))
+    cfg = replace(cfg, snapshot_times=tuple(times))
     psi0 = initial_state(spec, basis)
     M, workers = count_option(spec, "M", 100), count_option(spec, "workers", 1)
     write_manifest(outdir, spec)
@@ -232,10 +231,11 @@ def cmd_gutzwiller(spec: dict, outdir: Path) -> int:
 
 
 def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
-    basis, cfg = build_model(spec)
-    check_oracle_dim(basis)
+    # the oracle runs to the last snapshot, whatever t_max is given
     times = tuple(spec.get("snapshot_times") or (0.5, 1.0, 2.0, 5.0))
-    cfg = replace(cfg, t_max=max(times), snapshot_times=times)
+    basis, cfg = build_model(spec | {"t_max": max(times)})
+    check_oracle_dim(basis)
+    cfg = replace(cfg, snapshot_times=times)
     psi0 = initial_state(spec, basis)
     M = count_option(spec, "M", 2000, least=2)    # a standard error needs two
     workers = count_option(spec, "workers", 1)
@@ -277,7 +277,7 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
         kappa = float(spec["kappa"]) if "kappa" in spec else 500.0 * g ** 2 / target
         n1, n2 = int(spec.get("n1", 1)), int(spec.get("n2", 3))
         cfg = anc.CircuitConfig(g_eff=g, kappa=kappa, seed=seed,
-                                n_max=max(n2 + 1, 4),
+                                n_max=int(spec.get("n_max", max(n2 + 1, 4))),
                                 t_max=float(spec["t_max"]) if "t_max" in spec
                                 else 10.0 / target)
         psi0 = anc.superposition_cavity_state(n1, n2, cfg.n_max)
@@ -311,7 +311,7 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
     rows, outcomes, intervals = [], [], 0
     for i in range(M):
         result, outcome = run(i)
-        rows.extend((c.time, c.channel) for c in result.clicks)
+        rows.extend((t, "ancilla_decay") for t in result.clicks)
         outcomes.append({"trajectory": i} | outcome)
         intervals += result.intervals
     write_csv(outdir / "clicks.csv", ["t", "channel"], rows)

@@ -1,22 +1,19 @@
-"""Density-matrix maps as matrices acting on vec(rho) = rho.ravel(), for
-which vec(A rho B) = kron(A, B^T) vec(rho).  Dense, or sparse if the
-operator is: the mean-field site and the chain sector share this code.
+"""Density-matrix maps as sparse matrices acting on vec(rho) = rho.ravel(),
+for which vec(A rho B) = kron(A, B^T) vec(rho).  The mean-field site and
+the chain sector share this code.
 """
 
-import numpy as np
 import scipy.sparse as sp
 
 
 def sandwich(A, B):
     """rho -> A rho B."""
-    if sp.issparse(A):
-        return sp.kron(A, B.T, format="csr")
-    return np.kron(A, B.T)
+    return sp.kron(A, B.T, format="csr")
 
 
 def anticommutator(X):
     """rho -> X rho + rho X."""
-    eye = sp.identity(X.shape[0]) if sp.issparse(X) else np.eye(X.shape[0])
+    eye = sp.identity(X.shape[0])
     return sandwich(X, eye) + sandwich(eye, X)
 
 

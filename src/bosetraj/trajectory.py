@@ -60,8 +60,8 @@ class MonitoringConfig:
         if not (math.isfinite(self.t_max) and self.t_max >= 0):
             raise ValueError("t_max must be finite and nonnegative")
         times = tuple(sorted(float(t) for t in self.snapshot_times))
-        if not all(math.isfinite(t) and t >= 0 for t in times):
-            raise ValueError("snapshot times must be finite and nonnegative")
+        if not all(0 <= t <= self.t_max for t in times):
+            raise ValueError(f"snapshot times must lie in [0, t_max = {self.t_max}]")
         object.__setattr__(self, "snapshot_times", times)
 
     @property
@@ -211,19 +211,9 @@ class ExpmInterval:
     def states(self, taus) -> np.ndarray:
         from scipy.linalg import expm
 
-        taus = np.asarray(taus, dtype=float)
-        if taus.ndim == 0:
-            return expm(-float(taus) * self.G) @ self.psi
-        if taus.size < 3 or np.ptp(np.diff(taus)) > 1e-12 * max(taus[-1], 1.0):
+        if np.ndim(taus):
             return np.column_stack([self.states(tau) for tau in taus])
-        # an evenly spaced grid: one expm for the spacing, then one
-        # matvec per point
-        x, step = self.states(taus[0]), expm(-(taus[1] - taus[0]) * self.G)
-        out = np.empty((x.size, taus.size), dtype=x.dtype)
-        for i in range(taus.size):
-            out[:, i] = x
-            x = step @ x
-        return out
+        return expm(-float(taus) * self.G) @ self.psi
 
 
 class KrylovExp:
@@ -511,14 +501,15 @@ class Event:
 def unravel(psi: np.ndarray, channels, t_max: float, rng, stops=()):
     """Exact event loop: yield one Event per interval up to t_max.
 
-    Intervals end exactly at every stop time in (0, t_max) and at t_max.
+    Intervals end exactly at every stop time (ascending, in [0, t_max])
+    and at t_max.
     channels supplies `propagator` (exp(-G tau) for the no-jump
     generator G) and the jump operators in channel order: `stacked`, one
     block of rows per channel, then the diagonal ones as the columns of
     `diagonal` (see `select_jump`).
     """
     t, r = 0.0, 1.0 - rng.random()
-    for t_stop in [s for s in stops if 0.0 < s < t_max] + [t_max]:
+    for t_stop in [*stops, t_max]:
         while t < t_stop:
             t0 = t
             psi, t, r, k, iv = step(psi, channels, t0, t_stop, r, rng)
@@ -541,16 +532,15 @@ def run_trajectory(basis: FockBasis, psi0: np.ndarray, cfg: MonitoringConfig,
     """Evolve one trajectory from the amplitudes psi0 over `basis`;
     deterministic given (cfg.seed, traj_index).
 
-    Snapshots are taken at exactly the requested times up to t_max.  The
-    states keep psi0's dtype: every chain operator is real.
+    Snapshots are taken at exactly the requested times.  The states keep
+    psi0's dtype: every chain operator is real.
     """
     _check_state(basis, psi0)
     if channels is None:
         channels = JumpChannels(basis, cfg.rate_phaselock, cfg.rate_dephase)
     psi = psi0 / np.linalg.norm(psi0)
-    snap_times = [s for s in cfg.snapshot_times if s <= cfg.t_max]
-    snapshots = [(s, psi.copy()) for s in snap_times if s <= 0.0]
-    pending = snap_times[len(snapshots):]
+    snapshots = [(s, psi.copy()) for s in cfg.snapshot_times if s <= 0.0]
+    pending = list(cfg.snapshot_times[len(snapshots):])
     jumps, sizes, reruns = [], [], 0   # sizes: propagator basis per interval
     for ev in unravel(psi, channels, cfg.t_max, trajectory_rng(cfg.seed, traj_index),
                       stops=pending):

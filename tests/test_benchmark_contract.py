@@ -1,9 +1,10 @@
 """What the benchmark harness in `perfbench/` relies on.
 
 Its result is the last line of standard output, one JSON object; it
-breaks if the package writes to stdout or if a function the tracer
-wraps goes missing (the metrics that need it read null).  Its set-up
-time counts every module that `import bosetraj` loads.
+breaks if the package writes to stdout, if a function the tracer wraps
+goes missing (the metrics that need it read null) or if the CLI stops
+accepting an option its workloads pass.  Its set-up time counts every
+module that `import bosetraj` loads.
 """
 
 import json
@@ -11,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import bosetraj
 from bosetraj import cli
@@ -29,6 +32,19 @@ def test_tracer_finds_every_target(monkeypatch):
         assert round_.absent == frozenset()
     finally:
         tr.uninstall()
+
+
+@pytest.mark.parametrize("size", ["full", "tiny"])
+def test_benchmark_argv_parses(monkeypatch, size):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for workload in workloads.WORKLOADS.values():
+        for call in workload.calls(1, workload.sizes[size]):
+            command, spec, _ = cli.parse_spec(list(call.argv))
+            assert command == call.argv[0] and command in cli.COMMANDS
+            flags = {a[2:].replace("-", "_") for a in call.argv if a.startswith("--")}
+            assert flags <= set(spec), (workload.name, flags - set(spec))
 
 
 def _tiny_runs(tmp_path):

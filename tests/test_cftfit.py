@@ -4,6 +4,8 @@ Round-trips synthetic profiles built from known (c, s0) pairs through
 the weighted least-squares fit, and checks the Renyi-order inversion.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,7 +48,7 @@ class TestFitRoundTrip:
     @pytest.mark.parametrize("c,s0", [(0.0, 0.7), (1.0, 0.3), (1.5, 0.3)])
     def test_exact_profile_recovered(self, c, s0):
         prof = synthetic_profile(L=10, c=c, s0=s0)
-        fit = fit_profile(prof, weighted=False)
+        fit = fit_profile(prof)
         assert fit.c == pytest.approx(c, abs=1e-10)
         assert fit.s0 == pytest.approx(s0, abs=1e-10)
         assert fit.residual_rms < 1e-12
@@ -60,13 +62,14 @@ class TestFitRoundTrip:
 
     def test_weighting_downweights_noisy_cuts(self):
         # corrupt one cut but give it a huge stated error: the weighted
-        # fit must ignore it, the unweighted fit must not.
+        # fit must ignore it, the unweighted fit (which a zero standard
+        # error selects) must not.
         c, s0 = 1.0, 0.2
         prof = synthetic_profile(L=12, c=c, s0=s0, stderr=0.001)
         prof.mean[4] += 1.0
         prof.stderr[4] = 10.0
-        weighted = fit_profile(prof, weighted=True)
-        unweighted = fit_profile(prof, weighted=False)
+        weighted = fit_profile(prof)
+        unweighted = fit_profile(replace(prof, stderr=np.zeros_like(prof.stderr)))
         assert abs(weighted.c - c) < 1e-2
         assert abs(unweighted.c - c) > 0.1
 
@@ -107,7 +110,7 @@ class TestFitRoundTrip:
     @settings(max_examples=30, deadline=None)
     def test_round_trip_property(self, c, s0, L):
         prof = synthetic_profile(L=L, c=c, s0=s0)
-        fit = fit_profile(prof, weighted=False)
+        fit = fit_profile(prof)
         assert fit.c == pytest.approx(c, abs=1e-8)
         assert fit.s0 == pytest.approx(s0, abs=1e-8)
 

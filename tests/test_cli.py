@@ -321,6 +321,17 @@ class TestAncilla:
         code, _ = run_cli(tmp_path, "ancilla", "--scheme", "bogus")
         assert code == EXIT_VALIDATION
 
+    def test_dephasing_reads_n_max(self, tmp_path, monkeypatch):
+        cutoffs = []
+        run = ancilla.run_dephasing_circuit
+        monkeypatch.setattr(ancilla, "run_dephasing_circuit",
+                            lambda cfg, *a, **k: cutoffs.append(cfg.n_max) or run(cfg, *a, **k))
+        code, outdir = run_cli(tmp_path, "ancilla", "--scheme", "dephasing", "--M", "2",
+                               "--n-max", "6", "--t-max", "10.0")
+        assert code == EXIT_OK and cutoffs == [6, 6]
+        outcomes = json.loads((outdir / "outcomes.json").read_text())
+        assert {o["collapsed_to"] for o in outcomes} <= {1, 3}
+
     @pytest.mark.parametrize("scheme,args,hamiltonian,expected", [
         ("dephasing", ("--rate-dephase", "1.0", "--t-max", "10.0"),
          ancilla.dephasing_hamiltonian, "dense"),
@@ -412,6 +423,9 @@ class TestValidateBeforeManifest:
         ("gutzwiller", "--gamma-grid", ""),
         ("gutzwiller", {"gamma_grid": []}),
         ("gutzwiller", "--gamma-grid", "1,inf"),
+        ("trajectories", "--L", "3", "--M", "2", "--t-max", "1", "--snapshot-times", "5"),
+        ("trajectories", "--L", "3", "--M", "2", "--t-max", "1", "--n-snapshots", "0"),
+        ("ancilla", "--n-max", "2", "--n2", "3", "--M", "2"),
     ], ids=["gutzwiller-t_max", "gutzwiller-rate_phaselock", "gutzwiller-gamma",
             "entropy_scan-gamma", "ancilla-kappa", "ancilla-scheme",
             "trajectories-initial_state", "lindblad_check-initial_state",
@@ -426,7 +440,9 @@ class TestValidateBeforeManifest:
             "entropy_scan-zero_workers", "lindblad_check-negative_workers",
             "gutzwiller-nan_threshold", "gutzwiller-negative_threshold",
             "gutzwiller-zero_threshold", "gutzwiller-empty_grid",
-            "gutzwiller-empty_config_grid", "gutzwiller-inf_gamma"])
+            "gutzwiller-empty_config_grid", "gutzwiller-inf_gamma",
+            "trajectories-snapshot_after_t_max", "trajectories-zero_snapshots",
+            "ancilla-dephasing_n_max"])
     def test_rejected_run_leaves_no_manifest(self, tmp_path, args):
         if isinstance(args[-1], dict):      # the content of a config file
             cfg_file = tmp_path / "config.json"
@@ -451,6 +467,20 @@ class TestValidateBeforeManifest:
         code, _ = run_cli(tmp_path, "ancilla", "--rate-dephase", "0", "--kappa", "500",
                           "--t-max", "0.5", "--M", "2")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("args,times", [
+        (("lindblad-check", "--L", "2", "--M", "4", "--snapshot-times", "20"), {"20.0"}),
+        (("entropy-scan", "--L", "4", "--M", "2", "--gamma-grid", "1", "--t-max", "0.1",
+          "--snapshot-times", "5"), {"0.1"}),
+    ], ids=["lindblad_check", "entropy_scan"])
+    def test_overridden_grid_is_not_checked(self, tmp_path, args, times):
+        # lindblad-check runs to its last snapshot time and entropy-scan
+        # records at t_max only, so neither checks the given snapshot times
+        # against t_max
+        code, outdir = run_cli(tmp_path, *args)
+        assert code in (EXIT_OK, EXIT_COMPARISON)
+        name = "observables.csv" if args[0] == "lindblad-check" else "profile.csv"
+        assert {r["t"] for r in read_csv(outdir / name)} == times
 
 
 def test_observable_writer_holds_no_dense_operator(tmp_path):

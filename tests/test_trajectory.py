@@ -577,6 +577,12 @@ class TestConfigAndHelpers:
             MonitoringConfig(rate_phaselock=1.0, rate_dephase=math.nan,
                              t_max=1.0)
 
+    def test_snapshot_time_after_t_max_rejected(self):
+        # the engine stops at every snapshot time, so none may lie past t_max
+        with pytest.raises(ValueError, match="snapshot times"):
+            MonitoringConfig(rate_phaselock=1.0, rate_dephase=0.0, t_max=1.0,
+                             snapshot_times=(0.5, 1.5))
+
     def test_reduced_dephasing(self):
         cfg = MonitoringConfig(rate_phaselock=2.0, rate_dephase=3.0,
                                t_max=1.0)
