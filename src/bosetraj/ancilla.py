@@ -7,9 +7,10 @@ dephasing jumps.  Strong ancilla decay (kappa >> g) reduces both, via
 Born-Markov elimination, to the chain jump operators with rate
 g_eff^2 / kappa.
 
-Both run the exact event loop of `trajectory.unravel` with a single
-click channel and one propagator of the no-jump generator i H_nh per
-circuit config (`trajectory.propagator`): a dense eigendecomposition,
+Both run the exact event loop of `trajectory.unravel_batch`, all
+trajectories of a run in lockstep, with a single click channel and one
+propagator of the no-jump generator i H_nh per circuit config
+(`trajectory.propagator`): a dense eigendecomposition,
 or expm at every evaluation where i H_nh sits at or near an exceptional
 point and the decomposition fails its reconstruction check.  Click
 times are exact and the stiff ancilla decay costs no steps.
@@ -28,9 +29,11 @@ from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .gutzwiller import SiteOperators
-from .trajectory import ExpmExp, propagator, trajectory_rng, unravel
+from .trajectory import (ExpmExp, batch_size, blocks, propagator, trajectory_rng,
+                         unravel_batch)
 
 # kappa parameterizes the ancilla loss so that the eliminated jump rate
 # is exactly g_eff^2/kappa; with a Lindblad decay operator sqrt(K) sigma-
@@ -58,6 +61,8 @@ class CircuitConfig:
             raise ValueError("need finite kappa > 0, g_eff >= 0, h_eff and t_max >= 0")
         if self.n_max < 1:
             raise ValueError("need n_max >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def reduced_rate(self) -> float:
@@ -124,12 +129,12 @@ def dephasing_hamiltonian(cfg: CircuitConfig):
 @functools.lru_cache(maxsize=16)
 def _circuit(hamiltonian, cfg: CircuitConfig):
     """The event loop's view of one circuit: exp(-i H_nh tau) and the
-    click operator, its one channel (none diagonal).  Cached per config (seed and t_max zeroed), so each
-    generator is diagonalised once."""
+    click operator, its one channel (none diagonal).  Cached per config
+    (seed and t_max zeroed), so each generator is diagonalised once."""
     H, sm = hamiltonian(cfg)[:2]
     H_nh = H - 0.5j * DECAY_SCALE * cfg.kappa * (sm.conj().T @ sm)
     return SimpleNamespace(propagator=propagator(1j * H_nh, hermitian=False),
-                           stacked=math.sqrt(DECAY_SCALE * cfg.kappa) * sm,
+                           stacked=sp.csr_matrix(math.sqrt(DECAY_SCALE * cfg.kappa) * sm),
                            diagonal=np.empty((sm.shape[0], 0)))
 
 
@@ -139,16 +144,34 @@ def circuit_propagator(hamiltonian, cfg: CircuitConfig) -> str:
     return "expm" if isinstance(circuit.propagator, ExpmExp) else "dense"
 
 
-def _unravel_circuit(hamiltonian, cfg: CircuitConfig, psi, traj_index):
+def circuit_blocks(hamiltonian, cfg: CircuitConfig, M: int) -> list:
+    """Trajectory indices 0..M-1 in the blocks a run takes as batches
+    (`trajectory.batch_size` of the circuit's propagator)."""
     circuit = _circuit(hamiltonian, replace(cfg, seed=0, t_max=0.0))
-    return unravel(psi / np.linalg.norm(psi), circuit, cfg.t_max,
-                   trajectory_rng(cfg.seed, traj_index))
+    return blocks(M, batch_size(circuit.propagator, circuit.stacked.shape[1]))
 
 
-def run_phaselock_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray = None,
-                          traj_index: int = 0,
-                          stop_after_clicks: int = None) -> CircuitTrajectory:
-    """Unravel the two-cavity/ancilla system; clicks are ancilla decays.
+def _unravel_circuits(hamiltonian, cfg: CircuitConfig, psi, indices, max_clicks=None):
+    """The rounds of the circuit's event loop for the trajectories
+    `indices`, all from psi."""
+    circuit = _circuit(hamiltonian, replace(cfg, seed=0, t_max=0.0))
+    psi = psi / np.linalg.norm(psi)
+    return unravel_batch(np.tile(psi, (len(indices), 1)), circuit, cfg.t_max,
+                         [trajectory_rng(cfg.seed, i) for i in indices],
+                         max_jumps=max_clicks)
+
+
+def _unravel_circuit(hamiltonian, cfg: CircuitConfig, psi, traj_index):
+    """The Events of one trajectory: `_unravel_circuits` for a batch of one."""
+    for events in _unravel_circuits(hamiltonian, cfg, psi, (traj_index,)):
+        yield from events
+
+
+def run_phaselock_circuits(cfg: CircuitConfig, indices, psi_cav0: np.ndarray = None,
+                           stop_after_clicks: int = None) -> list:
+    """Unravel the two-cavity/ancilla system for the trajectories `indices`
+    in lockstep; clicks are ancilla decays.  A trajectory ends at t_max or
+    at its stop_after_clicks-th click, if given.
 
     Default initial state: cavities |1,1>, ancilla ground.
     """
@@ -157,17 +180,24 @@ def run_phaselock_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray = None,
         psi_cav0 = np.zeros(dim_c, dtype=complex)
         psi_cav0[(cfg.n_max + 1) * 1 + 1] = 1.0  # |1,1>
     psi = np.kron(psi_cav0, np.array([1.0, 0.0], dtype=complex))
-    click_events, intervals = [], 0
-    for ev in _unravel_circuit(phaselock_hamiltonian, cfg, psi, traj_index):
-        intervals += 1
-        if ev.channel is not None:
-            click_events.append(ev)
-        psi = ev.psi
-        if stop_after_clicks is not None and len(click_events) >= stop_after_clicks:
-            break
-    return CircuitTrajectory(clicks=[ev.t for ev in click_events],
-                             final_state=psi, n_max=cfg.n_max, intervals=intervals,
-                             click_events=click_events)
+    clicks, intervals, final = [[] for _ in indices], [0] * len(indices), [psi] * len(indices)
+    for events in _unravel_circuits(phaselock_hamiltonian, cfg, psi, indices,
+                                    stop_after_clicks):
+        for ev in events:
+            intervals[ev.member] += 1
+            final[ev.member] = ev.psi
+            if ev.channel is not None:
+                clicks[ev.member].append(ev)
+    return [CircuitTrajectory(clicks=[ev.t for ev in c], final_state=f, n_max=cfg.n_max,
+                              intervals=n, click_events=c)
+            for c, n, f in zip(clicks, intervals, final)]
+
+
+def run_phaselock_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray = None,
+                          traj_index: int = 0,
+                          stop_after_clicks: int = None) -> CircuitTrajectory:
+    """`run_phaselock_circuits` for one trajectory."""
+    return run_phaselock_circuits(cfg, (traj_index,), psi_cav0, stop_after_clicks)[0]
 
 
 @dataclass
@@ -199,27 +229,37 @@ class DephasingOutcome:
         return max_na
 
 
-def run_dephasing_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray,
-                          traj_index: int = 0) -> DephasingOutcome:
-    """Unravel a single cavity coupled to a lossy qubit via g n sigma_x.
+def run_dephasing_circuits(cfg: CircuitConfig, psi_cav0: np.ndarray, indices) -> list:
+    """Unravel a single cavity coupled to a lossy qubit via g n sigma_x,
+    for the trajectories `indices` in lockstep.
 
     The ancilla occupation is sampled, when read, on the grid of spacing
     1/(200 Gamma n_max^2).
     """
     psi = np.kron(np.asarray(psi_cav0, dtype=complex),
                   np.array([1.0, 0.0], dtype=complex))
-    events = list(_unravel_circuit(dephasing_hamiltonian, cfg, psi, traj_index))
-    if events:
-        psi = events[-1].psi
-    clicks = [ev.t for ev in events if ev.channel is not None]
-    pops = np.abs(psi.reshape(cfg.n_max + 1, 2)) ** 2
-    cav_pops = pops.sum(axis=1)
-    winner = int(np.argmax(cav_pops))
-    return DephasingOutcome(clicks=clicks, collapsed_to=winner,
-                            dominant_weight=float(cav_pops[winner]),
-                            click_count=len(clicks),
-                            spacing=0.005 / max(cfg.reduced_rate * cfg.n_max ** 2, 1e-12),
-                            events=events)
+    spacing = 0.005 / max(cfg.reduced_rate * cfg.n_max ** 2, 1e-12)
+    per_member = [[] for _ in indices]
+    for events in _unravel_circuits(dephasing_hamiltonian, cfg, psi, indices):
+        for ev in events:
+            per_member[ev.member].append(ev)
+    outcomes = []
+    for events in per_member:
+        final = events[-1].psi if events else psi
+        clicks = [ev.t for ev in events if ev.channel is not None]
+        cav_pops = (np.abs(final.reshape(cfg.n_max + 1, 2)) ** 2).sum(axis=1)
+        winner = int(np.argmax(cav_pops))
+        outcomes.append(DephasingOutcome(clicks=clicks, collapsed_to=winner,
+                                         dominant_weight=float(cav_pops[winner]),
+                                         click_count=len(clicks), spacing=spacing,
+                                         events=events))
+    return outcomes
+
+
+def run_dephasing_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray,
+                          traj_index: int = 0) -> DephasingOutcome:
+    """`run_dephasing_circuits` for one trajectory."""
+    return run_dephasing_circuits(cfg, psi_cav0, (traj_index,))[0]
 
 
 def superposition_cavity_state(n1: int, n2: int, n_max: int) -> np.ndarray:
@@ -284,14 +324,9 @@ def first_click_rate(cfg: CircuitConfig, n_traj: int):
     predicted = 4.0 * cfg.reduced_rate
     horizon = 8.0 / predicted   # censor after eight predicted mean waits
     run_cfg = replace(cfg, t_max=horizon)
-    click_times = []
-    n_censored = 0
-    for i in range(n_traj):
-        traj = run_phaselock_circuit(run_cfg, traj_index=i, stop_after_clicks=1)
-        if traj.clicks:
-            click_times.append(traj.clicks[0])
-        else:
-            n_censored += 1
+    runs = run_phaselock_circuits(run_cfg, range(n_traj), stop_after_clicks=1)
+    click_times = [traj.clicks[0] for traj in runs if traj.clicks]
+    n_censored = n_traj - len(click_times)
     if not click_times:
         return RatePoint(kappa=cfg.kappa, fitted_rate=math.nan,
                          predicted_rate=predicted, n_clicks=0)

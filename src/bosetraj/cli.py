@@ -135,7 +135,8 @@ def _fit_record(profile: EntropyProfile, fit) -> dict:
 def _counters(ensemble) -> dict:
     """Deterministic event counters of one ensemble (see the README)."""
     by_kind = ensemble.jumps_by_kind
-    out = {"jump_count_mean": float(ensemble.jump_counts.mean()),
+    out = {"propagator": ensemble.propagator,
+           "jump_count_mean": float(ensemble.jump_counts.mean()),
            "jumps_phaselock_mean": float(by_kind[JumpKind.PHASE_LOCK].mean()),
            "jumps_dephase_mean": float(by_kind[JumpKind.DEPHASE].mean()),
            "intervals_mean": float(ensemble.intervals.mean())}
@@ -143,6 +144,8 @@ def _counters(ensemble) -> dict:
         out |= {"krylov_dim_mean": float(ensemble.krylov_dims.mean()),
                 "krylov_dim_max": int(ensemble.krylov_dims.max()),
                 "reorth_reruns": int(ensemble.reorth_reruns.sum())}
+    else:
+        out["recon_error"] = ensemble.recon_error
     return out
 
 
@@ -270,8 +273,9 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
     scheme = spec.get("scheme", "dephasing")
     seed = int(spec.get("seed", 0))
     g = float(spec.get("g_eff", 1.0))
-    # each scheme gives its circuit config, its Hamiltonian and a
-    # per-trajectory run that returns (run result, outcome fields)
+    # each scheme gives its circuit config, its Hamiltonian and a run of a
+    # block of trajectories that returns (run result, outcome fields) per
+    # trajectory
     if scheme == "dephasing":
         target = _default_divisor(spec, "rate_dephase", 1.0, ("kappa", "t_max"))
         kappa = float(spec["kappa"]) if "kappa" in spec else 500.0 * g ** 2 / target
@@ -283,12 +287,11 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
         psi0 = anc.superposition_cavity_state(n1, n2, cfg.n_max)
         hamiltonian = anc.dephasing_hamiltonian
 
-        def run(i):
-            out = anc.run_dephasing_circuit(cfg, psi0, traj_index=i)
-            return out, {
-                "collapsed_to": out.collapsed_to,
-                "dominant_weight": out.dominant_weight,
-                "click_count": out.click_count}
+        def run(indices):
+            return [(out, {"collapsed_to": out.collapsed_to,
+                           "dominant_weight": out.dominant_weight,
+                           "click_count": out.click_count})
+                    for out in anc.run_dephasing_circuits(cfg, psi0, indices)]
     elif scheme == "phaselock":
         _default_divisor(spec, "g_eff", 1.0, ("t_max",))
         kappa = float(spec.get("kappa", 50.0 * g))
@@ -299,21 +302,22 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
                                 else 2.0 * kappa / g ** 2)
         hamiltonian = anc.phaselock_hamiltonian
 
-        def run(i):
-            traj = anc.run_phaselock_circuit(cfg, traj_index=i)
-            return traj, {
-                "click_count": len(traj.clicks),
-                "final_entropy": anc._pair_entropy(traj.final_state, cfg.n_max)}
+        def run(indices):
+            return [(traj, {"click_count": len(traj.clicks),
+                            "final_entropy": anc._pair_entropy(traj.final_state, cfg.n_max)})
+                    for traj in anc.run_phaselock_circuits(cfg, indices)]
     else:
         raise ValueError(f"unknown ancilla scheme {scheme!r}")
     M = count_option(spec, "M", 100)
     write_manifest(outdir, spec)
     rows, outcomes, intervals = [], [], 0
-    for i in range(M):
-        result, outcome = run(i)
-        rows.extend((t, "ancilla_decay") for t in result.clicks)
-        outcomes.append({"trajectory": i} | outcome)
-        intervals += result.intervals
+    # each block of trajectories runs as one batch; a block's results are
+    # dropped once read, so the events they keep never pile up
+    for indices in anc.circuit_blocks(hamiltonian, cfg, M):
+        for i, (result, outcome) in zip(indices, run(indices)):
+            rows.extend((t, "ancilla_decay") for t in result.clicks)
+            outcomes.append({"trajectory": i} | outcome)
+            intervals += result.intervals
     write_csv(outdir / "clicks.csv", ["t", "channel"], rows)
     with open(outdir / "outcomes.json", "w") as fh:
         json.dump(outcomes, fh, indent=2)
@@ -378,6 +382,39 @@ OPTIONS = {
 }
 
 
+_ENSEMBLE = {"L", "N", "n_max", "seed", "initial_state", "M", "workers", "dt", "target_dp"}
+_RATES = {"gamma", "rate_phaselock", "rate_dephase"}
+_CIRCUIT = {"scheme", "seed", "M", "g_eff", "kappa", "n_max", "t_max"}
+# the options each command reads, each ancilla scheme apart; any other
+# option is rejected, so one a command would ignore cannot pass unnoticed.
+# lindblad-check runs to its last snapshot time and entropy-scan takes
+# gamma from its grid and records at t_max, so neither reads the others.
+ACCEPTED = {
+    "trajectories": _ENSEMBLE | _RATES | {"t_max", "snapshot_times", "n_snapshots"},
+    "entropy-scan": _ENSEMBLE | {"t_max", "gamma_grid", "renyi_orders",
+                                 "fit_l_min", "fit_l_max"},
+    "lindblad-check": _ENSEMBLE | _RATES | {"snapshot_times"},
+    "gutzwiller": {"gamma_grid", "rate_phaselock", "n_max", "dt", "t_max",
+                   "alpha_threshold"},
+    "fit": {"profile_csv", "fit_l_min", "fit_l_max"},
+    "ancilla --scheme dephasing": _CIRCUIT | {"rate_dephase", "n1", "n2"},
+    "ancilla --scheme phaselock": _CIRCUIT | {"h_eff"},
+}
+
+
+def _check_accepted(command: str, spec: dict):
+    """Reject every option, flag or config key, that `command` does not
+    read."""
+    if command == "ancilla":
+        scheme = spec.get("scheme", "dephasing")
+        command = f"ancilla --scheme {scheme}"
+        if command not in ACCEPTED:
+            raise ValueError(f"unknown ancilla scheme {scheme!r}")
+    unread = sorted(set(spec) - ACCEPTED[command])
+    if unread:
+        raise ValueError(f"{command} does not read {', '.join(map(repr, unread))}")
+
+
 def _float_list(text: str) -> list:
     return [float(x) for x in text.split(",") if x]
 
@@ -430,6 +467,7 @@ def parse_spec(argv):
         v = getattr(args, name)
         if v is not None:
             spec[name] = v
+    _check_accepted(args.command, spec)
     spec["command"] = args.command
     root = Path(os.environ.get("BOSETRAJ_OUTPUT", "runs"))
     outdir = Path(args.outdir) if args.outdir else root / args.command

@@ -112,8 +112,9 @@ def _order(kind: str, alpha: float = None):
     """The Renyi order of an entropy kind; None for Von Neumann."""
     if kind not in ("vn", "renyi"):
         raise ValueError(f"unknown entropy kind {kind!r}")
-    if kind == "renyi" and not (alpha is not None and alpha > 0 and alpha != 1):
-        raise ValueError(f"Renyi order must be positive and not 1, got {alpha!r}")
+    if kind == "renyi" and not (alpha is not None and math.isfinite(alpha)
+                                and alpha > 0 and alpha != 1):
+        raise ValueError(f"Renyi order must be finite, positive and not 1, got {alpha!r}")
     return alpha if kind == "renyi" else None
 
 

@@ -8,13 +8,23 @@ ascending).  An interval that reaches a stop (a snapshot time or t_max)
 first ends there exactly, and the pending jump keeps waiting for the
 conditional survival r/p, so one draw per jump stays exact.
 
+The loop advances a batch of trajectories in lockstep, one interval per
+live member per round, each member with its own time, r, next stop and
+Philox stream; a member's results are bitwise those of its batch of one,
+so they depend on neither the batch nor the worker count.
+
 exp(-G tau) comes from one of two propagators, chosen by dimension: one
 dense eigendecomposition per generator (guarded by a reconstruction
 check), or an adaptive Lanczos basis per interval for large sparse real
 symmetric generators, grown until its a-posteriori error bound at the
-sampled tau is below KRYLOV_TOL.  The chain's generator is the real
-symmetric decay operator A; the ancilla circuits (`ancilla.py`) run the
-same event loop on their non-Hermitian i H_nh.
+sampled tau is below KRYLOV_TOL.  The dense propagator solves a round
+for the whole batch at once (one coefficient product, a vectorised
+Newton, one state product), and the round's jumping members have their
+channels chosen together.  Lanczos (and the expm fallback) members
+share no basis, so each takes its own scalar step, and their batches
+hold one member.  The chain's generator is the real symmetric decay
+operator A; the ancilla circuits (`ancilla.py`) run the same event loop
+on their non-Hermitian i H_nh.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ LOG_SKIP = math.log(2.0 * KRYLOV_TOL)  # log error floor above which a step skip
 ORTHO_TOL = 1e-12      # largest |V^H V - I| a bare Lanczos basis may keep
 DGKS_RATIO = math.sqrt(0.5)   # a second Gram-Schmidt pass when ||w|| falls below this
 ROOT_RTOL = 1e-14      # relative accuracy of the survival at the jump time
+BLOCK_AMPLITUDES = 1 << 16   # most amplitudes (members x dim) a batch holds per state array
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,8 @@ class MonitoringConfig:
             raise ValueError("at least one monitoring rate must be positive")
         if not (math.isfinite(self.t_max) and self.t_max >= 0):
             raise ValueError("t_max must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         times = tuple(sorted(float(t) for t in self.snapshot_times))
         if not all(0 <= t <= self.t_max for t in times):
             raise ValueError(f"snapshot times must lie in [0, t_max = {self.t_max}]")
@@ -90,17 +103,13 @@ class Trajectory:
 
 
 class Interval:
-    """exp(-G tau) psi = basis @ rotation @ (exp(-rates tau) * coef), tau >= 0.
-
-    The columns of basis @ rotation are orthonormal unless a Gram matrix
-    is given.
-    """
+    """exp(-G tau) psi = basis @ rotation @ (exp(-rates tau) * coef), tau >= 0,
+    where the columns of basis @ rotation are orthonormal."""
 
     reorthogonalised = False   # a Lanczos basis rebuilt with reorthogonalisation
 
-    def __init__(self, basis, rates, coef, gram=None, rotation=None):
-        self.basis, self.rates, self.coef = basis, rates, coef
-        self.gram, self.rotation = gram, rotation
+    def __init__(self, basis, rates, coef, rotation=None):
+        self.basis, self.rates, self.coef, self.rotation = basis, rates, coef, rotation
 
     def survival(self, tau: float) -> float:
         return self.survival_slope(tau)[0]
@@ -108,9 +117,8 @@ class Interval:
     def survival_slope(self, tau: float):
         """The survival ||exp(-G tau) psi||^2 and its tau-derivative."""
         x = np.exp(-self.rates * tau) * self.coef
-        y = x if self.gram is None else self.gram @ x
-        return (float(np.vdot(x, y).real),
-                -2.0 * float(np.vdot(self.rates * x, y).real))
+        return (float(np.vdot(x, x).real),
+                -2.0 * float(np.vdot(self.rates * x, x).real))
 
     def states(self, taus) -> np.ndarray:
         """Unnormalised states, one column per tau (a vector for a scalar)."""
@@ -122,6 +130,43 @@ class Interval:
         if self.rotation is not None:
             x = self.rotation @ x
         return self.basis @ x
+
+
+class DenseInterval(Interval):
+    """An interval of `DenseExp`: the basis is its eigenvectors, orthonormal
+    only if gram_t (the transposed Gram matrix V^T conj(V)) is None.  The
+    survival uses the arithmetic of the batched solve, so the slope at a
+    jump time is bitwise the rate `DenseExp.intervals` returned."""
+
+    def __init__(self, basis, rates, coef, gram_t=None):
+        self.basis, self.rates, self.coef, self.gram_t = basis, rates, coef, gram_t
+        self.rotation = None
+
+    def survival_slope(self, tau: float):
+        p, slope = _survival_slopes(self.rates, self.coef[None], self.gram_t,
+                                    np.array([float(tau)]))
+        return float(p[0]), float(slope[0])
+
+
+def _rows(X, M):
+    """X[b] @ M for every row b, each bitwise what that row gives alone: a
+    stacked product, as the rows of a plain X @ M can depend on how many
+    rows X has."""
+    return np.matmul(X[:, None, :], M)[:, 0]
+
+
+def _abs2(x):
+    """|x|^2 elementwise, as a real array."""
+    return (x.conj() * x).real if np.iscomplexobj(x) else x * x
+
+
+def _survival_slopes(rates, coef, gram_t, tau):
+    """Per row: the survival ||exp(-G tau) psi||^2 of the eigen-coefficients
+    `coef` at that row's tau, and its tau-derivative."""
+    x = np.exp(-rates * tau[:, None]) * coef
+    xy = _abs2(x) if gram_t is None else x.conj() * _rows(x, gram_t)
+    rates = rates.conj() if np.iscomplexobj(rates) else rates
+    return xy.real.sum(axis=-1), -2.0 * (rates * xy).real.sum(axis=-1)
 
 
 def _jump_time(interval: Interval, r: float, tau_max: float, start=None):
@@ -150,6 +195,37 @@ def _jump_time(interval: Interval, r: float, tau_max: float, start=None):
         tau = new
 
 
+def _jump_times(rates, coef, gram_t, r, tau_max):
+    """`_jump_time` from tau = 0 for every row of `coef` at once: the same
+    bracket, stopping rule and p > 0 guard, member by member, with each
+    member leaving the iteration once its own root is found.  Returns
+    (tau, rate) arrays, rate NaN where the survival stays above r until
+    tau_max."""
+    tau, rate = tau_max.copy(), np.full(len(r), math.nan)
+    idx = np.flatnonzero(~(_survival_slopes(rates, coef, gram_t, tau_max)[0] >= r))
+    c, lo, hi, t = coef[idx], np.zeros(idx.size), tau_max[idx], np.zeros(idx.size)
+    log_r = np.log(r[idx])
+    # log(p) for p <= 0 (or NaN) is -inf or NaN: either fails every test
+    # below as the scalar solve's -inf does, and no Newton step uses it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while idx.size:
+            p, slope = _survival_slopes(rates, c, gram_t, t)
+            f = np.log(p) - log_r
+            up = f > 0.0
+            lo, hi = np.where(up, t, lo), np.where(up, hi, t)
+            new = np.where((slope < 0.0) & (p > 0.0), t - f * p / slope, math.nan)
+            new = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
+            # found, or the bracket is down to adjacent floats
+            done = (np.abs(f) <= ROOT_RTOL) | (new == t)
+            if done.any():
+                tau[idx[done]], rate[idx[done]] = t[done], -slope[done]
+                keep = ~done
+                idx, c, lo, hi, new, log_r = (idx[keep], c[keep], lo[keep], hi[keep],
+                                              new[keep], log_r[keep])
+            t = new
+    return tau, rate
+
+
 class DenseExp:
     """exp(-G tau) from one eigendecomposition G = V diag(lam) V^-1."""
 
@@ -157,14 +233,14 @@ class DenseExp:
         G = G.toarray() if sp.issparse(G) else np.asarray(G)
         if hermitian:
             lam, V = np.linalg.eigh(G)
-            V_inv, self.gram = V.conj().T, None
+            V_inv, gram = V.conj().T, None
         else:
             lam, V = np.linalg.eig(G)
             try:
                 V_inv = np.linalg.inv(V)
             except np.linalg.LinAlgError:     # no eigenbasis at all
                 V_inv = np.full_like(V, np.nan)
-            self.gram = V.conj().T @ V
+            gram = V.conj().T @ V
         scale = np.linalg.norm(G)
         err = np.linalg.norm((V * lam) @ V_inv - G)
         if not err <= RECON_TOL * scale:
@@ -172,11 +248,29 @@ class DenseExp:
                 f"eigendecomposition of the no-jump generator reconstructs it "
                 f"to {err:.3g} against a norm of {scale:.3g}: defective or "
                 f"ill-conditioned")
-        self.lam, self.V, self.V_inv = lam, V, V_inv
+        self.recon_error = float(err / scale) if scale else 0.0
+        self.lam, self.V = lam, V
+        # the batch's products take the members as rows: coefficients are
+        # psi @ V^-T and states x @ V^T
+        self._coef_of, self._state_of = V_inv.T.copy(), V.T.copy()
+        self._gram_t = None if gram is None else gram.T.copy()
+
+    def intervals(self, psi, r, tau_max):
+        """One interval for every row of psi, each with its own r and
+        tau_max, solved together.  Returns (intervals, tau, rate,
+        unnormalised states at tau), rate NaN where no jump falls before
+        tau_max; every member is bitwise its own batch of one."""
+        coef = _rows(psi, self._coef_of)
+        tau, rate = _jump_times(self.lam, coef, self._gram_t, r, tau_max)
+        phi = _rows(np.exp(-self.lam * tau[:, None]) * coef, self._state_of)
+        ivs = [DenseInterval(self.V, self.lam, c, self._gram_t) for c in coef]
+        return ivs, tau, rate, phi
 
     def interval(self, psi, r, tau_max):
-        iv = Interval(self.V, self.lam, self.V_inv @ psi, self.gram)
-        return (iv, *_jump_time(iv, r, tau_max))
+        """(interval, tau, rate or None): `intervals` for a batch of one."""
+        ivs, tau, rate, _ = self.intervals(psi[None], np.array([r], dtype=float),
+                                           np.array([tau_max], dtype=float))
+        return ivs[0], float(tau[0]), None if math.isnan(rate[0]) else float(rate[0])
 
 
 class ExpmExp:
@@ -465,21 +559,93 @@ def select_jump(phi: np.ndarray, stacked, diagonal: np.ndarray, u: float,
     return stacked.shape[0] // phi.size + j, post / math.sqrt(sites[j])
 
 
-def step(psi: np.ndarray, channels, t: float, t_stop: float, r: float, rng):
-    """One interval of the unraveling, from t to the next jump or to t_stop.
+def _bond_weights_rows(phi: np.ndarray, stacked):
+    """(outputs, weights) of the row blocks of `stacked` on every row of
+    phi: the outputs (members, channels, dim), the weights ||b_k phi||^2.
+    One sparse product for the whole batch, each column of which is
+    bitwise that member's own product."""
+    # C order, so the sums run along contiguous rows for any batch size
+    out = np.ascontiguousarray((stacked @ phi.T).T).reshape(len(phi), -1, phi.shape[1])
+    return out, _abs2(out).sum(axis=-1)
 
-    r is the survival probability the pending jump waits for.  At a jump,
-    rng draws the channel and then the next jump's r; at a stop the
-    pending jump carries over with r/p, p the survival over the interval.
-    Returns (state, time reached, r, channel or None, Interval of the
-    no-jump evolution from psi).
-    """
+
+def _inverse_cdfs(weights: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per row, the channel whose CDF interval over `weights` (dead ones
+    already zero) holds target, clamped onto the first and last live
+    channel; -1 where no channel is live."""
+    cum = np.cumsum(weights, axis=-1)
+    n = weights.shape[-1]
+    # the number of CDF values <= target: a live channel's index, since
+    # the CDF rises there, unless the target is at or past its end (or NaN)
+    k = n - (cum > np.maximum(target, 0.0)[:, None]).sum(axis=-1)
+    for i in np.flatnonzero(k == n).tolist():
+        live = np.flatnonzero(weights[i] > 0.0)
+        k[i] = live[-1] if live.size else -1
+    return k
+
+
+def _take(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """x[rows], with no copy when rows is every row in order."""
+    return x if rows.size == len(x) else x[rows]
+
+
+def _select_rows(phi: np.ndarray, stacked, diagonal: np.ndarray, u: np.ndarray,
+                 total: np.ndarray = None):
+    """`select_jump` for every row of phi at once, each with its own draw
+    in u and total (if given): the same weights, dead-channel clamp,
+    bond-share shortcut and inverse CDF, vectorised over the members, with
+    the bonds of all members that need them weighed by one sparse product.
+    Returns (channels, normalised post-jump states); each member's choice
+    is bitwise what it gets alone."""
+    B, dim = phi.shape
+    sites = _rows(_abs2(phi), diagonal)
+    total = np.full(B, math.nan) if total is None else np.array(total, dtype=float)
+    bonds, outs = np.zeros((B, stacked.shape[0] // dim)), [None] * B
+
+    def weigh(rows):
+        out, bonds[rows] = _bond_weights_rows(_take(phi, rows), stacked)
+        for m, o in zip(rows.tolist(), out):
+            outs[m] = o
+
+    missing = ~(total > 0.0)
+    if missing.any():
+        rows = np.flatnonzero(missing)
+        weigh(rows)
+        total[rows] = bonds[rows].sum(axis=-1) + sites[rows].sum(axis=-1)
+    sites[sites <= CHANNEL_EPS * total[:, None]] = 0.0
+    target = u * total
+    bond_share = total - sites.sum(axis=-1)
+    k, post = np.full(B, -1), np.empty_like(phi)
+    rows = np.flatnonzero(target < bond_share)
+    if rows.size:
+        if not missing[rows].all():
+            weigh(rows[~missing[rows]])
+        w = bonds[rows]
+        w[w <= CHANNEL_EPS * total[rows, None]] = 0.0
+        k[rows] = _inverse_cdfs(w, target[rows])
+        for i, m in enumerate(rows.tolist()):
+            if k[m] >= 0:
+                post[m] = outs[m][k[m]] / math.sqrt(w[i, k[m]])
+    rows = np.flatnonzero(k < 0)
+    if rows.size:
+        j = _inverse_cdfs(sites[rows], target[rows] - bond_share[rows])
+        if (j < 0).any():
+            raise NumericGuardError("jump selected but every channel amplitude is zero")
+        k[rows] = bonds.shape[1] + j
+        post[rows] = (np.sqrt(diagonal.T[j]) * _take(phi, rows)
+                      / np.sqrt(sites[rows, j])[:, None])
+    return k, post
+
+
+def _step(psi: np.ndarray, channels, t: float, t_stop: float, r: float, rng):
+    """One member's interval with its propagator's own `interval`: the
+    round of a propagator whose members share no basis."""
     iv, tau, rate = channels.propagator.interval(psi, r, t_stop - t)
     phi = iv.states(tau)
     if rate is None:
         p = float(np.vdot(phi, phi).real)
         t_new = t_stop if tau == t_stop - t else t + tau
-        return phi / math.sqrt(p), t_new, r / p, None, iv
+        return phi / math.sqrt(p), t_new, r / p, -1, iv
     # the survival's decay rate -dP/dtau is the total channel weight: with
     # both kinds of channel, a site can be chosen without the bond products
     total = rate if channels.stacked.shape[0] and channels.diagonal.shape[1] else None
@@ -487,33 +653,125 @@ def step(psi: np.ndarray, channels, t: float, t_stop: float, r: float, rng):
     return out, t + tau, 1.0 - rng.random(), k, iv
 
 
+def _advance(psi: np.ndarray, channels, t, t_stop, r, rngs):
+    """One interval of the unraveling for every row of psi, from t to that
+    member's next jump or its t_stop.
+
+    r is the survival probability each pending jump waits for.  At a
+    jump, the member's rng draws the channel and then the next jump's r;
+    at a stop the pending jump carries over with r/p, p the survival over
+    the interval.  The dense propagator solves the round for all members
+    at once and their channels are chosen together; the others (Lanczos,
+    expm) share no basis between members, so each member takes `_step`.
+    Returns (states, times reached, r, channel per member (-1 for none),
+    Interval per member of the no-jump evolution from psi).
+    """
+    if not isinstance(channels.propagator, DenseExp):
+        steps = [_step(p, channels, *member) for p, *member in zip(psi, t.tolist(),
+                                                                   t_stop.tolist(),
+                                                                   r.tolist(), rngs)]
+        out, t_new, r_new, k, ivs = zip(*steps)
+        return np.array(out), np.array(t_new), np.array(r_new), np.array(k), list(ivs)
+    tau_max = t_stop - t
+    ivs, tau, rate, phi = channels.propagator.intervals(psi, r, tau_max)
+    jumped = ~np.isnan(rate)
+    stay, hit = np.flatnonzero(~jumped), np.flatnonzero(jumped)
+    out = np.empty_like(phi) if stay.size and hit.size else None
+    t_new, r_new, k = t + tau, r.copy(), np.full(len(psi), -1)
+    if stay.size:
+        kept = _take(phi, stay)
+        p = _abs2(kept).sum(axis=-1)
+        kept = kept / np.sqrt(p)[:, None]
+        if out is None:
+            out = kept
+        else:
+            out[stay] = kept
+        t_new[stay] = np.where(tau[stay] == tau_max[stay], t_stop[stay], t_new[stay])
+        r_new[stay] = r[stay] / p
+    if hit.size:
+        u = np.array([rngs[m].random() for m in hit.tolist()])
+        both = channels.stacked.shape[0] and channels.diagonal.shape[1]
+        k[hit], post = _select_rows(_take(phi, hit), channels.stacked, channels.diagonal, u,
+                                    rate[hit] if both else None)
+        if out is None:
+            out = post
+        else:
+            out[hit] = post
+        r_new[hit] = [1.0 - rngs[m].random() for m in hit.tolist()]
+    return out, t_new, r_new, k, ivs
+
+
+def step(psi: np.ndarray, channels, t: float, t_stop: float, r: float, rng):
+    """`_advance` for one state: (state, time reached, r, channel or None,
+    Interval of the no-jump evolution from psi)."""
+    out, t_new, r_new, k, ivs = _advance(psi[None], channels, np.array([t], dtype=float),
+                                         np.array([t_stop], dtype=float),
+                                         np.array([r], dtype=float), [rng])
+    return out[0], float(t_new[0]), float(r_new[0]), None if k[0] < 0 else int(k[0]), ivs[0]
+
+
 @dataclass
 class Event:
-    """One interval of `unravel`: [t0, t], ending in a jump on `channel`
-    or at a stop (channel None)."""
+    """One interval of a member of the event loop: [t0, t], ending in a
+    jump on `channel` or at a stop (channel None)."""
     t0: float
     t: float
     channel: int
     psi: np.ndarray            # normalised state at t, after any jump
     interval: Interval         # no-jump evolution from the state at t0
+    member: int = 0            # row of the batch
 
 
-def unravel(psi: np.ndarray, channels, t_max: float, rng, stops=()):
-    """Exact event loop: yield one Event per interval up to t_max.
+def unravel_batch(psi: np.ndarray, channels, t_max: float, rngs, stops=(),
+                  max_jumps: int = None):
+    """Exact event loop for a batch of trajectories in lockstep: each round
+    advances every live member by one interval and yields the round's
+    Events, in member order.
 
+    psi holds one start state per row and rngs one stream per member.
     Intervals end exactly at every stop time (ascending, in [0, t_max])
-    and at t_max.
+    and at t_max; a member leaves the batch at t_max, or after its
+    max_jumps-th jump if given.
     channels supplies `propagator` (exp(-G tau) for the no-jump
     generator G) and the jump operators in channel order: `stacked`, one
     block of rows per channel, then the diagonal ones as the columns of
     `diagonal` (see `select_jump`).
     """
-    t, r = 0.0, 1.0 - rng.random()
-    for t_stop in [*stops, t_max]:
-        while t < t_stop:
-            t0 = t
-            psi, t, r, k, iv = step(psi, channels, t0, t_stop, r, rng)
-            yield Event(t0, t, k, psi, iv)
+    ends = np.array([*stops, t_max], dtype=float)
+    # the live members' rows, compacted as members leave; no array is
+    # written after a round yields it, so an Event's state stays as it was
+    live, t = np.arange(len(psi)), np.zeros(len(psi))
+    r = np.array([1.0 - rng.random() for rng in rngs])
+    jumps = np.zeros(len(psi), dtype=int)
+    while True:
+        # each member's next stop: the first one after its time
+        stop = np.searchsorted(ends, t, side="right")
+        going = stop < len(ends)
+        if not going.all():
+            live, psi, t, r, jumps, stop = (x[going] for x in (live, psi, t, r, jumps, stop))
+            if not live.size:
+                return
+        members = live.tolist()
+        out, t_new, r, k, ivs = _advance(psi, channels, t, ends[stop], r,
+                                         [rngs[m] for m in members])
+        yield [Event(a, b, None if c < 0 else c, p, iv, m)
+               for a, b, c, p, iv, m in zip(t.tolist(), t_new.tolist(), k.tolist(),
+                                            out, ivs, members)]
+        psi, t = out, t_new
+        del ivs     # a Lanczos interval holds its whole basis: free it before the next round
+        if max_jumps is not None:
+            jumps += k >= 0
+            going = jumps < max_jumps
+            if not going.all():
+                live, psi, t, r, jumps = (x[going] for x in (live, psi, t, r, jumps))
+                if not live.size:
+                    return
+
+
+def unravel(psi: np.ndarray, channels, t_max: float, rng, stops=()):
+    """`unravel_batch` for one trajectory: yield its Events one by one."""
+    for events in unravel_batch(psi[None], channels, t_max, [rng], stops):
+        yield from events
 
 
 def trajectory_rng(master_seed: int, traj_index: int):
@@ -522,15 +780,33 @@ def trajectory_rng(master_seed: int, traj_index: int):
     return np.random.Generator(np.random.Philox(ss))
 
 
+def batch_size(propagator, dim: int) -> int:
+    """The members a batch holds.  A dense propagator solves a round for
+    the whole batch, so its batches hold up to BLOCK_AMPLITUDES amplitudes
+    (members x dim), which bounds their working arrays at any M and dim.
+    The others solve member by member: a batch would share nothing but its
+    bookkeeping, which costs more than it saves, so they hold one."""
+    return max(1, BLOCK_AMPLITUDES // dim) if isinstance(propagator, DenseExp) else 1
+
+
+def blocks(M: int, size: int, workers: int = 1) -> list:
+    """Trajectory indices 0..M-1 in consecutive blocks of at most `size`,
+    each run as one batch, and of at most M / workers, so every worker
+    gets a share.  No member depends on its block."""
+    size = max(1, min(size, -(-M // workers)))
+    return [range(i, min(i + size, M)) for i in range(0, M, size)]
+
+
 def _check_state(basis: FockBasis, psi0: np.ndarray):
     if np.shape(psi0) != (basis.dim,):
         raise ValueError(f"psi0 of shape {np.shape(psi0)} is not a state of dim {basis.dim}")
 
 
-def run_trajectory(basis: FockBasis, psi0: np.ndarray, cfg: MonitoringConfig,
-                   channels: JumpChannels = None, traj_index: int = 0) -> Trajectory:
-    """Evolve one trajectory from the amplitudes psi0 over `basis`;
-    deterministic given (cfg.seed, traj_index).
+def run_batch(basis: FockBasis, psi0: np.ndarray, cfg: MonitoringConfig,
+              indices, channels: JumpChannels = None) -> list:
+    """Evolve the trajectories `indices` from the amplitudes psi0 over
+    `basis` in lockstep; each is deterministic given (cfg.seed, its
+    index) and bitwise what `run_trajectory` gives it alone.
 
     Snapshots are taken at exactly the requested times.  The states keep
     psi0's dtype: every chain operator is real.
@@ -539,23 +815,40 @@ def run_trajectory(basis: FockBasis, psi0: np.ndarray, cfg: MonitoringConfig,
     if channels is None:
         channels = JumpChannels(basis, cfg.rate_phaselock, cfg.rate_dephase)
     psi = psi0 / np.linalg.norm(psi0)
-    snapshots = [(s, psi.copy()) for s in cfg.snapshot_times if s <= 0.0]
-    pending = list(cfg.snapshot_times[len(snapshots):])
-    jumps, sizes, reruns = [], [], 0   # sizes: propagator basis per interval
-    for ev in unravel(psi, channels, cfg.t_max, trajectory_rng(cfg.seed, traj_index),
-                      stops=pending):
-        sizes.append(ev.interval.basis.shape[1])
-        reruns += ev.interval.reorthogonalised
-        psi = ev.psi
-        if ev.channel is not None:
-            kind, site = channels.labels[ev.channel]
-            jumps.append(JumpRecord(time=ev.t, kind=kind, site=site))
-        while pending and pending[0] <= ev.t:
-            snapshots.append((pending.pop(0), psi.copy()))
+    at_start = [(s, psi.copy()) for s in cfg.snapshot_times if s <= 0.0]
+    pending = cfg.snapshot_times[len(at_start):]
     lanczos = isinstance(channels.propagator, KrylovExp)
-    return Trajectory(jumps=jumps, snapshots=snapshots, final_state=psi,
-                      n_steps=len(sizes), krylov_dims=tuple(sizes) if lanczos else (),
-                      reorth_reruns=reruns)
+    trajs = [Trajectory(jumps=[], snapshots=list(at_start), final_state=psi, n_steps=0)
+             for _ in indices]
+    sizes = [[] for _ in indices]      # propagator basis per interval
+    rngs = [trajectory_rng(cfg.seed, i) for i in indices]
+    for events in unravel_batch(np.tile(psi, (len(rngs), 1)), channels, cfg.t_max, rngs,
+                                stops=pending):
+        for ev in events:
+            traj = trajs[ev.member]
+            traj.n_steps += 1
+            if lanczos:
+                sizes[ev.member].append(ev.interval.basis.shape[1])
+                traj.reorth_reruns += ev.interval.reorthogonalised
+            if ev.channel is not None:
+                kind, site = channels.labels[ev.channel]
+                traj.jumps.append(JumpRecord(time=ev.t, kind=kind, site=site))
+            n = len(traj.snapshots) - len(at_start)
+            while n < len(pending) and pending[n] <= ev.t:
+                traj.snapshots.append((pending[n], ev.psi.copy()))
+                n += 1
+            traj.final_state = ev.psi
+        events = ev = None      # free the round's intervals before the next is built
+    for traj, size in zip(trajs, sizes):
+        traj.final_state = traj.final_state.copy()
+        traj.krylov_dims = tuple(size)
+    return trajs
+
+
+def run_trajectory(basis: FockBasis, psi0: np.ndarray, cfg: MonitoringConfig,
+                   channels: JumpChannels = None, traj_index: int = 0) -> Trajectory:
+    """One trajectory: `run_batch` for a batch of one."""
+    return run_batch(basis, psi0, cfg, (traj_index,), channels=channels)[0]
 
 
 @dataclass
@@ -570,6 +863,8 @@ class EnsembleResult:
     krylov_dims: np.ndarray = None      # Lanczos size of every interval, in order
     reorth_reruns: np.ndarray = None    # (M,) Lanczos intervals rebuilt, per trajectory
     basis: FockBasis = field(repr=False, default=None)
+    propagator: str = "dense"           # "dense" or "lanczos"
+    recon_error: float = None           # the dense decomposition's relative error
 
     def states_at(self, t: float) -> np.ndarray:
         """The (M, dim) states at the exact requested snapshot time t."""
@@ -579,7 +874,7 @@ class EnsembleResult:
             raise KeyError(f"no snapshot at t={t}; have {sorted(self.states)}") from None
 
 
-_WORKER_CTX = {}     # run_trajectory's arguments but traj_index, per worker
+_WORKER_CTX = {}     # run_batch's arguments but the indices, per worker
 
 
 def _summary(traj: Trajectory):
@@ -588,45 +883,48 @@ def _summary(traj: Trajectory):
             traj.krylov_dims, traj.reorth_reruns)
 
 
-def _worker_run(i):
-    return i, _summary(run_trajectory(traj_index=i, **_WORKER_CTX))
+def _run_block(indices, ctx):
+    return [_summary(traj) for traj in run_batch(indices=indices, **ctx)]
+
+
+def _worker_run(indices):
+    return _run_block(indices, _WORKER_CTX)
 
 
 def run_ensemble(basis: FockBasis, psi0: np.ndarray, cfg: MonitoringConfig,
                  M: int, workers: int = 1,
                  channels: JumpChannels = None) -> EnsembleResult:
-    """M independent trajectories; aggregation order is by trajectory
-    index, so results are identical for any worker count."""
+    """M independent trajectories, run in blocks of indices (see
+    `batch_size` and `blocks`); aggregation order is by trajectory index, and no member
+    depends on its block, so results are identical for any worker count."""
     if M < 1:
         raise ValueError("need at least one trajectory")
     _check_state(basis, psi0)
     if channels is None:
         channels = JumpChannels(basis, cfg.rate_phaselock, cfg.rate_dephase)
-    results = [None] * M
+    ctx = dict(basis=basis, psi0=psi0, cfg=cfg, channels=channels)
+    chunks = blocks(M, batch_size(channels.propagator, basis.dim), workers)
     if workers <= 1:
-        for i in range(M):
-            results[i] = _summary(run_trajectory(basis, psi0, cfg, channels=channels,
-                                                 traj_index=i))
+        results = [s for indices in chunks for s in _run_block(indices, ctx)]
     else:
-        ctx = mp.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
+        with ProcessPoolExecutor(max_workers=workers, mp_context=mp.get_context("fork"),
                                  initializer=_WORKER_CTX.update,
-                                 initargs=(dict(basis=basis, psi0=psi0, cfg=cfg,
-                                                channels=channels),)) as pool:
-            for i, summary in pool.map(_worker_run, range(M),
-                                       chunksize=max(1, M // (workers * 8))):
-                results[i] = summary
+                                 initargs=(ctx,)) as pool:
+            results = [s for block in pool.map(_worker_run, chunks) for s in block]
 
     by_kind = {k: np.array([r[1][k] for r in results]) for k in JumpKind}
     states = {t: np.array([r[0][k][1] for r in results])
               for k, (t, _) in enumerate(results[0][0])}
+    prop = channels.propagator
     return EnsembleResult(config=cfg, M=M, snapshot_times=tuple(sorted(states)),
                           states=states, jump_counts=sum(by_kind.values()),
                           jumps_by_kind=by_kind,
                           intervals=np.array([r[2] for r in results]),
                           krylov_dims=np.array([d for r in results for d in r[3]], dtype=int),
                           reorth_reruns=np.array([r[4] for r in results]),
-                          basis=basis)
+                          basis=basis,
+                          propagator="lanczos" if isinstance(prop, KrylovExp) else "dense",
+                          recon_error=getattr(prop, "recon_error", None))
 
 
 def default_initial_state(basis: FockBasis) -> np.ndarray:

@@ -21,7 +21,9 @@ from bosetraj.ancilla import (
     first_click_rate,
     phaselock_hamiltonian,
     run_dephasing_circuit,
+    run_dephasing_circuits,
     run_phaselock_circuit,
+    run_phaselock_circuits,
     superposition_cavity_state,
     _pair_entropy,
 )
@@ -255,6 +257,53 @@ class TestExceptionalPoint:
         assert checked >= 2
 
 
+class TestLockstepBatch:
+    """All trajectories of a circuit run advance in lockstep; each is bitwise
+    its own batch of one, including a stop after some clicks and the expm
+    fallback at an exceptional point."""
+
+    @pytest.mark.parametrize("cfg,stop", [
+        (CircuitConfig(g_eff=1.0, kappa=50.0, n_max=4, t_max=100.0, seed=1), None),
+        (CircuitConfig(g_eff=1.0, kappa=50.0, n_max=4, t_max=100.0, seed=1), 1),
+        (CircuitConfig(g_eff=1.0, kappa=20.0, n_max=2, t_max=50.0, seed=3), 2),
+        (CircuitConfig(g_eff=1.0, kappa=5.0, n_max=4, t_max=20.0, seed=3), None),
+    ], ids=["phaselock", "stop_after_one", "stop_after_two", "expm"])
+    @pytest.mark.parametrize("B", [1, 3, 7])
+    def test_phaselock_members_match_their_batch_of_one(self, cfg, stop, B):
+        expected = "expm" if cfg.kappa == 5.0 else "dense"
+        assert ancilla.circuit_propagator(phaselock_hamiltonian, cfg) == expected
+        batch = run_phaselock_circuits(cfg, range(2, 2 + B), stop_after_clicks=stop)
+        assert B == 1 or sum(len(traj.clicks) for traj in batch) > 0
+        for i, traj in enumerate(batch):
+            alone = run_phaselock_circuit(cfg, traj_index=2 + i, stop_after_clicks=stop)
+            assert traj.clicks == alone.clicks and traj.intervals == alone.intervals
+            if stop is not None:
+                assert len(traj.clicks) <= stop
+            np.testing.assert_array_equal(traj.final_state, alone.final_state)
+            for a, b in zip(traj.click_events, alone.click_events):
+                assert (a.t0, a.t) == (b.t0, b.t)
+                np.testing.assert_array_equal(a.psi, b.psi)
+                np.testing.assert_array_equal(a.interval.states(a.t - a.t0),
+                                              b.interval.states(b.t - b.t0))
+
+    @pytest.mark.parametrize("cfg,levels", [
+        (CircuitConfig(g_eff=1.0, kappa=500.0, n_max=4, t_max=400.0, seed=6), (1, 3)),
+        (CircuitConfig(g_eff=1.0, kappa=4.0, n_max=4, t_max=3.0, seed=6), (1, 4)),
+    ], ids=["dense", "expm"])
+    @pytest.mark.parametrize("B", [1, 3, 7])
+    def test_dephasing_members_match_their_batch_of_one(self, cfg, levels, B):
+        expected = "expm" if cfg.kappa == 4.0 else "dense"
+        assert ancilla.circuit_propagator(dephasing_hamiltonian, cfg) == expected
+        psi0 = superposition_cavity_state(*levels, cfg.n_max)
+        batch = run_dephasing_circuits(cfg, psi0, range(B))
+        assert B == 1 or sum(out.click_count for out in batch) > 0
+        for i, out in enumerate(batch):
+            alone = run_dephasing_circuit(cfg, psi0, traj_index=i)
+            assert (out.clicks, out.collapsed_to, out.dominant_weight, out.intervals) == \
+                (alone.clicks, alone.collapsed_to, alone.dominant_weight, alone.intervals)
+            np.testing.assert_array_equal(out.events[-1].psi, alone.events[-1].psi)
+
+
 class TestPairEntropy:
     def test_product_state_zero(self):
         d1 = 3
@@ -313,10 +362,10 @@ class TestLazyDiagnostics:
     @pytest.fixture
     def counts(self, monkeypatch):
         """Calls of `_pair_entropy`, of `Interval.states` (scalar and grid
-        arguments apart) and of the event loop's `step` from now on."""
-        calls = {"pair_entropy": 0, "states": 0, "grid_states": 0, "steps": 0}
+        arguments apart) and of the event loop's rounds from now on."""
+        calls = {"pair_entropy": 0, "states": 0, "grid_states": 0, "rounds": 0}
         pair_entropy, states = ancilla._pair_entropy, trajectory.Interval.states
-        step = trajectory.step
+        advance = trajectory._advance
 
         def counted_pair_entropy(*args):
             calls["pair_entropy"] += 1
@@ -326,30 +375,30 @@ class TestLazyDiagnostics:
             calls["grid_states" if np.ndim(taus) else "states"] += 1
             return states(self, taus)
 
-        def counted_step(*args):
-            calls["steps"] += 1
-            return step(*args)
+        def counted_advance(*args):
+            calls["rounds"] += 1
+            return advance(*args)
 
         monkeypatch.setattr(ancilla, "_pair_entropy", counted_pair_entropy)
         monkeypatch.setattr(trajectory.Interval, "states", counted_states)
-        monkeypatch.setattr(trajectory, "step", counted_step)
+        monkeypatch.setattr(trajectory, "_advance", counted_advance)
         return calls
 
     @pytest.mark.parametrize("scheme,args", [("dephasing", ("--t-max", "400.0")),
                                              ("phaselock", ("--kappa", "50.0"))])
     def test_cli_run_computes_no_unread_diagnostic(self, tmp_path, counts, scheme, args):
-        # the CLI reads clicks and final states: one state per interval
-        # (the step's own) and one pair entropy per phase-lock trajectory
-        # (its final entropy), none per click and no occupation grid
+        # the CLI reads clicks and final states: the batched rounds form
+        # every state themselves, and one pair entropy per phase-lock
+        # trajectory (its final entropy) is taken, none per click and no
+        # occupation grid
         M = 6
         code = cli.main(["ancilla", "--scheme", scheme, "--M", str(M), "--seed", "2",
                          *args, "--outdir", str(tmp_path)])
         assert code == cli.EXIT_OK
         assert len((tmp_path / "clicks.csv").read_text().splitlines()) > 1
-        assert counts["steps"] > M
+        assert counts["rounds"] > 1
         assert counts == {"pair_entropy": M if scheme == "phaselock" else 0,
-                          "states": counts["steps"], "grid_states": 0,
-                          "steps": counts["steps"]}
+                          "states": 0, "grid_states": 0, "rounds": counts["rounds"]}
 
     @pytest.mark.parametrize("cfg,levels,indices", [
         (CircuitConfig(g_eff=1.0, kappa=500.0, n_max=3, t_max=1500.0, seed=3),

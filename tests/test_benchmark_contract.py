@@ -8,6 +8,7 @@ module that `import bosetraj` loads.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -45,6 +46,29 @@ def test_benchmark_argv_parses(monkeypatch, size):
             assert command == call.argv[0] and command in cli.COMMANDS
             flags = {a[2:].replace("-", "_") for a in call.argv if a.startswith("--")}
             assert flags <= set(spec), (workload.name, flags - set(spec))
+
+
+@pytest.mark.parametrize("name", ["transition_scan", "small_systems", "meanfield_sweep"])
+def test_traced_round_reads_every_layer_metric(monkeypatch, tmp_path, name):
+    # one tiny round through the CLI under the tracer: every call exits as
+    # its workload allows, and no per-layer metric reads null or non-finite
+    # (a null metric makes the harness print no result)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    import workloads
+
+    workload = workloads.WORKLOADS[name]
+    tr = tracer.Tracer()
+    round_ = tr.install()
+    try:
+        for i, call in enumerate(workload.calls(1, workload.sizes["tiny"])):
+            code = cli.main([*call.argv, "--outdir", str(tmp_path / f"call{i}")])
+            assert code in call.ok_exits, (name, call.argv[0], code)
+    finally:
+        tr.uninstall()
+    metrics = tracer.layer_metrics([round_])
+    bad = {k: v for k, v in metrics.items() if v is None or not math.isfinite(v)}
+    assert not bad, (name, bad)
 
 
 def _tiny_runs(tmp_path):

@@ -84,6 +84,11 @@ class TestTrajectories:
         assert manifest["jumps_phaselock_mean"] + manifest["jumps_dephase_mean"] \
             == pytest.approx(manifest["jump_count_mean"], rel=1e-12)
         assert manifest["intervals_mean"] >= manifest["jump_count_mean"]
+        # the dense propagator and its reconstruction error, which the guard
+        # compares with RECON_TOL
+        assert manifest["propagator"] == "dense"
+        assert 0.0 <= manifest["recon_error"] <= trajectory.RECON_TOL
+        assert "krylov_dim_mean" not in manifest
         prof = read_csv(outdir / "profile.csv")
         assert set(prof[0]) == {"gamma", "L", "t", "l", "kind", "alpha",
                                 "mean", "stderr", "M"}
@@ -158,6 +163,7 @@ class TestDeterminism:
         for name in ("manifest.json", "profile.csv", "fits.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         for c in json.loads((out1 / "manifest.json").read_text())["counters_by_gamma"]:
+            assert c["propagator"] == "lanczos" and "recon_error" not in c
             assert 1 <= c["krylov_dim_mean"] <= c["krylov_dim_max"] <= trajectory.KRYLOV_MAX
             assert 0 <= c["reorth_reruns"] <= 3 * c["intervals_mean"]
 
@@ -188,6 +194,8 @@ class TestEntropyScanAndFit:
                 == pytest.approx(c["jump_count_mean"], rel=1e-12)
             assert "krylov_dim_mean" not in c     # dim 35: dense propagator
             assert "reorth_reruns" not in c
+            assert c["propagator"] == "dense"
+            assert 0.0 <= c["recon_error"] <= trajectory.RECON_TOL
         # a standalone re-fit of the emitted profile reproduces the fits
         code2, outdir2 = run_cli(tmp_path / "refit", "fit",
                                  "--profile-csv", str(outdir / "profile.csv"))
@@ -284,6 +292,8 @@ class TestLindbladCheck:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["jumps_phaselock_mean"] + manifest["jumps_dephase_mean"] \
             == pytest.approx(manifest["jump_count_mean"], rel=1e-12)
+        assert manifest["propagator"] == "dense"
+        assert 0.0 <= manifest["recon_error"] <= trajectory.RECON_TOL
 
     def test_builds_each_jump_once(self, tmp_path, monkeypatch):
         # the trajectories and the Lindblad generator share the sector's
@@ -322,13 +332,14 @@ class TestAncilla:
         assert code == EXIT_VALIDATION
 
     def test_dephasing_reads_n_max(self, tmp_path, monkeypatch):
+        # both trajectories run as one batch, at the given cutoff
         cutoffs = []
-        run = ancilla.run_dephasing_circuit
-        monkeypatch.setattr(ancilla, "run_dephasing_circuit",
+        run = ancilla.run_dephasing_circuits
+        monkeypatch.setattr(ancilla, "run_dephasing_circuits",
                             lambda cfg, *a, **k: cutoffs.append(cfg.n_max) or run(cfg, *a, **k))
         code, outdir = run_cli(tmp_path, "ancilla", "--scheme", "dephasing", "--M", "2",
                                "--n-max", "6", "--t-max", "10.0")
-        assert code == EXIT_OK and cutoffs == [6, 6]
+        assert code == EXIT_OK and cutoffs == [6]
         outcomes = json.loads((outdir / "outcomes.json").read_text())
         assert {o["collapsed_to"] for o in outcomes} <= {1, 3}
 
@@ -426,6 +437,23 @@ class TestValidateBeforeManifest:
         ("trajectories", "--L", "3", "--M", "2", "--t-max", "1", "--snapshot-times", "5"),
         ("trajectories", "--L", "3", "--M", "2", "--t-max", "1", "--n-snapshots", "0"),
         ("ancilla", "--n-max", "2", "--n2", "3", "--M", "2"),
+        ("trajectories", "--L", "3", "--M", "2", "--t-max", "0.1", "--seed=-1"),
+        ("ancilla", "--M", "2", "--t-max", "1", "--seed=-3"),
+        ("entropy-scan", "--L", "4", "--M", "2", "--t-max", "0.1", "--gamma-grid", "1",
+         "--renyi-orders", "inf"),
+        ("entropy-scan", "--L", "4", "--M", "2", "--t-max", "0.1", "--gamma-grid", "1",
+         "--renyi-orders", "2,nan"),
+        # options the command would not read
+        ("entropy-scan", "--L", "4", "--M", "2", "--gamma-grid", "1", "--t-max", "0.1",
+         "--snapshot-times", "5"),
+        ("ancilla", "--scheme", "dephasing", "--M", "5", "--t-max", "50", "--gamma", "3",
+         "--L", "9"),
+        ("ancilla", "--scheme", "dephasing", "--M", "2", "--t-max", "50", "--h-eff", "5"),
+        ("ancilla", "--scheme", "phaselock", "--M", "2", "--n1", "2"),
+        ("lindblad-check", "--L", "3", "--M", "4", "--snapshot-times", "0.5",
+         "--t-max", "5"),
+        ("gutzwiller", "--gamma-grid", "0,6", {"seed": 3}),
+        ("fit", "--profile-csv", "profile.csv", "--M", "3"),
     ], ids=["gutzwiller-t_max", "gutzwiller-rate_phaselock", "gutzwiller-gamma",
             "entropy_scan-gamma", "ancilla-kappa", "ancilla-scheme",
             "trajectories-initial_state", "lindblad_check-initial_state",
@@ -442,7 +470,12 @@ class TestValidateBeforeManifest:
             "gutzwiller-zero_threshold", "gutzwiller-empty_grid",
             "gutzwiller-empty_config_grid", "gutzwiller-inf_gamma",
             "trajectories-snapshot_after_t_max", "trajectories-zero_snapshots",
-            "ancilla-dephasing_n_max"])
+            "ancilla-dephasing_n_max", "trajectories-negative_seed",
+            "ancilla-negative_seed", "entropy_scan-infinite_renyi_order",
+            "entropy_scan-nan_renyi_order", "entropy_scan-grid",
+            "ancilla-dephasing_chain_options", "ancilla-dephasing_h_eff",
+            "ancilla-phaselock_n1", "lindblad_check-t_max", "gutzwiller-config_seed",
+            "fit-M"])
     def test_rejected_run_leaves_no_manifest(self, tmp_path, args):
         if isinstance(args[-1], dict):      # the content of a config file
             cfg_file = tmp_path / "config.json"
@@ -470,17 +503,13 @@ class TestValidateBeforeManifest:
 
     @pytest.mark.parametrize("args,times", [
         (("lindblad-check", "--L", "2", "--M", "4", "--snapshot-times", "20"), {"20.0"}),
-        (("entropy-scan", "--L", "4", "--M", "2", "--gamma-grid", "1", "--t-max", "0.1",
-          "--snapshot-times", "5"), {"0.1"}),
-    ], ids=["lindblad_check", "entropy_scan"])
+    ], ids=["lindblad_check"])
     def test_overridden_grid_is_not_checked(self, tmp_path, args, times):
-        # lindblad-check runs to its last snapshot time and entropy-scan
-        # records at t_max only, so neither checks the given snapshot times
-        # against t_max
+        # lindblad-check runs to its last snapshot time, so it does not
+        # check the given snapshot times against t_max
         code, outdir = run_cli(tmp_path, *args)
         assert code in (EXIT_OK, EXIT_COMPARISON)
-        name = "observables.csv" if args[0] == "lindblad-check" else "profile.csv"
-        assert {r["t"] for r in read_csv(outdir / name)} == times
+        assert {r["t"] for r in read_csv(outdir / "observables.csv")} == times
 
 
 def test_observable_writer_holds_no_dense_operator(tmp_path):

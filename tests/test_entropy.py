@@ -202,6 +202,9 @@ class TestEntropyFunctions:
             renyi(p, 1.0)
         with pytest.raises(ValueError):
             renyi(p, -2.0)
+        for alpha in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                renyi(p, alpha)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)

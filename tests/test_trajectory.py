@@ -529,6 +529,115 @@ class TestDeterminism:
         assert not np.array_equal(a, c)
 
 
+def assert_same_trajectory(a, b):
+    """Every field of two Trajectory results, bitwise."""
+    assert a.jumps == b.jumps                 # kinds, sites and exact times
+    assert [t for t, _ in a.snapshots] == [t for t, _ in b.snapshots]
+    for (_, x), (_, y) in zip(a.snapshots, b.snapshots):
+        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(a.final_state, b.final_state)
+    assert (a.n_steps, a.krylov_dims, a.reorth_reruns) == \
+        (b.n_steps, b.krylov_dims, b.reorth_reruns)
+
+
+class TestLockstepBatch:
+    """A batch advances its members round by round; each member is bitwise
+    its own batch of one, whatever the batch size, so results depend on
+    neither the block layout nor the worker count."""
+
+    @pytest.mark.parametrize("L,rates,state,t_max", [
+        (3, (1.0, 0.7), "fock", 1.5),
+        (3, (1.0, 0.0), "fock", 1.5),
+        (3, (0.0, 1.0), "mixed", 1.5),
+        (7, (1.0, 2.0), "fock", 0.3),
+    ], ids=["dense-both", "dense-phaselock", "dense-dephase", "lanczos"])
+    @pytest.mark.parametrize("B", [1, 3, 7])
+    def test_members_match_their_batch_of_one(self, L, rates, state, t_max, B):
+        basis = build_basis(L=L, N=L, n_max=3)
+        psi0 = default_initial_state(basis)
+        if state == "mixed":        # a superposition, so dephasing jumps act
+            psi0 = psi0 + fock_state(basis, (2, 0, 1)) + 0.5 * fock_state(basis, (0, 3, 0))
+        cfg = MonitoringConfig(rate_phaselock=rates[0], rate_dephase=rates[1],
+                               t_max=t_max, seed=12, snapshot_times=(0.0, t_max / 3))
+        channels = JumpChannels(basis, *rates)
+        assert isinstance(channels.propagator, KrylovExp if L == 7 else DenseExp)
+        first = 4                   # the batch need not start at index 0
+        batch = trajectory.run_batch(basis, psi0, cfg, range(first, first + B),
+                                     channels=channels)
+        assert B == 1 or sum(len(traj.jumps) for traj in batch) > 0
+        for i, traj in enumerate(batch):
+            assert_same_trajectory(traj, run_trajectory(basis, psi0, cfg, channels=channels,
+                                                        traj_index=first + i))
+        if rates == (0.0, 1.0):
+            assert {j.kind for traj in batch for j in traj.jumps} == {JumpKind.DEPHASE}
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_batched_choice_is_the_scalar_choice(self, dtype):
+        # the dense rounds choose every jumping member's channel at once:
+        # the same channel as `select_jump` for each row, with and without
+        # the totals, the condensate's dead bonds among the rows included,
+        # and the same post-jump state to rounding
+        basis = build_basis(L=4, N=4, n_max=4)
+        channels = JumpChannels(basis, 1.0, 0.5)
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((5, basis.dim)).astype(dtype)
+        if dtype is complex:
+            rows += 1j * rng.standard_normal((5, basis.dim))
+        rows[2] = build_bec_dark_state(basis)
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        totals = np.array([2.0 * np.vdot(x, channels.decay @ x).real for x in rows])
+        for u in (0.0, 0.05, 0.3, 0.5, 0.77, 1.0 - 1e-16):
+            draws = np.full(5, u)
+            for given in (None, totals):
+                k, post = trajectory._select_rows(rows, channels.stacked, channels.diagonal,
+                                                  draws, given)
+                for m, x in enumerate(rows):
+                    km, pm = trajectory.select_jump(
+                        x, channels.stacked, channels.diagonal, u,
+                        None if given is None else given[m])
+                    assert k[m] == km
+                    np.testing.assert_allclose(post[m], pm, rtol=0, atol=1e-14)
+
+    def test_ensemble_members_are_run_trajectory(self, monkeypatch):
+        # blocks of one, two and all seven members give the same ensemble,
+        # and member i is run_trajectory(i)
+        basis = build_basis(L=3, N=3, n_max=3)
+        psi0 = default_initial_state(basis)
+        cfg = MonitoringConfig(rate_phaselock=1.0, rate_dephase=1.0, t_max=1.0,
+                               seed=3, snapshot_times=(0.5, 1.0))
+        ensembles = []
+        for amplitudes in (basis.dim, 2 * basis.dim, trajectory.BLOCK_AMPLITUDES):
+            monkeypatch.setattr(trajectory, "BLOCK_AMPLITUDES", amplitudes)
+            ensembles.append(run_ensemble(basis, psi0, cfg, M=7))
+        for ens in ensembles[1:]:
+            for t in cfg.snapshot_times:
+                np.testing.assert_array_equal(ens.states_at(t), ensembles[0].states_at(t))
+            np.testing.assert_array_equal(ens.intervals, ensembles[0].intervals)
+            for kind in JumpKind:
+                np.testing.assert_array_equal(ens.jumps_by_kind[kind],
+                                              ensembles[0].jumps_by_kind[kind])
+        for i in range(7):
+            traj = run_trajectory(basis, psi0, cfg, traj_index=i)
+            assert ensembles[0].intervals[i] == traj.n_steps
+            for t, state in traj.snapshots:
+                np.testing.assert_array_equal(ensembles[0].states_at(t)[i], state)
+
+    def test_blocks_cover_the_indices_in_order(self):
+        for M, size, workers in [(1, 6553, 1), (24, 6553, 1), (24, 6553, 2), (7, 1, 1),
+                                 (3, 1, 4), (100, 30, 3)]:
+            chunks = trajectory.blocks(M, size, workers)
+            assert [i for c in chunks for i in c] == list(range(M))
+            assert max(map(len, chunks)) <= size
+            assert len(chunks) >= min(M, workers)
+        # a dense batch holds up to BLOCK_AMPLITUDES amplitudes; the Lanczos
+        # propagator shares nothing between members and runs one at a time
+        for L, dense in [(3, True), (7, False)]:
+            basis = build_basis(L=L, N=L, n_max=3)
+            channels = JumpChannels(basis, 1.0, 1.0)
+            size = trajectory.BLOCK_AMPLITUDES // basis.dim if dense else 1
+            assert trajectory.batch_size(channels.propagator, basis.dim) == size
+
+
 class TestSharedUnitJumps:
     def test_shared_blocks_are_bitwise_fresh_ones(self):
         # channels on one basis share its cached unit-rate bond stack and
