@@ -253,7 +253,9 @@ def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
         json.dump({"passed": report.passed, "max_abs_z": report.max_abs_z,
                    "z_scores": {k: list(v) for k, v in report.z_scores.items()}},
                   fh, indent=2)
-    _append_manifest(outdir, _counters(ensemble))
+    _append_manifest(outdir, _counters(ensemble)
+                     | {"oracle_propagator": series.propagator,
+                        "oracle_trace_error": series.trace_error})
     return EXIT_OK if report.passed else EXIT_COMPARISON
 
 

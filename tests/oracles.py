@@ -3,6 +3,7 @@
 import numpy as np
 
 from bosetraj.entropy import ReducedDM
+from bosetraj.superop import anticommutator, sandwich
 
 
 def reduce_right(psi, l, basis):
@@ -25,6 +26,12 @@ def matrix_dissipator(X, rho):
     """D[X] rho = X rho X† - (X†X rho + rho X†X) / 2, in matrix form."""
     XdX = X.conj().T @ X
     return X @ rho @ X.conj().T - 0.5 * (XdX @ rho + rho @ XdX)
+
+
+def dissipator(b):
+    """D[b] rho = b rho b† - (b†b rho + rho b†b) / 2."""
+    bd = b.conj().T
+    return sandwich(b, bd) - 0.5 * anticommutator(bd @ b)
 
 
 def meanfield_generator(rho, ops, cfg):

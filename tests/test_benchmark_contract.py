@@ -71,6 +71,21 @@ def test_traced_round_reads_every_layer_metric(monkeypatch, tmp_path, name):
     assert not bad, (name, bad)
 
 
+@pytest.mark.parametrize("size", ["full", "tiny"])
+def test_small_systems_oracle_takes_the_dense_path(monkeypatch, tmp_path, size):
+    # the workload's lindblad-check is sized for the oracle's dense expm:
+    # a change that sends it back to expm_multiply fails here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    workload = workloads.WORKLOADS["small_systems"]
+    call, = [c for c in workload.calls(1, workload.sizes[size])
+             if c.argv[0] == "lindblad-check"]
+    assert cli.main([*call.argv, "--outdir", str(tmp_path)]) in call.ok_exits
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["oracle_propagator"] == "dense"
+
+
 def _tiny_runs(tmp_path):
     """(name, argv, accepted exit codes): every subcommand, and both
     ancilla schemes, at a size that runs in well under a second."""

@@ -294,6 +294,8 @@ class TestLindbladCheck:
             == pytest.approx(manifest["jump_count_mean"], rel=1e-12)
         assert manifest["propagator"] == "dense"
         assert 0.0 <= manifest["recon_error"] <= trajectory.RECON_TOL
+        assert manifest["oracle_propagator"] == "dense"
+        assert 0.0 <= manifest["oracle_trace_error"] < 1e-12
 
     def test_builds_each_jump_once(self, tmp_path, monkeypatch):
         # the trajectories and the Lindblad generator share the sector's

@@ -3,14 +3,16 @@
 Fixed points (the symmetric condensate, the maximally mixed sector
 state under pure dephasing) pin the generator, and a dense matrix
 exponential of the generator, probed column by column from its matrix
-form, pins the propagator; the ensemble comparison is checked with both
-a matching run and a negative control at deliberately wrong rates.
+form, pins the propagator on both of its paths (dense expm and
+expm_multiply); the ensemble comparison is checked with both a matching
+run and a negative control at deliberately wrong rates.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg import expm
 
@@ -23,14 +25,14 @@ from bosetraj import (
     run_ensemble,
 )
 from bosetraj.lindblad import (
+    DENSE_LIOUVILLIAN_MAX,
     LindbladGenerator,
     compare_with_ensemble,
     default_observables,
     evolve_lindblad,
     expectations,
 )
-from bosetraj.superop import dissipator
-from oracles import probed_superoperator
+from oracles import dissipator, probed_superoperator
 
 
 def dense_propagator(basis, rate_phaselock, rate_dephase):
@@ -89,6 +91,17 @@ class TestGenerator:
         rho = random_dm(basis, seed=2)
         np.testing.assert_allclose(assembled @ rho.ravel(),
                                    gen.rhs(rho).ravel(), atol=1e-12)
+
+    @pytest.mark.parametrize("L, n_max", [(3, 3), (4, 2), (5, 2)])
+    @pytest.mark.parametrize("rates", [(1.0, 0.7), (0.0, 2.0), (1.5, 0.0)])
+    def test_liouvillian_matches_channel_sum_at_each_size(self, L, n_max, rates):
+        # the assembly from A, the bonds and W against the plain sum of
+        # the channels' dissipators, with each kind alone and both
+        gen = LindbladGenerator(build_basis(L=L, N=L, n_max=n_max), *rates)
+        d2 = gen.dim ** 2
+        plain = sum((rate * dissipator(b) for rate, b, _, _ in gen.channels),
+                    sp.csr_matrix((d2, d2)))
+        assert abs(gen.liouvillian() - plain).max() < 1e-12
 
     def test_dimension_cap(self):
         basis = build_basis(L=6, N=6, n_max=6)  # dim 462 is fine
@@ -155,6 +168,53 @@ class TestEvolve:
                 assert abs(series.observables[name][i]
                            - np.trace(rho @ op)) < 1e-10
             assert abs(series.purity[i] - np.trace(rho @ rho).real) < 1e-10
+
+    @pytest.mark.parametrize("L, n_max, rates, path", [
+        (3, 3, (1.0, 0.7), "dense"),
+        (3, 3, (0.0, 2.0), "dense"),
+        (3, 3, (1.5, 0.0), "dense"),
+        (4, 2, (1.0, 0.7), "expm_multiply"),
+    ])
+    def test_both_paths_match_dense_propagator(self, monkeypatch, L, n_max, rates, path):
+        # uneven times in any order, with t = 0, a repeated time and a
+        # repeated gap (0.5): the dense path takes one expm per distinct
+        # gap, and both paths agree with the expm probed from rhs
+        basis = build_basis(L=L, N=L, n_max=n_max)
+        rho0 = random_dm(basis, seed=6)
+        times = [1.25, 0.0, 0.25, 2.0, 0.25, 0.75]
+        expms = []
+        monkeypatch.setattr(scipy.linalg, "expm",
+                            lambda a: expms.append(a) or expm(a))
+        series = evolve_lindblad(basis, rho0, *rates, times=times)
+        assert series.propagator == path
+        assert len(expms) == (3 if path == "dense" else 0)
+        assert series.times.tolist() == sorted(times)
+        observables = default_observables(basis)
+        propagate = dense_propagator(basis, *rates)
+        for i, t in enumerate(series.times):
+            rho = propagate(rho0, t)
+            for name, op in observables.items():
+                assert abs(series.observables[name][i] - np.trace(rho @ op)) < 1e-12
+            assert abs(series.purity[i] - np.trace(rho @ rho).real) < 1e-12
+        assert 0.0 <= series.trace_error < 1e-12
+
+    def test_path_switches_at_the_cap(self):
+        # L = 2 sectors of dim N + 1 on either side of the largest dim
+        # whose d^2 stays within DENSE_LIOUVILLIAN_MAX
+        d = math.isqrt(DENSE_LIOUVILLIAN_MAX)
+        for dim, path in ((d, "dense"), (d + 1, "expm_multiply")):
+            basis = build_basis(L=2, N=dim - 1, n_max=dim - 1)
+            assert basis.dim == dim
+            rho0 = np.diag(np.full(dim, 1.0 / dim))
+            series = evolve_lindblad(basis, rho0, 1.0, 1.0, times=[0.1])
+            assert series.propagator == path
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_times(self, bad):
+        basis = build_basis(L=2, N=2, n_max=2)
+        rho0 = np.diag([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=f"non-finite oracle time {bad}"):
+            evolve_lindblad(basis, rho0, 1.0, 1.0, times=[0.5, bad])
 
     def test_total_number_conserved(self):
         basis = build_basis(L=3, N=3, n_max=3)
