@@ -32,8 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .gutzwiller import SiteOperators
-from .trajectory import (ExpmExp, batch_size, blocks, propagator, trajectory_rng,
-                         unravel_batch)
+from .trajectory import batch_size, blocks, propagator, trajectory_rng, unravel_batch
 
 # kappa parameterizes the ancilla loss so that the eliminated jump rate
 # is exactly g_eff^2/kappa; with a Lindblad decay operator sqrt(K) sigma-
@@ -140,8 +139,7 @@ def _circuit(hamiltonian, cfg: CircuitConfig):
 
 def circuit_propagator(hamiltonian, cfg: CircuitConfig) -> str:
     """"dense" or "expm": the propagator the circuit's runs use."""
-    circuit = _circuit(hamiltonian, replace(cfg, seed=0, t_max=0.0))
-    return "expm" if isinstance(circuit.propagator, ExpmExp) else "dense"
+    return _circuit(hamiltonian, replace(cfg, seed=0, t_max=0.0)).propagator.kind
 
 
 def circuit_blocks(hamiltonian, cfg: CircuitConfig, M: int) -> list:
@@ -159,12 +157,6 @@ def _unravel_circuits(hamiltonian, cfg: CircuitConfig, psi, indices, max_clicks=
     return unravel_batch(np.tile(psi, (len(indices), 1)), circuit, cfg.t_max,
                          [trajectory_rng(cfg.seed, i) for i in indices],
                          max_jumps=max_clicks)
-
-
-def _unravel_circuit(hamiltonian, cfg: CircuitConfig, psi, traj_index):
-    """The Events of one trajectory: `_unravel_circuits` for a batch of one."""
-    for events in _unravel_circuits(hamiltonian, cfg, psi, (traj_index,)):
-        yield from events
 
 
 def run_phaselock_circuits(cfg: CircuitConfig, indices, psi_cav0: np.ndarray = None,

@@ -153,9 +153,8 @@ PROFILE_HEADER = ["gamma", "L", "t", "l", "kind", "alpha", "mean", "stderr", "M"
 OBS_HEADER = ["t", "trajectory_id", "observable_name", "value_re", "value_im"]
 
 
-def _write_observables(outdir: Path, ensemble):
+def _write_observables(outdir: Path, ensemble, observables: dict):
     rows = []
-    observables = default_observables(ensemble.basis)
     for t in ensemble.snapshot_times:
         states = ensemble.states_at(t)
         for name, op in observables.items():
@@ -173,7 +172,7 @@ def cmd_trajectories(spec: dict, outdir: Path) -> int:
     M, workers = count_option(spec, "M", 100), count_option(spec, "workers", 1)
     write_manifest(outdir, spec)
     ensemble = run_ensemble(basis, psi0, cfg, M, workers)
-    _write_observables(outdir, ensemble)
+    _write_observables(outdir, ensemble, default_observables(basis))
     gamma = cfg.reduced_dephasing if cfg.rate_phaselock else -1.0  # -1: Lambda = 0
     prof_rows = []
     for t in ensemble.snapshot_times:
@@ -248,7 +247,7 @@ def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
     series = evolve_lindblad(basis, rho0, cfg.rate_phaselock, cfg.rate_dephase,
                              ensemble.snapshot_times)
     report = compare_with_ensemble(series, ensemble)
-    _write_observables(outdir, ensemble)
+    _write_observables(outdir, ensemble, series.operators)
     with open(outdir / "comparison.json", "w") as fh:
         json.dump({"passed": report.passed, "max_abs_z": report.max_abs_z,
                    "z_scores": {k: list(v) for k, v in report.z_scores.items()}},
@@ -371,7 +370,7 @@ COMMANDS = {
 # every option, as a CLI flag (--t-max) and as a config-file key (t_max);
 # list options are comma-separated on the command line.  dt is the RK4
 # step of gutzwiller; the trajectory commands propagate exactly and accept
-# dt and target_dp without using them.
+# target_dp without using it.
 OPTIONS = {
     "L": int, "N": int, "n_max": int, "M": int, "seed": int, "workers": int,
     "n_snapshots": int, "fit_l_min": int, "fit_l_max": int,
@@ -384,7 +383,7 @@ OPTIONS = {
 }
 
 
-_ENSEMBLE = {"L", "N", "n_max", "seed", "initial_state", "M", "workers", "dt", "target_dp"}
+_ENSEMBLE = {"L", "N", "n_max", "seed", "initial_state", "M", "workers", "target_dp"}
 _RATES = {"gamma", "rate_phaselock", "rate_dephase"}
 _CIRCUIT = {"scheme", "seed", "M", "g_eff", "kappa", "n_max", "t_max"}
 # the options each command reads, each ancilla scheme apart; any other

@@ -32,7 +32,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fock import NumericGuardError
-from .superop import anticommutator, sandwich
 
 TRACE_TOL = 1e-6
 ALPHA_TOL = 1e-8      # steady-state criterion on |alpha| drift over 1/Lambda
@@ -57,6 +56,18 @@ class GwConfig:
                                  f"{'positive' if positive else 'nonnegative'}, got {v}")
         if self.filling > self.n_max:
             raise ValueError("filling exceeds the local cutoff")
+
+
+def sandwich(A, B):
+    """rho -> A rho B as a sparse matrix on vec(rho) = rho.ravel(), for
+    which vec(A rho B) = kron(A, B^T) vec(rho)."""
+    return sp.kron(A, B.T, format="csr")
+
+
+def anticommutator(X):
+    """rho -> X rho + rho X."""
+    eye = sp.identity(X.shape[0])
+    return sandwich(X, eye) + sandwich(eye, X)
 
 
 class SiteOperators:

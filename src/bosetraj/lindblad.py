@@ -34,6 +34,7 @@ Liouvillian takes 2.7 ms at L = 3 and 5.3 ms at L = 4 (dim 35).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,15 +60,18 @@ class LindbladGenerator:
     def __init__(self, basis: FockBasis, rate_phaselock: float, rate_dephase: float):
         check_oracle_dim(basis)
         self.basis, self.rates = basis, (rate_phaselock, rate_dephase)
-        dim = self.dim = basis.dim
-        self.channels = []     # (rate, b, b†, b†b), sparse, nonzero rates only
-        for kind, rate in ((JumpKind.PHASE_LOCK, rate_phaselock),
-                           (JumpKind.DEPHASE, rate_dephase)):
-            if rate == 0.0:
-                continue
-            stack = unit_jumps(basis, kind)      # one block of dim rows per b
-            for b in (stack[k:k + dim] for k in range(0, stack.shape[0], dim)):
-                self.channels.append((rate, b, b.T, b.T @ b))
+        self.dim = basis.dim
+
+    @functools.cached_property
+    def channels(self) -> list:
+        """(rate, b, b†, b†b) per channel, sparse, nonzero rates only;
+        built when `rhs` first reads it."""
+        stacks = [(rate, unit_jumps(self.basis, kind))    # one block of dim rows per b
+                  for kind, rate in zip((JumpKind.PHASE_LOCK, JumpKind.DEPHASE), self.rates)
+                  if rate != 0.0]
+        dim = self.dim
+        return [(rate, b, b.T, b.T @ b) for rate, stack in stacks
+                for b in (stack[k:k + dim] for k in range(0, stack.shape[0], dim))]
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         """The generator applied to a density matrix in matrix form."""
@@ -119,6 +123,7 @@ class OracleSeries:
     rate_dephase: float
     times: np.ndarray
     observables: dict      # name -> complex array over times
+    operators: dict        # name -> the real CSR operator evaluated
     purity: np.ndarray
     propagator: str        # "dense" or "expm_multiply"
     trace_error: float     # max over times of |tr rho(t) - 1|
@@ -149,6 +154,7 @@ def evolve_lindblad(basis: FockBasis, rho0: np.ndarray, rate_phaselock: float,
         raise ValueError(f"non-finite oracle time {bad[0]}")
     if times.size and times[0] < 0:
         raise ValueError(f"negative oracle time {times[0]}")
+    operators = default_observables(basis)
     liouvillian = LindbladGenerator(basis, rate_phaselock,
                                     rate_dephase).liouvillian()
     if basis.dim ** 2 <= DENSE_LIOUVILLIAN_MAX:
@@ -179,7 +185,8 @@ def evolve_lindblad(basis: FockBasis, rho0: np.ndarray, rate_phaselock: float,
     return OracleSeries(basis=basis, rate_phaselock=rate_phaselock,
                         rate_dephase=rate_dephase, times=times,
                         observables={name: (op.T.reshape(1, -1) @ vecs.T)[0]
-                                     for name, op in default_observables(basis).items()},
+                                     for name, op in operators.items()},
+                        operators=operators,
                         purity=np.sum(np.abs(vecs) ** 2, axis=1), propagator=kind,
                         trace_error=float(np.max(np.abs(traces - 1.0), initial=0.0)))
 
@@ -204,7 +211,7 @@ def compare_with_ensemble(series: OracleSeries, ensemble) -> ComparisonReport:
         raise ValueError("oracle and ensemble were produced from different "
                          "configurations")
     z_scores = {}
-    for name, op in default_observables(series.basis).items():
+    for name, op in series.operators.items():
         zs = []
         for ti, t in enumerate(series.times):
             # U(1) symmetry: compare the real parts (imaginary parts average to 0)

@@ -229,6 +229,8 @@ def _jump_times(rates, coef, gram_t, r, tau_max):
 class DenseExp:
     """exp(-G tau) from one eigendecomposition G = V diag(lam) V^-1."""
 
+    kind = "dense"
+
     def __init__(self, G, hermitian: bool):
         G = G.toarray() if sp.issparse(G) else np.asarray(G)
         if hermitian:
@@ -278,6 +280,8 @@ class ExpmExp:
     a non-Hermitian G with no usable eigenbasis (at or near an
     exceptional point)."""
 
+    kind = "expm"
+
     def __init__(self, G):
         self.G = G.toarray() if sp.issparse(G) else np.asarray(G)
 
@@ -286,19 +290,14 @@ class ExpmExp:
         return (iv, *_jump_time(iv, r, tau_max))
 
 
-class ExpmInterval:
-    """The `Interval` interface for exp(-G tau) psi, one expm per tau."""
+class ExpmInterval(Interval):
+    """An `Interval` of exp(-G tau) psi with one expm per tau."""
 
     def __init__(self, G, psi):
         self.G, self.psi = G, psi
 
-    def survival(self, tau: float) -> float:
-        return self.survival_slope(tau)[0]
-
     def survival_slope(self, tau: float):
-        from scipy.linalg import expm
-
-        x = expm(-tau * self.G) @ self.psi
+        x = self.states(tau)
         return (float(np.vdot(x, x).real),
                 -2.0 * float(np.vdot(x, self.G @ x).real))
 
@@ -348,6 +347,8 @@ class KrylovExp:
     (the DGKS test of Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772
     (1976)).  The rebuilt interval is flagged `reorthogonalised`.
     """
+
+    kind = "lanczos"
 
     def __init__(self, A):
         self.A = sp.csr_matrix(A)
@@ -510,19 +511,6 @@ def _bond_weights(phi: np.ndarray, stacked):
     return out, np.einsum("ij,ij->i", out.conj(), out).real
 
 
-def _inverse_cdf(weights: np.ndarray, target: float):
-    """The channel whose CDF interval over `weights` (dead ones already
-    zero) holds target, clamped onto the first and last live channel;
-    None when no channel is live."""
-    cum = np.cumsum(weights)
-    if not (cum.size and cum[-1] > 0.0):
-        return None
-    k = min(int(np.searchsorted(cum, max(target, 0.0), side="right")), len(cum) - 1)
-    while weights[k] == 0.0:  # target rounded onto the end of the CDF
-        k -= 1
-    return k
-
-
 def select_jump(phi: np.ndarray, stacked, diagonal: np.ndarray, u: float,
                 total: float = None):
     """Inverse-CDF channel choice with the uniform draw u.  Returns
@@ -549,11 +537,11 @@ def select_jump(phi: np.ndarray, stacked, diagonal: np.ndarray, u: float,
         if out is None:
             out, bonds = _bond_weights(phi, stacked)
         bonds[bonds <= CHANNEL_EPS * total] = 0.0
-        k = _inverse_cdf(bonds, target)
-        if k is not None:
+        k = _inverse_cdfs(bonds[None], np.array([target]))[0]
+        if k >= 0:
             return k, out[k] / math.sqrt(bonds[k])
-    j = _inverse_cdf(sites, target - bond_share)
-    if j is None:
+    j = _inverse_cdfs(sites[None], np.array([target - bond_share]))[0]
+    if j < 0:
         raise NumericGuardError("jump selected but every channel amplitude is zero")
     post = np.sqrt(diagonal[:, j]) * phi
     return stacked.shape[0] // phi.size + j, post / math.sqrt(sites[j])
@@ -666,7 +654,7 @@ def _advance(psi: np.ndarray, channels, t, t_stop, r, rngs):
     Returns (states, times reached, r, channel per member (-1 for none),
     Interval per member of the no-jump evolution from psi).
     """
-    if not isinstance(channels.propagator, DenseExp):
+    if channels.propagator.kind != "dense":
         steps = [_step(p, channels, *member) for p, *member in zip(psi, t.tolist(),
                                                                    t_stop.tolist(),
                                                                    r.tolist(), rngs)]
@@ -768,12 +756,6 @@ def unravel_batch(psi: np.ndarray, channels, t_max: float, rngs, stops=(),
                     return
 
 
-def unravel(psi: np.ndarray, channels, t_max: float, rng, stops=()):
-    """`unravel_batch` for one trajectory: yield its Events one by one."""
-    for events in unravel_batch(psi[None], channels, t_max, [rng], stops):
-        yield from events
-
-
 def trajectory_rng(master_seed: int, traj_index: int):
     """Counter-based per-trajectory stream; independent of worker count."""
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(traj_index,))
@@ -786,7 +768,7 @@ def batch_size(propagator, dim: int) -> int:
     (members x dim), which bounds their working arrays at any M and dim.
     The others solve member by member: a batch would share nothing but its
     bookkeeping, which costs more than it saves, so they hold one."""
-    return max(1, BLOCK_AMPLITUDES // dim) if isinstance(propagator, DenseExp) else 1
+    return max(1, BLOCK_AMPLITUDES // dim) if propagator.kind == "dense" else 1
 
 
 def blocks(M: int, size: int, workers: int = 1) -> list:
@@ -817,7 +799,7 @@ def run_batch(basis: FockBasis, psi0: np.ndarray, cfg: MonitoringConfig,
     psi = psi0 / np.linalg.norm(psi0)
     at_start = [(s, psi.copy()) for s in cfg.snapshot_times if s <= 0.0]
     pending = cfg.snapshot_times[len(at_start):]
-    lanczos = isinstance(channels.propagator, KrylovExp)
+    lanczos = channels.propagator.kind == "lanczos"
     trajs = [Trajectory(jumps=[], snapshots=list(at_start), final_state=psi, n_steps=0)
              for _ in indices]
     sizes = [[] for _ in indices]      # propagator basis per interval
@@ -923,7 +905,7 @@ def run_ensemble(basis: FockBasis, psi0: np.ndarray, cfg: MonitoringConfig,
                           krylov_dims=np.array([d for r in results for d in r[3]], dtype=int),
                           reorth_reruns=np.array([r[4] for r in results]),
                           basis=basis,
-                          propagator="lanczos" if isinstance(prop, KrylovExp) else "dense",
+                          propagator=prop.kind,
                           recon_error=getattr(prop, "recon_error", None))
 
 

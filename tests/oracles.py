@@ -3,7 +3,7 @@
 import numpy as np
 
 from bosetraj.entropy import ReducedDM
-from bosetraj.superop import anticommutator, sandwich
+from bosetraj.gutzwiller import anticommutator, sandwich
 
 
 def reduce_right(psi, l, basis):

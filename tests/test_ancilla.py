@@ -243,8 +243,9 @@ class TestExceptionalPoint:
         psi0 = np.kron(psi_cav, np.array([1.0, 0.0], dtype=complex))
         checked = 0
         for idx in range(4):
-            events = ancilla._unravel_circuit(hamiltonian, cfg, psi0, idx)
-            click = next((ev for ev in events if ev.channel is not None), None)
+            events = ancilla._unravel_circuits(hamiltonian, cfg, psi0, (idx,))
+            click = next((ev for round_ in events for ev in round_
+                          if ev.channel is not None), None)
             if click is None:
                 continue
             r = 1.0 - trajectory_rng(cfg.seed, idx).random()
@@ -328,7 +329,7 @@ def _eager_dephasing_occupation(cfg, psi_cav0, traj_index):
     psi = np.kron(np.asarray(psi_cav0, dtype=complex),
                   np.array([1.0, 0.0], dtype=complex))
     max_na = 0.0
-    for ev in ancilla._unravel_circuit(dephasing_hamiltonian, cfg, psi, traj_index):
+    for (ev,) in ancilla._unravel_circuits(dephasing_hamiltonian, cfg, psi, (traj_index,)):
         grid = np.arange(math.floor(ev.t0 / spacing) + 1,
                          math.floor(ev.t / spacing) + 1) * spacing
         if grid.size:
@@ -345,7 +346,7 @@ def _eager_click_entropies(cfg, traj_index, stop_after_clicks=None):
     psi = np.zeros(d1 * d1 * 2, dtype=complex)
     psi[(1 * d1 + 1) * 2] = 1.0
     steps = []
-    for ev in ancilla._unravel_circuit(phaselock_hamiltonian, cfg, psi, traj_index):
+    for (ev,) in ancilla._unravel_circuits(phaselock_hamiltonian, cfg, psi, (traj_index,)):
         if ev.channel is not None:
             before = ev.interval.states(ev.t - ev.t0)
             steps.append((ev.t, _pair_entropy(before / np.linalg.norm(before), cfg.n_max),

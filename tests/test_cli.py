@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bosetraj import ancilla, cli, entropy, fock, trajectory
+from bosetraj import ancilla, cli, entropy, fock, lindblad, trajectory
 from bosetraj.cli import (
     EXIT_COMPARISON,
     EXIT_GUARD,
@@ -304,7 +304,9 @@ class TestLindbladCheck:
         code, _ = run_cli(tmp_path, "lindblad-check", "--L", "3", "--gamma", "1.0",
                           "--M", "20", "--snapshot-times", "0.3")
         assert code in (EXIT_OK, EXIT_COMPARISON)
-        assert len(calls) == len(set(calls)) == 2 * 3 - 1
+        # the L - 1 bonds; the oracle's per-channel list, which only its
+        # matrix-form rhs reads, is never built
+        assert len(calls) == len(set(calls)) == 3 - 1
 
 
 class TestAncilla:
@@ -373,7 +375,8 @@ class TestAncilla:
             psi = np.zeros(18, dtype=complex)
             psi[(1 * 3 + 1) * 2] = 1.0                   # |1,1>|g>
         events = [ev for i in range(M)
-                  for ev in ancilla._unravel_circuit(hamiltonian, cfg, psi, i)]
+                  for round_ in ancilla._unravel_circuits(hamiltonian, cfg, psi, (i,))
+                  for ev in round_]
         clicks = sum(ev.channel is not None for ev in events)
         assert clicks == len(read_csv(outdir / "clicks.csv"))
         assert {k: manifest[k] for k in ("propagator", "intervals", "clicks")} == {
@@ -524,12 +527,44 @@ def test_observable_writer_holds_no_dense_operator(tmp_path):
                                   cfg, M=3)
     tracemalloc.start()
     try:
-        cli._write_observables(tmp_path, ens)
+        cli._write_observables(tmp_path, ens, lindblad.default_observables(basis))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * basis.dim ** 2
     assert len(read_csv(tmp_path / "observables.csv")) == 2 * 3 * 13
+
+
+class TestRejectsUnreadOptions:
+    """Each command reads only its own options (`cli.ACCEPTED`): one it
+    would ignore exits 2 before the output directory is made, whether it
+    comes as a flag or as a config-file key."""
+
+    CASES = [
+        (("ancilla", "--scheme", "dephasing"), {"h_eff": 5.0}),
+        (("gutzwiller",), {"M": 7}),
+        (("entropy-scan",), {"gamma": 2.0}),
+        (("lindblad-check",), {"t_max": 5.0}),
+        (("fit",), {"M": 3}),
+        (("trajectories",), {"dt": 0.1}),
+    ]
+    IDS = ["ancilla-h_eff", "gutzwiller-M", "entropy_scan-gamma", "lindblad_check-t_max",
+           "fit-M", "trajectories-dt"]
+
+    @pytest.mark.parametrize("command,option", CASES, ids=IDS)
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_unread_option_exits_2(self, tmp_path, capsys, command, option, given):
+        (key, value), = option.items()
+        if given == "flag":
+            args = (*command, f"--{key.replace('_', '-')}", str(value))
+        else:
+            cfg_file = tmp_path / "config.json"
+            cfg_file.write_text(json.dumps(option))
+            args = (*command, "--config", str(cfg_file))
+        code, outdir = run_cli(tmp_path, *args)
+        assert code == EXIT_VALIDATION
+        assert not outdir.exists()
+        assert f"does not read {key!r}" in capsys.readouterr().err
 
 
 class TestConfigFile:

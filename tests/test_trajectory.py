@@ -276,6 +276,28 @@ class TestStep:
             assert channels.labels[k] != (JumpKind.DEPHASE, 2)
             assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
+    @given(data=st.data(),
+           weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e6)),
+                            min_size=1, max_size=8))
+    @settings(max_examples=500, deadline=None)
+    def test_inverse_cdf_of_one_row(self, data, weights):
+        # `select_jump` takes its channel from a one-row `_inverse_cdfs`:
+        # against searchsorted over the CDF, clamped onto [0, last channel]
+        # and walked back off dead channels, -1 when none is live
+        weights = np.array(weights)
+        cum = np.cumsum(weights)
+        target = data.draw(st.one_of(
+            st.floats(0.0, 1.5).map(lambda u: u * cum[-1]),
+            st.sampled_from(cum.tolist()),          # exactly on a CDF step
+            st.floats(-1e6, -1e-300), st.just(math.nan), st.just(math.inf)))
+        expected = -1
+        if cum[-1] > 0.0:
+            expected = min(int(np.searchsorted(cum, max(target, 0.0), side="right")),
+                           len(cum) - 1)
+            while weights[expected] == 0.0:
+                expected -= 1
+        assert trajectory._inverse_cdfs(weights[None], np.array([target]))[0] == expected
+
 
 class TestLanczos:
     @given(diag=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=10),
@@ -335,8 +357,9 @@ class TestLanczos:
             kick = channels.decay @ psi0
             psi0 = np.exp(0.9j) * psi0 + 0.3j * kick / np.linalg.norm(kick)
             psi0 /= np.linalg.norm(psi0)
-        intervals = [ev.interval for ev in trajectory.unravel(
-            psi0, channels, 0.5, trajectory_rng(3, 0), stops=(0.25,))]
+        intervals = [ev.interval for events in trajectory.unravel_batch(
+            psi0[None], channels, 0.5, [trajectory_rng(3, 0)], stops=(0.25,))
+                     for ev in events]
         long = channels.propagator.interval(psi0, 1e-8, 100.0)[0]
         for iv in intervals + [long]:
             V = iv.basis
