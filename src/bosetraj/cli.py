@@ -164,6 +164,8 @@ def _write_observables(outdir: Path, ensemble, observables: dict):
 
 
 def cmd_trajectories(spec: dict, outdir: Path) -> int:
+    if "snapshot_times" in spec and "n_snapshots" in spec:
+        raise ValueError("give either snapshot_times or n_snapshots, not both")
     basis, cfg = build_model(spec)
     times = spec.get("snapshot_times") or np.linspace(
         0.0, cfg.t_max, count_option(spec, "n_snapshots", 21))
@@ -278,6 +280,9 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
     # block of trajectories that returns (run result, outcome fields) per
     # trajectory
     if scheme == "dephasing":
+        if {"rate_dephase", "kappa", "t_max"} <= spec.keys():
+            raise ValueError("rate_dephase only sets the defaults of kappa and t_max; "
+                             "with both given it is not read")
         target = _default_divisor(spec, "rate_dephase", 1.0, ("kappa", "t_max"))
         kappa = float(spec["kappa"]) if "kappa" in spec else 500.0 * g ** 2 / target
         n1, n2 = int(spec.get("n1", 1)), int(spec.get("n2", 3))
@@ -332,7 +337,13 @@ def cmd_fit(spec: dict, outdir: Path) -> int:
     if not src or not Path(src).exists():
         raise ValueError("fit needs an existing profile_csv")
     with open(src) as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh, restval="")   # a missing field fails its parse
+        rows = list(reader)
+        missing = [c for c in PROFILE_HEADER if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{src} lacks the profile.csv column(s) {', '.join(missing)}")
+    if not rows:
+        raise ValueError(f"{src} holds no profile rows")
     groups = {}
     for r in rows:
         key = (float(r["gamma"]), int(r["L"]), float(r["t"]), r["kind"],

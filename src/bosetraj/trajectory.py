@@ -511,31 +511,35 @@ def _bond_weights(phi: np.ndarray, stacked):
     return out, np.einsum("ij,ij->i", out.conj(), out).real
 
 
-def select_jump(phi: np.ndarray, stacked, diagonal: np.ndarray, u: float,
-                total: float = None):
+def _bad_total(total):
+    """The error for a total channel weight (a scalar or one per member)
+    that is not a positive finite number: no jump can be drawn from it."""
+    return NumericGuardError(f"jump selected at a total channel rate of {total}, "
+                             f"not a positive finite number")
+
+
+def select_jump(phi: np.ndarray, stacked, diagonal: np.ndarray, u: float, total: float):
     """Inverse-CDF channel choice with the uniform draw u.  Returns
     (channel, normalised post-jump state).
 
     The channels are the row blocks of `stacked`, weighed by the product
     `stacked @ phi`, then the columns of `diagonal`: each holds the rates
     |c_j|^2 of a diagonal jump operator c_j with nonnegative entries,
-    weighed as |phi|^2 @ diagonal with no operator product.  Weights at
-    or below CHANNEL_EPS of the total are dead.  total, if given, is the
-    summed weight of every channel (2 phi^H A phi for the no-jump
-    generator A); the bonds are then weighed only if u * total falls
-    below the share the sites leave them, and if every bond turns out
-    dead, the sites take the draw.
+    weighed as |phi|^2 @ diagonal with no operator product.  total is the
+    summed weight of every channel: the survival's decay rate -dP/dtau
+    at the jump, which the propagator returns (2 phi^H A phi for the
+    no-jump generator A).  Weights at or below CHANNEL_EPS of it are
+    dead.  The bonds are weighed only if u * total falls below the share
+    the sites leave them, and if every bond turns out dead, the sites
+    take the draw.
     """
+    if not 0.0 < total < math.inf:
+        raise _bad_total(total)
     sites = (phi.conj() * phi).real @ diagonal
-    out = None
-    if total is None or not total > 0.0:
-        out, bonds = _bond_weights(phi, stacked)
-        total = bonds.sum() + sites.sum()
     sites[sites <= CHANNEL_EPS * total] = 0.0
     target, bond_share = u * total, total - sites.sum()
     if target < bond_share:
-        if out is None:
-            out, bonds = _bond_weights(phi, stacked)
+        out, bonds = _bond_weights(phi, stacked)
         bonds[bonds <= CHANNEL_EPS * total] = 0.0
         k = _inverse_cdfs(bonds[None], np.array([target]))[0]
         if k >= 0:
@@ -572,56 +576,35 @@ def _inverse_cdfs(weights: np.ndarray, target: np.ndarray) -> np.ndarray:
     return k
 
 
-def _take(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """x[rows], with no copy when rows is every row in order."""
-    return x if rows.size == len(x) else x[rows]
-
-
 def _select_rows(phi: np.ndarray, stacked, diagonal: np.ndarray, u: np.ndarray,
-                 total: np.ndarray = None):
+                 total: np.ndarray):
     """`select_jump` for every row of phi at once, each with its own draw
-    in u and total (if given): the same weights, dead-channel clamp,
-    bond-share shortcut and inverse CDF, vectorised over the members, with
-    the bonds of all members that need them weighed by one sparse product.
-    Returns (channels, normalised post-jump states); each member's choice
-    is bitwise what it gets alone."""
-    B, dim = phi.shape
+    in u and total: the same weights, dead-channel clamp, bond-share
+    shortcut and inverse CDF, vectorised over the members, with the bonds
+    of the members that need them weighed by one sparse product.  Returns
+    (channels, normalised post-jump states); each member's choice is
+    bitwise what it gets alone."""
+    if not ((0.0 < total) & (total < math.inf)).all():
+        raise _bad_total(total)
     sites = _rows(_abs2(phi), diagonal)
-    total = np.full(B, math.nan) if total is None else np.array(total, dtype=float)
-    bonds, outs = np.zeros((B, stacked.shape[0] // dim)), [None] * B
-
-    def weigh(rows):
-        out, bonds[rows] = _bond_weights_rows(_take(phi, rows), stacked)
-        for m, o in zip(rows.tolist(), out):
-            outs[m] = o
-
-    missing = ~(total > 0.0)
-    if missing.any():
-        rows = np.flatnonzero(missing)
-        weigh(rows)
-        total[rows] = bonds[rows].sum(axis=-1) + sites[rows].sum(axis=-1)
     sites[sites <= CHANNEL_EPS * total[:, None]] = 0.0
     target = u * total
     bond_share = total - sites.sum(axis=-1)
-    k, post = np.full(B, -1), np.empty_like(phi)
+    k, post = np.full(len(phi), -1), np.empty_like(phi)
     rows = np.flatnonzero(target < bond_share)
     if rows.size:
-        if not missing[rows].all():
-            weigh(rows[~missing[rows]])
-        w = bonds[rows]
-        w[w <= CHANNEL_EPS * total[rows, None]] = 0.0
-        k[rows] = _inverse_cdfs(w, target[rows])
-        for i, m in enumerate(rows.tolist()):
-            if k[m] >= 0:
-                post[m] = outs[m][k[m]] / math.sqrt(w[i, k[m]])
+        out, bonds = _bond_weights_rows(phi[rows], stacked)
+        bonds[bonds <= CHANNEL_EPS * total[rows, None]] = 0.0
+        k[rows] = kb = _inverse_cdfs(bonds, target[rows])
+        i = np.flatnonzero(kb >= 0)
+        post[rows[i]] = out[i, kb[i]] / np.sqrt(bonds[i, kb[i]])[:, None]
     rows = np.flatnonzero(k < 0)
     if rows.size:
         j = _inverse_cdfs(sites[rows], target[rows] - bond_share[rows])
         if (j < 0).any():
             raise NumericGuardError("jump selected but every channel amplitude is zero")
-        k[rows] = bonds.shape[1] + j
-        post[rows] = (np.sqrt(diagonal.T[j]) * _take(phi, rows)
-                      / np.sqrt(sites[rows, j])[:, None])
+        k[rows] = stacked.shape[0] // phi.shape[1] + j
+        post[rows] = np.sqrt(diagonal.T[j]) * phi[rows] / np.sqrt(sites[rows, j])[:, None]
     return k, post
 
 
@@ -634,10 +617,7 @@ def _step(psi: np.ndarray, channels, t: float, t_stop: float, r: float, rng):
         p = float(np.vdot(phi, phi).real)
         t_new = t_stop if tau == t_stop - t else t + tau
         return phi / math.sqrt(p), t_new, r / p, -1, iv
-    # the survival's decay rate -dP/dtau is the total channel weight: with
-    # both kinds of channel, a site can be chosen without the bond products
-    total = rate if channels.stacked.shape[0] and channels.diagonal.shape[1] else None
-    k, out = select_jump(phi, channels.stacked, channels.diagonal, rng.random(), total)
+    k, out = select_jump(phi, channels.stacked, channels.diagonal, rng.random(), rate)
     return out, t + tau, 1.0 - rng.random(), k, iv
 
 
@@ -664,27 +644,16 @@ def _advance(psi: np.ndarray, channels, t, t_stop, r, rngs):
     ivs, tau, rate, phi = channels.propagator.intervals(psi, r, tau_max)
     jumped = ~np.isnan(rate)
     stay, hit = np.flatnonzero(~jumped), np.flatnonzero(jumped)
-    out = np.empty_like(phi) if stay.size and hit.size else None
-    t_new, r_new, k = t + tau, r.copy(), np.full(len(psi), -1)
+    out, t_new, r_new, k = np.empty_like(phi), t + tau, r.copy(), np.full(len(psi), -1)
     if stay.size:
-        kept = _take(phi, stay)
-        p = _abs2(kept).sum(axis=-1)
-        kept = kept / np.sqrt(p)[:, None]
-        if out is None:
-            out = kept
-        else:
-            out[stay] = kept
+        p = _abs2(phi[stay]).sum(axis=-1)
+        out[stay] = phi[stay] / np.sqrt(p)[:, None]
         t_new[stay] = np.where(tau[stay] == tau_max[stay], t_stop[stay], t_new[stay])
         r_new[stay] = r[stay] / p
     if hit.size:
         u = np.array([rngs[m].random() for m in hit.tolist()])
-        both = channels.stacked.shape[0] and channels.diagonal.shape[1]
-        k[hit], post = _select_rows(_take(phi, hit), channels.stacked, channels.diagonal, u,
-                                    rate[hit] if both else None)
-        if out is None:
-            out = post
-        else:
-            out[hit] = post
+        k[hit], out[hit] = _select_rows(phi[hit], channels.stacked, channels.diagonal, u,
+                                        rate[hit])
         r_new[hit] = [1.0 - rngs[m].random() for m in hit.tolist()]
     return out, t_new, r_new, k, ivs
 
@@ -731,10 +700,11 @@ def unravel_batch(psi: np.ndarray, channels, t_max: float, rngs, stops=(),
     live, t = np.arange(len(psi)), np.zeros(len(psi))
     r = np.array([1.0 - rng.random() for rng in rngs])
     jumps = np.zeros(len(psi), dtype=int)
+    limit = math.inf if max_jumps is None else max_jumps
     while True:
         # each member's next stop: the first one after its time
         stop = np.searchsorted(ends, t, side="right")
-        going = stop < len(ends)
+        going = (stop < len(ends)) & (jumps < limit)
         if not going.all():
             live, psi, t, r, jumps, stop = (x[going] for x in (live, psi, t, r, jumps, stop))
             if not live.size:
@@ -745,15 +715,8 @@ def unravel_batch(psi: np.ndarray, channels, t_max: float, rngs, stops=(),
         yield [Event(a, b, None if c < 0 else c, p, iv, m)
                for a, b, c, p, iv, m in zip(t.tolist(), t_new.tolist(), k.tolist(),
                                             out, ivs, members)]
-        psi, t = out, t_new
+        psi, t, jumps = out, t_new, jumps + (k >= 0)
         del ivs     # a Lanczos interval holds its whole basis: free it before the next round
-        if max_jumps is not None:
-            jumps += k >= 0
-            going = jumps < max_jumps
-            if not going.all():
-                live, psi, t, r, jumps = (x[going] for x in (live, psi, t, r, jumps))
-                if not live.size:
-                    return
 
 
 def trajectory_rng(master_seed: int, traj_index: int):

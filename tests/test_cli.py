@@ -32,6 +32,15 @@ def run_cli(tmp_path, *args):
     return code, outdir
 
 
+def run_cli_config(tmp_path, *args):
+    """run_cli, with a trailing dict written to a `--config` file."""
+    if args and isinstance(args[-1], dict):
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps(args[-1]))
+        args = (*args[:-1], "--config", str(cfg_file))
+    return run_cli(tmp_path, *args)
+
+
 def raiser(exc):
     def raise_exc(*args, **kwargs):
         raise exc
@@ -459,6 +468,11 @@ class TestValidateBeforeManifest:
          "--t-max", "5"),
         ("gutzwiller", "--gamma-grid", "0,6", {"seed": 3}),
         ("fit", "--profile-csv", "profile.csv", "--M", "3"),
+        # options the command would read only without the other
+        ("trajectories", "--L", "3", "--M", "2", "--t-max", "1", "--snapshot-times", "0.5",
+         "--n-snapshots", "7"),
+        ("trajectories", "--L", "3", "--M", "2", "--t-max", "1",
+         {"snapshot_times": [0.5], "n_snapshots": 7}),
     ], ids=["gutzwiller-t_max", "gutzwiller-rate_phaselock", "gutzwiller-gamma",
             "entropy_scan-gamma", "ancilla-kappa", "ancilla-scheme",
             "trajectories-initial_state", "lindblad_check-initial_state",
@@ -480,13 +494,10 @@ class TestValidateBeforeManifest:
             "entropy_scan-nan_renyi_order", "entropy_scan-grid",
             "ancilla-dephasing_chain_options", "ancilla-dephasing_h_eff",
             "ancilla-phaselock_n1", "lindblad_check-t_max", "gutzwiller-config_seed",
-            "fit-M"])
+            "fit-M", "trajectories-snapshot_times_and_count",
+            "trajectories-config_snapshot_times_and_count"])
     def test_rejected_run_leaves_no_manifest(self, tmp_path, args):
-        if isinstance(args[-1], dict):      # the content of a config file
-            cfg_file = tmp_path / "config.json"
-            cfg_file.write_text(json.dumps(args[-1]))
-            args = (*args[:-1], "--config", str(cfg_file))
-        code, outdir = run_cli(tmp_path, *args)
+        code, outdir = run_cli_config(tmp_path, *args)
         assert code == EXIT_VALIDATION
         assert not outdir.exists()
 
@@ -494,17 +505,35 @@ class TestValidateBeforeManifest:
         (("ancilla", "--rate-dephase", "0", "--M", "2"), "rate_dephase"),
         (("ancilla", "--rate-dephase", "0", "--kappa", "500", "--M", "2"), "rate_dephase"),
         (("ancilla", "--scheme", "phaselock", "--g-eff", "0", "--M", "2"), "g_eff"),
-    ], ids=["rate_dephase", "rate_dephase-t_max", "g_eff"])
+        # with kappa and t_max given, rate_dephase fills no default, so
+        # the dephasing scheme does not read it, zero or not
+        (("ancilla", "--rate-dephase", "0", "--kappa", "500", "--t-max", "0.5", "--M", "2"),
+         "rate_dephase"),
+        (("ancilla", "--rate-dephase", "3", "--kappa", "500", "--t-max", "0.5", "--M", "2"),
+         "rate_dephase"),
+        (("ancilla", "--M", "2", {"rate_dephase": 3, "kappa": 500, "t_max": 0.5}),
+         "rate_dephase"),
+    ], ids=["rate_dephase", "rate_dephase-t_max", "g_eff", "unread_zero",
+            "unread_positive", "unread_config"])
     def test_ancilla_default_names_its_divisor(self, tmp_path, capsys, args, named):
-        code, outdir = run_cli(tmp_path, *args)
+        code, outdir = run_cli_config(tmp_path, *args)
         assert code == EXIT_VALIDATION and not outdir.exists()
         assert named in capsys.readouterr().err
 
-    def test_ancilla_unused_divisor_may_be_zero(self, tmp_path):
-        # with kappa and t_max given, rate_dephase fills no default
-        code, _ = run_cli(tmp_path, "ancilla", "--rate-dephase", "0", "--kappa", "500",
-                          "--t-max", "0.5", "--M", "2")
-        assert code == EXIT_OK
+    @pytest.mark.parametrize("content", ["gamma,L,t\n1.0,3,0.5\n",
+                                         ",".join(cli.PROFILE_HEADER) + "\n", "",
+                                         ",".join(cli.PROFILE_HEADER) + "\n0.5,4,1.0,1\n"],
+                             ids=["missing_columns", "header_only", "empty", "short_row"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_malformed_profile_csv(self, tmp_path, content, via):
+        # a profile.csv without every column, without a row, or with a
+        # row short of fields holds no profile to fit
+        path = tmp_path / "profile.csv"
+        path.write_text(content)
+        args = (("--profile-csv", str(path)) if via == "flag"
+                else ({"profile_csv": str(path)},))
+        code, outdir = run_cli_config(tmp_path, "fit", *args)
+        assert code == EXIT_VALIDATION and not outdir.exists()
 
     @pytest.mark.parametrize("args,times", [
         (("lindblad-check", "--L", "2", "--M", "4", "--snapshot-times", "20"), {"20.0"}),

@@ -31,6 +31,7 @@ from bosetraj import (
     step,
 )
 from bosetraj import trajectory
+from bosetraj.fock import NumericGuardError
 from bosetraj.trajectory import DenseExp, KrylovExp, trajectory_rng
 from oracles import unravel_oracle
 
@@ -201,7 +202,7 @@ class TestStep:
     def test_jump_weights_match_per_channel_products(self, dtype, monkeypatch):
         # channel choice and post-jump states against each channel's own
         # sparse product sqrt(rate_k) b_k phi, for real and complex states,
-        # with the total weight 2 phi^H A phi given and without
+        # with the total weight 2 phi^H A phi given
         basis = build_basis(L=5, N=5, n_max=3)
         lam, gam = 1.3, 0.7
         channels = JumpChannels(basis, lam, gam)
@@ -216,26 +217,25 @@ class TestStep:
         weights = np.array([np.vdot(o, o).real for o in outs])
         total = 2.0 * np.vdot(phi, channels.decay @ phi).real
         assert total == pytest.approx(weights.sum(), rel=1e-13)
-        select = lambda u, given: trajectory.select_jump(
-            phi, channels.stacked, channels.diagonal, u, given)
+        select = lambda u: trajectory.select_jump(
+            phi, channels.stacked, channels.diagonal, u, total)
         cum = np.cumsum(weights) / weights.sum()
-        for given in (None, total):
-            for k, (lo, hi) in enumerate(zip(np.r_[0.0, cum[:-1]], cum)):
-                got_k, post = select(0.5 * (lo + hi), given)
-                assert got_k == k
-                assert post.dtype == phi.dtype
-                np.testing.assert_allclose(post, outs[k] / math.sqrt(weights[k]),
-                                           rtol=0, atol=1e-14)
-            # draws 1e-12 either side of the bond/site boundary
-            bonds = basis.L - 1
-            assert select(cum[bonds - 1] - 1e-12, given)[0] == bonds - 1
-            assert select(cum[bonds - 1] + 1e-12, given)[0] == bonds
-        # with the total given, a site is chosen without any bond product
+        for k, (lo, hi) in enumerate(zip(np.r_[0.0, cum[:-1]], cum)):
+            got_k, post = select(0.5 * (lo + hi))
+            assert got_k == k
+            assert post.dtype == phi.dtype
+            np.testing.assert_allclose(post, outs[k] / math.sqrt(weights[k]),
+                                       rtol=0, atol=1e-14)
+        # draws 1e-12 either side of the bond/site boundary
+        bonds = basis.L - 1
+        assert select(cum[bonds - 1] - 1e-12)[0] == bonds - 1
+        assert select(cum[bonds - 1] + 1e-12)[0] == bonds
+        # a site is chosen without any bond product
         monkeypatch.setattr(trajectory, "_bond_weights",
                             lambda *a: pytest.fail("bond product formed"))
-        assert select(0.5 * (cum[bonds - 1] + 1.0), total)[0] >= bonds
+        assert select(0.5 * (cum[bonds - 1] + 1.0))[0] >= bonds
 
-    @pytest.mark.parametrize("total", ["none", "rate", "above"])
+    @pytest.mark.parametrize("total", ["rate", "above"])
     def test_dead_bonds_give_the_draw_to_the_sites(self, total):
         # the condensate is annihilated by every d_j: with Lambda > 0 the
         # bonds are all dead and only the dephasing sites can fire, even
@@ -245,7 +245,7 @@ class TestStep:
         phi = build_bec_dark_state(basis)
         assert np.abs(channels.stacked @ phi).max() < 1e-12
         rate = 2.0 * np.vdot(phi, channels.decay @ phi).real
-        given = {"none": None, "rate": rate, "above": rate * (1.0 + 1e-9)}[total]
+        given = {"rate": rate, "above": rate * (1.0 + 1e-9)}[total]
         for u in [0.0, 1e-300, 1e-16, 1e-10, 0.5, 1.0 - 1e-16]:
             k, post = trajectory.select_jump(phi, channels.stacked, channels.diagonal,
                                              u, given)
@@ -258,6 +258,21 @@ class TestStep:
                                  RiggedRng([u, 0.5]))
             assert 0.0 < t < 1e-12
             assert channels.labels[k][0] is JumpKind.DEPHASE
+
+    @pytest.mark.parametrize("total", [0.0, -1.0, math.nan])
+    def test_jump_at_a_non_positive_total_trips_the_guard(self, total):
+        # the total is the survival's decay rate at the jump: a draw can
+        # pick a channel only from a positive finite one, alone or as one
+        # member's total among healthy ones
+        basis = build_basis(L=3, N=3, n_max=3)
+        channels = JumpChannels(basis, 1.0, 0.5)
+        phi = default_initial_state(basis)
+        with pytest.raises(NumericGuardError, match="total channel rate"):
+            trajectory.select_jump(phi, channels.stacked, channels.diagonal, 0.5, total)
+        with pytest.raises(NumericGuardError, match="total channel rate"):
+            trajectory._select_rows(np.tile(phi, (3, 1)), channels.stacked,
+                                    channels.diagonal, np.full(3, 0.5),
+                                    np.array([1.0, total, 1.0]))
 
     def test_dead_channel_never_selected(self):
         # Gamma = 0: the dephasing channels are absent altogether.  From
@@ -597,9 +612,9 @@ class TestLockstepBatch:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_batched_choice_is_the_scalar_choice(self, dtype):
         # the dense rounds choose every jumping member's channel at once:
-        # the same channel as `select_jump` for each row, with and without
-        # the totals, the condensate's dead bonds among the rows included,
-        # and the same post-jump state to rounding
+        # the same channel as `select_jump` for each row, the condensate's
+        # dead bonds among the rows included, and the same post-jump state
+        # to rounding
         basis = build_basis(L=4, N=4, n_max=4)
         channels = JumpChannels(basis, 1.0, 0.5)
         rng = np.random.default_rng(5)
@@ -610,16 +625,13 @@ class TestLockstepBatch:
         rows /= np.linalg.norm(rows, axis=1)[:, None]
         totals = np.array([2.0 * np.vdot(x, channels.decay @ x).real for x in rows])
         for u in (0.0, 0.05, 0.3, 0.5, 0.77, 1.0 - 1e-16):
-            draws = np.full(5, u)
-            for given in (None, totals):
-                k, post = trajectory._select_rows(rows, channels.stacked, channels.diagonal,
-                                                  draws, given)
-                for m, x in enumerate(rows):
-                    km, pm = trajectory.select_jump(
-                        x, channels.stacked, channels.diagonal, u,
-                        None if given is None else given[m])
-                    assert k[m] == km
-                    np.testing.assert_allclose(post[m], pm, rtol=0, atol=1e-14)
+            k, post = trajectory._select_rows(rows, channels.stacked, channels.diagonal,
+                                              np.full(5, u), totals)
+            for m, x in enumerate(rows):
+                km, pm = trajectory.select_jump(x, channels.stacked, channels.diagonal, u,
+                                                totals[m])
+                assert k[m] == km
+                np.testing.assert_allclose(post[m], pm, rtol=0, atol=1e-14)
 
     def test_ensemble_members_are_run_trajectory(self, monkeypatch):
         # blocks of one, two and all seven members give the same ensemble,
