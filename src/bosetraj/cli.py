@@ -167,8 +167,8 @@ def cmd_trajectories(spec: dict, outdir: Path) -> int:
     if "snapshot_times" in spec and "n_snapshots" in spec:
         raise ValueError("give either snapshot_times or n_snapshots, not both")
     basis, cfg = build_model(spec)
-    times = spec.get("snapshot_times") or np.linspace(
-        0.0, cfg.t_max, count_option(spec, "n_snapshots", 21))
+    times = spec.get("snapshot_times", np.linspace(
+        0.0, cfg.t_max, count_option(spec, "n_snapshots", 21)))
     cfg = replace(cfg, snapshot_times=tuple(times))
     psi0 = initial_state(spec, basis)
     M, workers = count_option(spec, "M", 100), count_option(spec, "workers", 1)
@@ -236,7 +236,7 @@ def cmd_gutzwiller(spec: dict, outdir: Path) -> int:
 
 def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
     # the oracle runs to the last snapshot, whatever t_max is given
-    times = tuple(spec.get("snapshot_times") or (0.5, 1.0, 2.0, 5.0))
+    times = tuple(spec.get("snapshot_times", (0.5, 1.0, 2.0, 5.0)))
     basis, cfg = build_model(spec | {"t_max": max(times)})
     check_oracle_dim(basis)
     cfg = replace(cfg, snapshot_times=times)
@@ -480,6 +480,8 @@ def parse_spec(argv):
         if v is not None:
             spec[name] = v
     _check_accepted(args.command, spec)
+    if spec.get("snapshot_times") == []:    # given empty, which is not the default
+        raise ValueError("snapshot_times is empty: give at least one time")
     spec["command"] = args.command
     root = Path(os.environ.get("BOSETRAJ_OUTPUT", "runs"))
     outdir = Path(args.outdir) if args.outdir else root / args.command

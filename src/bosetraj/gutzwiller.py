@@ -168,11 +168,10 @@ class GwEvolution:
     alphas: np.ndarray
     final: np.ndarray          # (d, d) density matrix at the last step
     converged: bool
-    rhos: list = field(default_factory=list)
     steps: int = 0             # RK4 steps taken
 
 
-def evolve(cfg: GwConfig, rho0: np.ndarray = None, store_rhos: bool = False,
+def evolve(cfg: GwConfig, rho0: np.ndarray = None,
            stop_when_steady: bool = True) -> GwEvolution:
     """Fixed-step RK4 of meanfield_rhs (moments refreshed every stage) from
     the (d, d) density matrix rho0, d = cfg.n_max + 1, in its dtype (a
@@ -181,12 +180,11 @@ def evolve(cfg: GwConfig, rho0: np.ndarray = None, store_rhos: bool = False,
     With stop_when_steady it stops once |alpha| varied by < ALPHA_TOL over
     the last 1/Lambda; a trace drift > TRACE_TOL raises NumericGuardError.
     A batch of one of evolve_batch."""
-    return evolve_batch(cfg, [cfg.rate_dephase], rho0, store_rhos,
-                        stop_when_steady)[0]
+    return evolve_batch(cfg, [cfg.rate_dephase], rho0, stop_when_steady)[0]
 
 
 def evolve_batch(template: GwConfig, rates_dephase, rho0: np.ndarray = None,
-                 store_rhos: bool = False, stop_when_steady: bool = True) -> list:
+                 stop_when_steady: bool = True) -> list:
     """evolve of replace(template, rate_dephase=Gamma) for every Gamma in
     rates_dephase, advanced in lockstep from the same seed: the members'
     vec(rho) are the rows of one (B, d^2) array, so each RK4 stage is one
@@ -204,8 +202,8 @@ def evolve_batch(template: GwConfig, rates_dephase, rho0: np.ndarray = None,
     if not n:
         return []
     alpha0 = np.trace(rho @ ops.a)
-    runs = [GwEvolution(times=[0.0], alphas=[alpha0], final=None, converged=False,
-                        rhos=[rho.copy()] if store_rhos else []) for _ in range(n)]
+    runs = [GwEvolution(times=[0.0], alphas=[alpha0], final=None, converged=False)
+            for _ in range(n)]
     live = np.arange(n)             # the member in each row of X
     X = np.repeat(rho.reshape(1, -1), n, axis=0)
     dt, t, k = template.dt, 0.0, 0  # k: RK4 steps taken
@@ -240,11 +238,9 @@ def evolve_batch(template: GwConfig, rates_dephase, rho0: np.ndarray = None,
                         stop.append(j)
             # the step a member stops on is always recorded
             for j in (range(live.size) if k % RECORD_EVERY == 0 or k == n_steps else stop):
-                run, rho = runs[live[j]], X[j].reshape(d, d).copy()
+                run = runs[live[j]]
                 run.times.append(t)
-                run.alphas.append(np.trace(rho @ ops.a))
-                if store_rhos:
-                    run.rhos.append(rho)
+                run.alphas.append(np.trace(X[j].reshape(d, d) @ ops.a))
             if stop:
                 leave(stop, converged=True)
                 keep = np.ones(live.size, dtype=bool)

@@ -103,22 +103,13 @@ class Trajectory:
 
 
 class Interval:
-    """exp(-G tau) psi = basis @ rotation @ (exp(-rates tau) * coef), tau >= 0,
-    where the columns of basis @ rotation are orthonormal."""
+    """exp(-G tau) psi = basis @ rotation @ (exp(-rates tau) * coef), tau >= 0:
+    the no-jump states of one interval.  Its propagator solves the survival."""
 
     reorthogonalised = False   # a Lanczos basis rebuilt with reorthogonalisation
 
     def __init__(self, basis, rates, coef, rotation=None):
         self.basis, self.rates, self.coef, self.rotation = basis, rates, coef, rotation
-
-    def survival(self, tau: float) -> float:
-        return self.survival_slope(tau)[0]
-
-    def survival_slope(self, tau: float):
-        """The survival ||exp(-G tau) psi||^2 and its tau-derivative."""
-        x = np.exp(-self.rates * tau) * self.coef
-        return (float(np.vdot(x, x).real),
-                -2.0 * float(np.vdot(self.rates * x, x).real))
 
     def states(self, taus) -> np.ndarray:
         """Unnormalised states, one column per tau (a vector for a scalar)."""
@@ -130,22 +121,6 @@ class Interval:
         if self.rotation is not None:
             x = self.rotation @ x
         return self.basis @ x
-
-
-class DenseInterval(Interval):
-    """An interval of `DenseExp`: the basis is its eigenvectors, orthonormal
-    only if gram_t (the transposed Gram matrix V^T conj(V)) is None.  The
-    survival uses the arithmetic of the batched solve, so the slope at a
-    jump time is bitwise the rate `DenseExp.intervals` returned."""
-
-    def __init__(self, basis, rates, coef, gram_t=None):
-        self.basis, self.rates, self.coef, self.gram_t = basis, rates, coef, gram_t
-        self.rotation = None
-
-    def survival_slope(self, tau: float):
-        p, slope = _survival_slopes(self.rates, self.coef[None], self.gram_t,
-                                    np.array([float(tau)]))
-        return float(p[0]), float(slope[0])
 
 
 def _rows(X, M):
@@ -169,17 +144,27 @@ def _survival_slopes(rates, coef, gram_t, tau):
     return xy.real.sum(axis=-1), -2.0 * (rates * xy).real.sum(axis=-1)
 
 
-def _jump_time(interval: Interval, r: float, tau_max: float, start=None):
+def _survival_slope(rates, coef, tau: float):
+    """The survival ||x||^2 of x = exp(-rates tau) * coef and its
+    tau-derivative: the survival of an interval whose basis @ rotation has
+    orthonormal columns, as a Lanczos interval's has."""
+    x = np.exp(-rates * tau) * coef
+    return (float(np.vdot(x, x).real),
+            -2.0 * float(np.vdot(rates * x, x).real))
+
+
+def _jump_time(survival_slope, r: float, tau_max: float, start=None):
     """(tau, rate): the time the survival falls to r and its decay rate
     -dP/dtau there, or (tau_max, None) if it stays above r until then.
+    survival_slope(tau) gives the survival and its tau-derivative.
     Newton on log(survival), which is linear for a single decay rate, from
     `start` (default 0), safeguarded by bisection of the bracket."""
-    if interval.survival(tau_max) >= r:
+    if survival_slope(tau_max)[0] >= r:
         return tau_max, None
     lo, hi, log_r = 0.0, tau_max, math.log(r)
     tau = start if start is not None and 0.0 < start < tau_max else 0.0
     while True:
-        p, slope = interval.survival_slope(tau)
+        p, slope = survival_slope(tau)
         f = math.log(p) - log_r if p > 0.0 else -math.inf
         if abs(f) <= ROOT_RTOL:
             return tau, -slope
@@ -265,14 +250,7 @@ class DenseExp:
         coef = _rows(psi, self._coef_of)
         tau, rate = _jump_times(self.lam, coef, self._gram_t, r, tau_max)
         phi = _rows(np.exp(-self.lam * tau[:, None]) * coef, self._state_of)
-        ivs = [DenseInterval(self.V, self.lam, c, self._gram_t) for c in coef]
-        return ivs, tau, rate, phi
-
-    def interval(self, psi, r, tau_max):
-        """(interval, tau, rate or None): `intervals` for a batch of one."""
-        ivs, tau, rate, _ = self.intervals(psi[None], np.array([r], dtype=float),
-                                           np.array([tau_max], dtype=float))
-        return ivs[0], float(tau[0]), None if math.isnan(rate[0]) else float(rate[0])
+        return [Interval(self.V, self.lam, c) for c in coef], tau, rate, phi
 
 
 class ExpmExp:
@@ -287,7 +265,14 @@ class ExpmExp:
 
     def interval(self, psi, r, tau_max):
         iv = ExpmInterval(self.G, psi)
-        return (iv, *_jump_time(iv, r, tau_max))
+        return (iv, *_jump_time(functools.partial(self._survival_slope, iv), r, tau_max))
+
+    def _survival_slope(self, iv, tau: float):
+        """The survival ||x||^2 of x = iv.states(tau) and its tau-derivative
+        -2 Re x^H G x."""
+        x = iv.states(tau)
+        return (float(np.vdot(x, x).real),
+                -2.0 * float(np.vdot(x, self.G @ x).real))
 
 
 class ExpmInterval(Interval):
@@ -295,11 +280,6 @@ class ExpmInterval(Interval):
 
     def __init__(self, G, psi):
         self.G, self.psi = G, psi
-
-    def survival_slope(self, tau: float):
-        x = self.states(tau)
-        return (float(np.vdot(x, x).real),
-                -2.0 * float(np.vdot(x, self.G @ x).real))
 
     def states(self, taus) -> np.ndarray:
         from scipy.linalg import expm
@@ -399,17 +379,18 @@ class KrylovExp:
                 theta, S = np.linalg.eigh(T[:k, :k])
                 theta = np.maximum(theta, 0.0)
             iv = Interval(basis.T, theta, norm * S[0], rotation=S)
+            survival = functools.partial(_survival_slope, theta, iv.coef)
             weight = beta * S[-1] * iv.coef
             # solve for tau only once the bound holds at the previous tau
             if tau is None or _lanczos_error(weight, theta, tau) <= KRYLOV_TOL:
-                tau, rate = _jump_time(iv, r, tau_max, start=tau)
+                tau, rate = _jump_time(survival, r, tau_max, start=tau)
                 if _lanczos_error(weight, theta, tau) <= KRYLOV_TOL:
                     return iv, tau, rate
         # the largest basis cannot reach tau: solve again within the
         # horizon where its bound holds, and end the interval there
         while _lanczos_error(weight, theta, tau) > KRYLOV_TOL:
             tau *= 0.5
-        return (iv, *_jump_time(iv, r, tau))
+        return (iv, *_jump_time(survival, r, tau))
 
 
 @functools.cache

@@ -123,7 +123,8 @@ class TestPhaselockCircuit:
         assert isinstance(prop, ExpmExp)
         psi = np.array([0.6, 0.8])
         iv, tau, rate = prop.interval(psi, 0.3, 10.0)
-        assert rate is not None and iv.survival(tau) == pytest.approx(0.3, abs=1e-12)
+        phi = iv.states(tau)
+        assert rate is not None and phi @ phi == pytest.approx(0.3, abs=1e-12)
         np.testing.assert_allclose(iv.states(tau), expm(-jordan * tau) @ psi,
                                    atol=1e-12)
         for taus in (np.linspace(0.1, 3.0, 30), np.array([0.0, 0.2, 1.5])):

@@ -241,6 +241,15 @@ class TestEntropyScanAndFit:
         assert code == EXIT_VALIDATION
         assert not outdir.exists()
 
+    def test_empty_renyi_orders_fit_only_von_neumann(self, tmp_path):
+        # unlike an empty snapshot list, an empty order list asks for no
+        # Renyi profile, not for a default
+        code, outdir = run_cli(tmp_path, "entropy-scan", "--L", "4", "--M", "2",
+                               "--gamma-grid", "1", "--t-max", "0.1", "--renyi-orders=")
+        assert code == EXIT_OK
+        fits = json.loads((outdir / "fits.json").read_text())
+        assert [f["kind"] for f in fits] == ["vn"]
+
     def test_scan_requires_grid(self, tmp_path):
         code, _ = run_cli(tmp_path, "entropy-scan", "--L", "4", "--M", "5")
         assert code == EXIT_VALIDATION
@@ -473,6 +482,11 @@ class TestValidateBeforeManifest:
          "--n-snapshots", "7"),
         ("trajectories", "--L", "3", "--M", "2", "--t-max", "1",
          {"snapshot_times": [0.5], "n_snapshots": 7}),
+        # an empty list is not the default grid
+        ("trajectories", "--L", "3", "--M", "2", "--t-max", "1", "--snapshot-times="),
+        ("trajectories", "--L", "3", "--M", "2", "--t-max", "1", {"snapshot_times": []}),
+        ("lindblad-check", "--L", "3", "--M", "4", "--snapshot-times="),
+        ("lindblad-check", "--L", "3", "--M", "4", {"snapshot_times": []}),
     ], ids=["gutzwiller-t_max", "gutzwiller-rate_phaselock", "gutzwiller-gamma",
             "entropy_scan-gamma", "ancilla-kappa", "ancilla-scheme",
             "trajectories-initial_state", "lindblad_check-initial_state",
@@ -495,7 +509,10 @@ class TestValidateBeforeManifest:
             "ancilla-dephasing_chain_options", "ancilla-dephasing_h_eff",
             "ancilla-phaselock_n1", "lindblad_check-t_max", "gutzwiller-config_seed",
             "fit-M", "trajectories-snapshot_times_and_count",
-            "trajectories-config_snapshot_times_and_count"])
+            "trajectories-config_snapshot_times_and_count",
+            "trajectories-empty_snapshot_times", "trajectories-config_empty_snapshot_times",
+            "lindblad_check-empty_snapshot_times",
+            "lindblad_check-config_empty_snapshot_times"])
     def test_rejected_run_leaves_no_manifest(self, tmp_path, args):
         code, outdir = run_cli_config(tmp_path, *args)
         assert code == EXIT_VALIDATION
