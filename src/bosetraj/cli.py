@@ -31,7 +31,7 @@ from .entropy import EntropyProfile, _order, average_profile, average_profiles
 from .fock import JumpKind, NumericGuardError, build_basis, build_bec_dark_state
 from .gutzwiller import GwConfig, check_sweep, order_parameter_sweep
 from .lindblad import (check_oracle_dim, compare_with_ensemble, default_observables,
-                       evolve_lindblad, expectations)
+                       ensemble_expectations, evolve_lindblad)
 from .trajectory import MonitoringConfig, default_initial_state, run_ensemble
 from . import ancilla as anc
 
@@ -153,14 +153,11 @@ PROFILE_HEADER = ["gamma", "L", "t", "l", "kind", "alpha", "mean", "stderr", "M"
 OBS_HEADER = ["t", "trajectory_id", "observable_name", "value_re", "value_im"]
 
 
-def _write_observables(outdir: Path, ensemble, observables: dict):
-    rows = []
-    for t in ensemble.snapshot_times:
-        states = ensemble.states_at(t)
-        for name, op in observables.items():
-            for m, v in enumerate(expectations(states, op)):
-                rows.append((t, m, name, v.real, v.imag))
-    write_csv(outdir / "observables.csv", OBS_HEADER, rows)
+def _write_observables(outdir: Path, values: dict):
+    """observables.csv from ensemble_expectations' {t: {name: values}}."""
+    write_csv(outdir / "observables.csv", OBS_HEADER,
+              [(t, m, name, v.real, v.imag) for t, by_name in values.items()
+               for name, vals in by_name.items() for m, v in enumerate(vals)])
 
 
 def cmd_trajectories(spec: dict, outdir: Path) -> int:
@@ -174,7 +171,7 @@ def cmd_trajectories(spec: dict, outdir: Path) -> int:
     M, workers = count_option(spec, "M", 100), count_option(spec, "workers", 1)
     write_manifest(outdir, spec)
     ensemble = run_ensemble(basis, psi0, cfg, M, workers)
-    _write_observables(outdir, ensemble, default_observables(basis))
+    _write_observables(outdir, ensemble_expectations(ensemble, default_observables(basis)))
     gamma = cfg.reduced_dephasing if cfg.rate_phaselock else -1.0  # -1: Lambda = 0
     prof_rows = []
     for t in ensemble.snapshot_times:
@@ -230,7 +227,8 @@ def cmd_gutzwiller(spec: dict, outdir: Path) -> int:
     sweep = order_parameter_sweep(grid, template, alpha_threshold=threshold)
     write_csv(outdir / "sweep.csv", ["gamma", "alpha_abs", "converged", "t_reached"],
               [(p.gamma, p.alpha_abs, p.converged, p.t_reached) for p in sweep.points])
-    _append_manifest(outdir, {"gamma_c": sweep.gamma_c} | sweep.counters)
+    _append_manifest(outdir, {"gamma_c": sweep.gamma_c, "branch_end": sweep.branch_end}
+                     | sweep.counters)
     return EXIT_OK
 
 
@@ -248,8 +246,9 @@ def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
     rho0 = np.outer(psi0, psi0.conj())
     series = evolve_lindblad(basis, rho0, cfg.rate_phaselock, cfg.rate_dephase,
                              ensemble.snapshot_times)
-    report = compare_with_ensemble(series, ensemble)
-    _write_observables(outdir, ensemble, series.operators)
+    values = ensemble_expectations(ensemble, series.operators)
+    report = compare_with_ensemble(series, ensemble, values)
+    _write_observables(outdir, values)
     with open(outdir / "comparison.json", "w") as fh:
         json.dump({"passed": report.passed, "max_abs_z": report.max_abs_z,
                    "z_scores": {k: list(v) for k, v in report.z_scores.items()}},

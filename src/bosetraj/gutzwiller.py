@@ -1,4 +1,5 @@
-"""Single-site mean-field master equation and order-parameter sweep.
+"""Single-site mean-field master equation, its steady states and the
+order-parameter sweep.
 
 The phase-locking channel reduces, under the product ansatz for
 neighboring sites, to a nonlinear single-site generator whose moment
@@ -8,23 +9,25 @@ with a half-generator K, one cached sparse matrix per cutoff and rates;
 dephasing is the number-operator dissipator inside it.  The state is a
 plain (n_max + 1)-square density matrix and RK4 runs in its dtype.
 evolve_batch advances several dephasing rates in lockstep, one sparse
-product per RK4 stage for all of them; evolve is a batch of one.  The
-sweep evolves its grid as one batch, then bisects for the critical point
-LOOKAHEAD steps at a time: every midpoint those steps could visit is
-evolved as one batch and the sequential walk is replayed through them.
+product per RK4 stage for all of them; evolve is a batch of one.
+steady_state solves for a fixed point directly, by Newton's method over
+real symmetric density matrices.  The sweep evolves its grid as one
+batch, then continues the ordered steady-state branch in gamma from an
+ordered grid point to where it ends.
 The order parameter alpha = <a> vanishes across a critical reduced
 dephasing rate that depends on the local cutoff n_max.  At n_max = 8 the
-ordered branch vanishes continuously at gamma ~ 4.5, where the truncated
-disordered (thermal) state loses linear stability; that threshold falls
-with n_max (3.5 at 10, 0.5 at 20), and from n_max = 12 on the branch
-instead ends at a fold that still drifts down (about 3.25 at n_max = 16,
-2.8 at 40).  The n_max -> infinity value is not settled.
+ordered branch vanishes continuously at gamma = 4.507, where the
+truncated disordered (thermal) state loses linear stability.  That
+threshold falls with n_max (3.51 at 10, 0.46 at 20), and from n_max = 10
+on the branch outlives it and instead ends at a fold that still drifts
+down (3.83 at n_max = 10, 3.27 at 16, 2.79 at 40).  The n_max -> infinity
+value is not settled.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
 
@@ -36,7 +39,10 @@ from .fock import NumericGuardError
 TRACE_TOL = 1e-6
 ALPHA_TOL = 1e-8      # steady-state criterion on |alpha| drift over 1/Lambda
 RECORD_EVERY = 20     # steps between recorded (t, alpha) points
-LOOKAHEAD = 3         # bisection steps whose midpoints are evolved as one batch
+NEWTON_TOL = 1e-10    # steady state: the largest entry of the last Newton step
+NEWTON_MAX = 50       # Newton iterations per steady-state solve
+GAMMA_STEP = 0.25     # first continuation step in gamma
+GAMMA_TOL = 1e-3      # the continuation step is halved until it falls below this
 
 
 @dataclass(frozen=True)
@@ -287,6 +293,74 @@ def order_parameter_consistency(rho, cfg: GwConfig) -> float:
                - order_parameter_ode(rho, ops, cfg))
 
 
+@lru_cache(maxsize=4)
+def _symmetric_maps(n_max: int, rate_phaselock: float, filling: float):
+    """The blocks of _generator at Gamma = 0 restricted to real symmetric
+    rho, as dense maps on its upper triangle u (np.triu_indices order):
+    the (4, p) moment and trace rows, the (4, p, p) stack of the three
+    moment-weighted maps and the fixed part, and the (p, p) map Gamma
+    weights.  A block X becomes S^T X S: S spreads u over vec(rho), and
+    S^T takes the upper triangle of W + W^T from vec(W), halved on the
+    diagonal, a scaling of equations that leaves Newton's steps as
+    they are."""
+    d = n_max + 1
+    i, j = np.triu_indices(d)
+    k, off = np.arange(i.size), i != j
+    spread = sp.csr_matrix((np.ones(i.size + off.sum()),
+                            (np.concatenate([i * d + j, (j * d + i)[off]]),
+                             np.concatenate([k, k[off]]))), shape=(d * d, i.size))
+
+    def restrict(x):
+        return (spread.T @ x @ spread).toarray()
+
+    G = _generator(n_max, rate_phaselock, filling, (0.0,))
+    maps = [restrict(G[4 + b * d * d:4 + (b + 1) * d * d]) for b in range(4)]
+    return (G[:4] @ spread).toarray(), np.array(maps), restrict(_site_maps(n_max)[2][2])
+
+
+@dataclass
+class SteadyState:
+    rho: np.ndarray            # (d, d) real symmetric: the last iterate
+    alpha: float               # <a> of rho
+    converged: bool
+    iterations: int            # Newton steps taken
+
+
+def steady_state(cfg: GwConfig, rho0: np.ndarray) -> SteadyState:
+    """Newton's method for meanfield_rhs(rho) = 0 over real symmetric rho,
+    from the upper triangle of the real (d, d) seed rho0.
+
+    Real rho fixes the U(1) gauge up to alpha -> -alpha, so the steady
+    states are isolated.  The trace-free RHS makes one equation redundant:
+    tr rho = 1 replaces the (0, 0) one.  The RHS is quadratic in rho, so the
+    Jacobian is exact, and each step is one dense solve.  Converged once a
+    step's largest entry is below NEWTON_TOL; stopped unconverged once a
+    step fails to shrink, or after NEWTON_MAX steps."""
+    d = cfg.n_max + 1
+    if np.shape(rho0) != (d, d) or np.iscomplexobj(rho0):
+        raise ValueError(f"rho0 must be a real ({d}, {d}) matrix for n_max={cfg.n_max}")
+    moments, maps, dephase = _symmetric_maps(cfg.n_max, cfg.rate_phaselock, cfg.filling)
+    fixed = maps[3] + cfg.rate_dephase * dephase
+    upper = np.triu_indices(d)
+    u, last = np.asarray(rho0, dtype=float)[upper], math.inf
+    for k in range(1, NEWTON_MAX + 1):
+        m = moments @ u
+        weighted = maps[:3] @ u
+        f = m[:3] @ weighted + fixed @ u
+        jac = np.tensordot(m[:3], maps[:3], 1) + fixed + weighted.T @ moments[:3]
+        f[0], jac[0] = m[3] - 1.0, moments[3]
+        step = np.linalg.solve(jac, f)
+        u = u - step
+        size = np.abs(step).max()
+        if size < NEWTON_TOL or not size < last:
+            break
+        last = size
+    rho = np.zeros((d, d))
+    rho[upper] = u
+    rho += np.triu(rho, 1).T
+    return SteadyState(rho, float(moments[2] @ u), bool(size < NEWTON_TOL), k)
+
+
 @dataclass
 class SweepPoint:
     gamma: float
@@ -299,7 +373,8 @@ class SweepPoint:
 class SweepResult:
     points: list
     gamma_c: float
-    # evolves, rk4_steps, unconverged, lockstep_steps
+    branch_end: str = None     # how the ordered branch ends: "fold", "vanishing" or None
+    # evolves, rk4_steps, unconverged, lockstep_steps, newton_iterations
     counters: dict = field(default_factory=dict)
 
 
@@ -314,54 +389,49 @@ def check_sweep(gammas, template: GwConfig, alpha_threshold: float = 1e-3):
         raise ValueError(f"alpha_threshold must be finite and positive, got {alpha_threshold}")
 
 
-def _midpoints(lo, hi, levels):
-    """Every midpoint the next `levels` bisection steps from [lo, hi] can
-    visit, by the arithmetic of the bisection itself."""
-    if not levels:
-        return []
-    mid = 0.5 * (lo + hi)
-    return [mid, *_midpoints(lo, mid, levels - 1), *_midpoints(mid, hi, levels - 1)]
-
-
 def order_parameter_sweep(gammas, template: GwConfig,
-                          alpha_threshold: float = 1e-3,
-                          bisection_steps: int = 6) -> SweepResult:
-    """Steady-state |alpha| per reduced dephasing rate, with the critical
-    point refined by bisection between the last ordered and first
-    disordered grid points.
+                          alpha_threshold: float = 1e-3) -> SweepResult:
+    """Evolved |alpha| per reduced dephasing rate gamma = Gamma / Lambda, and
+    gamma_c, the gamma at which the ordered steady-state branch ends.
 
-    The grid is evolved as one batch.  The bisection then evolves, as one
-    batch, every midpoint its next LOOKAHEAD steps could visit, and
-    replays its walk through them, so gamma_c is the sequential
-    bisection's own."""
+    The grid is evolved as one batch, and its points are the states the
+    evolutions reach.  The branch starts at the highest grid point whose
+    evolved state is ordered (|alpha| >= alpha_threshold) and from which
+    steady_state finds an ordered steady state, else at the next lower
+    one.  It is continued upward in gamma, each steady state seeding the
+    next, from steps of GAMMA_STEP halved until below GAMMA_TOL wherever
+    Newton fails to converge (branch_end "fold") or finds |alpha| below the
+    threshold ("vanishing").  gamma_c is the middle of the last such step.
+    It is NaN when no start is found or the branch outlives the grid."""
     gammas = sorted(gammas)
     check_sweep(gammas, template, alpha_threshold)
-    counters = Counter()
+    evs = evolve_batch(template, [g * template.rate_phaselock for g in gammas])
+    points = [SweepPoint(g, abs(ev.alphas[-1]), ev.converged, ev.times[-1])
+              for g, ev in zip(gammas, evs)]
+    counters = {"evolves": len(evs), "rk4_steps": sum(ev.steps for ev in evs),
+                "unconverged": sum(not ev.converged for ev in evs),
+                "lockstep_steps": max(ev.steps for ev in evs), "newton_iterations": 0}
 
-    def steady(batch):
-        evs = evolve_batch(template, [g * template.rate_phaselock for g in batch])
-        counters.update(evolves=len(evs), rk4_steps=sum(ev.steps for ev in evs),
-                        unconverged=sum(not ev.converged for ev in evs),
-                        lockstep_steps=max(ev.steps for ev in evs))
-        return [(abs(ev.alphas[-1]), ev.converged, ev.times[-1]) for ev in evs]
+    def solve(gamma, rho):      # the steady state at gamma, and whether it is ordered
+        ss = steady_state(replace(template, rate_dephase=gamma * template.rate_phaselock), rho)
+        counters["newton_iterations"] += ss.iterations
+        return ss, ss.converged and abs(ss.alpha) >= alpha_threshold
 
-    points = [SweepPoint(g, *s) for g, s in zip(gammas, steady(gammas))]
-
-    gamma_c = math.nan
-    below = [p.gamma for p in points if p.alpha_abs >= alpha_threshold]
-    above = [p.gamma for p in points if p.alpha_abs < alpha_threshold]
-    if below and above:
-        lo, hi = max(below), min(above)
-        for done in range(0, bisection_steps, LOOKAHEAD):
-            levels = min(LOOKAHEAD, bisection_steps - done)
-            # a bracket down to adjacent floats repeats a midpoint: evolve it once
-            mids = list(dict.fromkeys(_midpoints(lo, hi, levels)))
-            alpha = {g: s[0] for g, s in zip(mids, steady(mids))}
-            for _ in range(levels):
-                mid = 0.5 * (lo + hi)
-                if alpha[mid] >= alpha_threshold:
-                    lo = mid
-                else:
-                    hi = mid
-        gamma_c = 0.5 * (lo + hi)
-    return SweepResult(points, gamma_c, dict(counters))
+    for point, ev in zip(reversed(points), reversed(evs)):
+        if point.alpha_abs >= alpha_threshold:
+            ss, ordered = solve(point.gamma, ev.final)
+            if ordered:
+                break
+    else:
+        return SweepResult(points, math.nan, None, counters)
+    gamma, rho, step = point.gamma, ss.rho, GAMMA_STEP
+    while step >= GAMMA_TOL:
+        trial = min(gamma + step, gammas[-1])
+        ss, ordered = solve(trial, rho)
+        if ordered and trial == gammas[-1]:     # the branch outlives the grid
+            return SweepResult(points, math.nan, None, counters)
+        if ordered:
+            gamma, rho = trial, ss.rho
+        else:
+            end, bad, step = "vanishing" if ss.converged else "fold", trial, step / 2
+    return SweepResult(points, 0.5 * (gamma + bad), end, counters)

@@ -141,6 +141,13 @@ def expectations(states: np.ndarray, op) -> np.ndarray:
     return np.einsum("mi,im->m", states.conj(), op @ states.T)
 
 
+def ensemble_expectations(ensemble, operators: dict) -> dict:
+    """{t: {name: expectations(states at t, X)}} for every snapshot time of
+    a trajectory ensemble and every named operator X."""
+    return {t: {name: expectations(ensemble.states_at(t), op)
+                for name, op in operators.items()} for t in ensemble.snapshot_times}
+
+
 def evolve_lindblad(basis: FockBasis, rho0: np.ndarray, rate_phaselock: float,
                     rate_dephase: float, times) -> OracleSeries:
     """Exact propagation; observables recorded at the requested times.
@@ -198,11 +205,12 @@ class ComparisonReport:
     passed: bool
 
 
-def compare_with_ensemble(series: OracleSeries, ensemble) -> ComparisonReport:
+def compare_with_ensemble(series: OracleSeries, ensemble, values: dict = None) -> ComparisonReport:
     """z = (ensemble mean - oracle) / stderr per observable and checkpoint.
 
     `ensemble` is a trajectory EnsembleResult with snapshot states at the
-    oracle's recorded times.
+    oracle's recorded times; `values` its ensemble_expectations of the
+    oracle's operators, computed here when not given.
     """
     cfg = ensemble.config
     if (cfg.rate_phaselock != series.rate_phaselock
@@ -210,12 +218,16 @@ def compare_with_ensemble(series: OracleSeries, ensemble) -> ComparisonReport:
             or ensemble.basis.states != series.basis.states):
         raise ValueError("oracle and ensemble were produced from different "
                          "configurations")
+    if values is None:
+        values = ensemble_expectations(ensemble, series.operators)
+    for t in series.times:
+        ensemble.states_at(t)       # a time without a snapshot raises, naming the ones there are
     z_scores = {}
-    for name, op in series.operators.items():
+    for name in series.operators:
         zs = []
         for ti, t in enumerate(series.times):
             # U(1) symmetry: compare the real parts (imaginary parts average to 0)
-            vals = expectations(ensemble.states_at(t), op).real
+            vals = values[float(t)][name].real
             stderr = vals.std(ddof=1) / math.sqrt(len(vals))
             diff = vals.mean() - series.observables[name][ti].real
             zs.append(diff / stderr if stderr != 0.0

@@ -283,8 +283,7 @@ def test_criterion_07_meanfield_critical_point():
     ev_high = evolve(GwConfig(rate_dephase=5.0, n_max=8, dt=0.01, t_max=100.0))
     a_low = abs(ev_low.alphas[-1])
     a_high = abs(ev_high.alphas[-1])
-    sweep = order_parameter_sweep(np.linspace(0.0, 6.0, 9), template,
-                                  bisection_steps=4)
+    sweep = order_parameter_sweep(np.linspace(0.0, 6.0, 9), template)
     # the states of one evolve to t = 20 every RECORD_EVERY steps, each
     # segment going on from the last one's final state
     cfg_res = GwConfig(rate_dephase=1.0, n_max=8, dt=0.01, t_max=RECORD_EVERY * 0.01)

@@ -120,20 +120,35 @@ def test_no_subcommand_writes_to_stdout(tmp_path, capfd):
         assert out == "", name
 
 
+def _linalg_modules_loaded_by(code: str):
+    """The scipy linear-algebra modules loaded once `code` has run in a
+    fresh interpreter, with its last expression's value."""
+    code += ("\nprint(json.dumps([[m for m in ('scipy.linalg', 'scipy.sparse.linalg')\n"
+             "                   if m in sys.modules], result]))\n")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", "import sys, json\n" + code],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
 def test_import_and_model_setup_leave_scipy_linalg_unloaded():
-    code = (
-        "import sys, json\n"
+    loaded, _ = _linalg_modules_loaded_by(
         "import bosetraj\n"
         "from bosetraj import JumpChannels, build_basis\n"
         "from bosetraj.gutzwiller import SiteOperators\n"
         "for L in (3, 8):\n"
         "    JumpChannels(build_basis(L, L, 3), 1.0, 0.5)\n"
         "SiteOperators(8)\n"
-        "print(json.dumps([m for m in ('scipy.linalg', 'scipy.sparse.linalg')\n"
-        "                  if m in sys.modules]))\n")
-    env = os.environ | {"PYTHONPATH": os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120, check=True)
-    assert json.loads(proc.stdout) == []
+        "result = None")
+    assert loaded == []
 
+
+def test_gutzwiller_sweep_leaves_scipy_linalg_unloaded():
+    # the grid's RK4 and the branch's Newton steps need numpy alone
+    loaded, iterations = _linalg_modules_loaded_by(
+        "from bosetraj.gutzwiller import GwConfig, order_parameter_sweep\n"
+        "sweep = order_parameter_sweep([0.0, 6.0], GwConfig(n_max=4, dt=0.01, t_max=1.0))\n"
+        "result = sweep.counters['newton_iterations']")
+    assert loaded == []
+    assert iterations > 0

@@ -279,10 +279,13 @@ class TestGutzwiller:
                                "--n-max", "8", "--dt", "0.01", "--t-max", "10")
         assert code == EXIT_OK
         manifest = json.loads((outdir / "manifest.json").read_text())
-        # one batch of three grid points, then the six bisection steps as two
-        # batches of seven midpoints; only gamma = 0 settles
+        # one batch of three grid points, of which only gamma = 0 settles; the
+        # branch is then continued by Newton from gamma = 3 to where it vanishes
         assert (manifest["evolves"], manifest["rk4_steps"], manifest["unconverged"],
-                manifest["lockstep_steps"]) == (17, 16535, 16, 3000)
+                manifest["lockstep_steps"], manifest["newton_iterations"]) == (
+                    3, 2535, 2, 1000, 98)
+        assert manifest["branch_end"] == "vanishing"
+        assert abs(manifest["gamma_c"] - 4.51) < 0.01
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--t-max", "-1", "t_max"), ("--dt", "inf", "dt"), ("--dt", "nan", "dt"),
@@ -573,7 +576,8 @@ def test_observable_writer_holds_no_dense_operator(tmp_path):
                                   cfg, M=3)
     tracemalloc.start()
     try:
-        cli._write_observables(tmp_path, ens, lindblad.default_observables(basis))
+        cli._write_observables(tmp_path, lindblad.ensemble_expectations(
+            ens, lindblad.default_observables(basis)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

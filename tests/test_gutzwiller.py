@@ -1,4 +1,4 @@
-"""Tests for the single-site mean-field generator and sweep.
+"""Tests for the single-site mean-field generator, steady state and sweep.
 
 The central oracle: for a product state of two neighboring sites, the
 exact partial trace of the two-site phase-lock dissipator must equal
@@ -25,6 +25,7 @@ from bosetraj.gutzwiller import (
     meanfield_rhs,
     order_parameter_consistency,
     order_parameter_sweep,
+    steady_state,
 )
 from oracles import matrix_dissipator, meanfield_generator
 
@@ -299,8 +300,7 @@ class TestSweep:
         # disordered points plus a monotone trend and a bracketed
         # critical point.
         template = GwConfig(n_max=8, dt=0.01, t_max=150.0)
-        res = order_parameter_sweep([0.5, 3.0, 6.0], template=template,
-                                    bisection_steps=2)
+        res = order_parameter_sweep([0.5, 3.0, 6.0], template=template)
         amps = {p.gamma: p.alpha_abs for p in res.points}
         assert amps[0.5] > 0.8
         assert amps[6.0] < 1e-3
@@ -339,52 +339,163 @@ class TestSweep:
                                                    dt=0.01, t_max=0.1))
 
     def test_counters_match_the_evolves_run(self, monkeypatch):
-        batches = []
+        batches, solves = [], []
 
-        def recording(*args, **kwargs):
+        def recording_batch(*args, **kwargs):
             batches.append(evolve_batch(*args, **kwargs))
             return batches[-1]
 
-        monkeypatch.setattr(gutzwiller, "evolve_batch", recording)
-        res = order_parameter_sweep([0.0, 6.0], GwConfig(n_max=8, dt=0.01, t_max=10.0),
-                                    bisection_steps=2)
-        runs = [ev for batch in batches for ev in batch]
-        # the grid, then one batch for both bisection levels (three midpoints)
-        assert [len(batch) for batch in batches] == [2, 3]
-        assert res.counters == {
-            "evolves": 5, "rk4_steps": sum(ev.steps for ev in runs),
-            "unconverged": sum(not ev.converged for ev in runs),
-            "lockstep_steps": sum(max(ev.steps for ev in batch) for batch in batches)}
-        # a converged run stops on its step, the others run to t_max
-        assert [ev.steps for ev in runs[:2]] == [535, 1000]
+        def recording_solve(*args, **kwargs):
+            solves.append(steady_state(*args, **kwargs))
+            return solves[-1]
 
-    @pytest.mark.parametrize("steps", range(8))
-    def test_bisection_replays_the_sequential_walk(self, monkeypatch, steps):
-        # a non-monotone alpha(gamma): several crossings of the threshold,
-        # so only the walk's own path through the batch gives its answer
-        def alpha(gamma):
-            return abs(math.cos(2.3 * gamma)) * math.exp(-0.2 * gamma)
+        monkeypatch.setattr(gutzwiller, "evolve_batch", recording_batch)
+        monkeypatch.setattr(gutzwiller, "steady_state", recording_solve)
+        res = order_parameter_sweep([0.0, 6.0], GwConfig(n_max=8, dt=0.01, t_max=10.0))
+        # the grid is the one evolved batch; a converged run stops on its
+        # step, the others run to t_max
+        (grid,) = batches
+        assert [ev.steps for ev in grid] == [535, 1000]
+        assert res.counters == {"evolves": 2, "rk4_steps": 1535, "unconverged": 1,
+                                "lockstep_steps": 1000,
+                                "newton_iterations": sum(ss.iterations for ss in solves)}
+        assert len(solves) > 1 and res.branch_end == "vanishing"
 
-        def stub(template, rates, *args, **kwargs):
-            return [gutzwiller.GwEvolution(times=np.array([0.0]),
-                                           alphas=np.array([alpha(g)]), final=None,
-                                           converged=True) for g in rates]
+    @pytest.mark.parametrize("end", ["fold", "vanishing"])
+    @pytest.mark.parametrize("gamma_end", [0.3, 2.0, 3.7, 5.999])
+    def test_continuation_finds_the_branch_end(self, monkeypatch, end, gamma_end):
+        # a stub branch, ordered below gamma_end; above it Newton either
+        # fails (a fold) or finds a disordered state (a continuous vanishing).
+        # The grid's evolutions call gamma = 2 ordered at every gamma_end, so
+        # a start above the branch end is walked down from.
+        def stub(cfg, rho0):
+            alive = cfg.rate_dephase < gamma_end
+            return gutzwiller.SteadyState(rho=rho0, alpha=0.5 if alive else 0.0,
+                                          converged=alive or end == "vanishing",
+                                          iterations=3)
 
-        monkeypatch.setattr(gutzwiller, "evolve_batch", stub)
-        grid = [0.0, 2.0, 6.0]
-        res = order_parameter_sweep(grid, GwConfig(), alpha_threshold=0.1,
-                                    bisection_steps=steps)
-        # the plain sequential bisection between the last ordered and the
-        # first disordered grid point
-        lo = max(g for g in grid if alpha(g) >= 0.1)
-        hi = min(g for g in grid if alpha(g) < 0.1)
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if alpha(mid) >= 0.1 else (lo, mid)
-        assert res.gamma_c == 0.5 * (lo + hi)
-        per_batch = [min(gutzwiller.LOOKAHEAD, steps - done)
-                     for done in range(0, steps, gutzwiller.LOOKAHEAD)]
-        assert res.counters["evolves"] == len(grid) + sum(2 ** r - 1 for r in per_batch)
+        monkeypatch.setattr(gutzwiller, "steady_state", stub)
+        res = order_parameter_sweep([0.0, 2.0, 6.0], GwConfig(n_max=8, dt=0.01, t_max=10.0))
+        assert abs(res.gamma_c - gamma_end) <= gutzwiller.GAMMA_TOL
+        assert res.branch_end == end
+        assert res.counters["newton_iterations"] % 3 == 0
+
+    def test_branch_that_outlives_the_grid_means_nan(self, monkeypatch):
+        def stub(cfg, rho0):
+            return gutzwiller.SteadyState(rho=rho0, alpha=0.5, converged=True, iterations=1)
+
+        monkeypatch.setattr(gutzwiller, "steady_state", stub)
+        res = order_parameter_sweep([0.0, 6.0], GwConfig(n_max=8, dt=0.01, t_max=10.0))
+        assert math.isnan(res.gamma_c) and res.branch_end is None
+
+    def test_no_ordered_grid_point_means_nan(self):
+        res = order_parameter_sweep([6.0], GwConfig(n_max=8, dt=0.01, t_max=10.0))
+        assert res.points[0].alpha_abs < 1e-3
+        assert math.isnan(res.gamma_c) and res.branch_end is None
+        assert res.counters["newton_iterations"] == 0
+
+
+def thermal_dm(n_max, filling=1.0):
+    """The disordered steady state: on a diagonal rho every moment vanishes,
+    and f D[a†] + (f + 1) D[a] balance at p_{n+1} / p_n = f / (f + 1)."""
+    p = (filling / (filling + 1.0)) ** np.arange(n_max + 1)
+    return np.diag(p / p.sum())
+
+
+def linear_instability(n_max):
+    """gamma at which the disordered state loses linear stability, from
+    central differences of meanfield_rhs (exact: the RHS is quadratic) on
+    its Delta n = 1 coherences, the sector alpha lives in.  Gamma D[n]
+    damps that sector at Gamma / 2, so the threshold is twice the leading
+    growth rate at Gamma = 0."""
+    d, eps = n_max + 1, 1e-3
+    cfg, ops, rho = GwConfig(n_max=n_max), SiteOperators(n_max), thermal_dm(n_max)
+    assert np.abs(meanfield_rhs(rho, ops, cfg)).max() < 1e-14
+    jac = np.empty((d - 1, d - 1))
+    for k in range(d - 1):
+        e = np.zeros((d, d))
+        e[k, k + 1] = e[k + 1, k] = 1.0
+        diff = meanfield_rhs(rho + eps * e, ops, cfg) - meanfield_rhs(rho - eps * e, ops, cfg)
+        jac[:, k] = np.diagonal(diff, 1) / (2.0 * eps)
+    return 2.0 * np.linalg.eigvals(jac).real.max()
+
+
+class TestSteadyState:
+    @pytest.fixture(scope="class")
+    def long_runs(self):
+        template = GwConfig(n_max=8, dt=0.01, t_max=400.0)
+        return template, evolve_batch(template, (1.0, 3.0, 4.25))
+
+    @pytest.mark.parametrize("index, gamma", enumerate((1.0, 3.0, 4.25)))
+    def test_matches_a_long_rk4_run(self, long_runs, index, gamma):
+        # from the coherent seed straight to the state RK4 settles in
+        template, runs = long_runs
+        ev = runs[index]
+        assert ev.converged
+        ss = steady_state(replace(template, rate_dephase=gamma), default_initial_dm(template))
+        assert ss.converged and ss.iterations < 10
+        assert abs(abs(ss.alpha) - abs(ev.alphas[-1])) < 1e-6
+        assert np.abs(ss.rho - ev.final).max() < 1e-6
+
+    @pytest.mark.parametrize("n_max, gamma", [(6, 0.5), (8, 4.25), (12, 3.0)])
+    def test_is_a_fixed_point_of_the_matrix_form(self, n_max, gamma):
+        # the reduced maps against the generator written out as matrix products
+        cfg = GwConfig(rate_dephase=gamma, n_max=n_max)
+        ss = steady_state(cfg, default_initial_dm(cfg))
+        assert ss.converged
+        np.testing.assert_array_equal(ss.rho, ss.rho.T)
+        assert np.trace(ss.rho) == pytest.approx(1.0, abs=1e-13)
+        assert np.linalg.eigvalsh(ss.rho).min() > -1e-12
+        ops = SiteOperators(n_max)
+        assert np.abs(meanfield_generator(ss.rho, ops, cfg)).max() < 1e-11
+        assert ss.alpha == pytest.approx(np.trace(ss.rho @ ops.a).real, abs=1e-14)
+
+    def test_disordered_seed_stays_disordered(self):
+        cfg = GwConfig(rate_dephase=1.0, n_max=8)
+        ss = steady_state(cfg, np.eye(9) / 9)
+        assert ss.converged and ss.alpha == 0.0
+        np.testing.assert_allclose(ss.rho, thermal_dm(8), rtol=0, atol=1e-13)
+
+    def test_seed_must_be_real_and_fit_the_cutoff(self):
+        cfg = GwConfig(n_max=8)
+        for seed in (coherent_dm(0.8, 6), coherent_dm(0.8j, 8)):
+            with pytest.raises(ValueError, match="n_max=8"):
+                steady_state(cfg, seed)
+
+
+class TestBranchEnd:
+    @pytest.mark.parametrize("t_max", [10.0, 100.0])
+    def test_n_max_8_vanishes_at_the_linear_instability(self, t_max):
+        res = order_parameter_sweep([0.0, 3.0, 6.0], GwConfig(n_max=8, dt=0.01, t_max=t_max))
+        assert res.branch_end == "vanishing"
+        assert abs(res.gamma_c - 4.51) < 0.01
+        assert abs(res.gamma_c - linear_instability(8)) <= gutzwiller.GAMMA_TOL
+        # t_max sets only the grid's rows: gamma_c is the t_max = 10 one
+        assert res.gamma_c == order_parameter_sweep(
+            [0.0, 3.0, 6.0], GwConfig(n_max=8, dt=0.01, t_max=10.0)).gamma_c
+
+    def test_evolution_still_ordered_at_the_top_of_the_grid(self):
+        # |alpha| at gamma = 4.6 still decays at t_max = 100, so every grid
+        # point reads ordered; Newton finds the branch gone there and the
+        # continuation from gamma = 3 ends where it ends on a wider grid
+        res = order_parameter_sweep([0.0, 3.0, 4.6], GwConfig(n_max=8, dt=0.01, t_max=100.0))
+        assert min(p.alpha_abs for p in res.points) > 1e-3
+        assert res.branch_end == "vanishing"
+        assert abs(res.gamma_c - linear_instability(8)) <= gutzwiller.GAMMA_TOL
+
+    def test_n_max_12_ends_at_a_fold(self):
+        # past the linear instability (about 2.53): the ordered branch ends
+        # at a fold with |alpha| still large
+        assert linear_instability(12) < 3.0
+        res = order_parameter_sweep([3.0, 4.0], GwConfig(n_max=12, dt=0.005, t_max=5.0))
+        assert res.branch_end == "fold"
+        assert 3.5 <= res.gamma_c <= 3.75
+        below = steady_state(GwConfig(rate_dephase=res.gamma_c - gutzwiller.GAMMA_TOL,
+                                      n_max=12), default_initial_dm(GwConfig(n_max=12)))
+        assert below.converged and abs(below.alpha) > 0.3
+        # past the fold Newton stops as soon as a step fails to shrink
+        past = steady_state(GwConfig(rate_dephase=res.gamma_c + 0.05, n_max=12), below.rho)
+        assert not past.converged and past.iterations < 10
 
 
 class TestBatch:
