@@ -19,12 +19,14 @@ check), or an adaptive Lanczos basis per interval for large sparse real
 symmetric generators, grown until its a-posteriori error bound at the
 sampled tau is below KRYLOV_TOL.  The dense propagator solves a round
 for the whole batch at once (one coefficient product, a vectorised
-Newton, one state product), and the round's jumping members have their
-channels chosen together.  Lanczos (and the expm fallback) members
-share no basis, so each takes its own scalar step, and their batches
-hold one member.  The chain's generator is the real symmetric decay
-operator A; the ancilla circuits (`ancilla.py`) run the same event loop
-on their non-Hermitian i H_nh.
+Newton, one state product).  Lanczos (and the expm fallback) members
+share no basis, so their propagators solve a round member by member,
+and their batches hold one member.  Either way a round hands the loop
+every member's interval, jump time, decay rate and state, and the
+round's jumping members have their channels chosen together.  The
+chain's generator is the real symmetric decay operator A; the ancilla
+circuits (`ancilla.py`) run the same event loop on their non-Hermitian
+i H_nh.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ DENSE_MAX_DIM = 500    # generators up to this dimension are diagonalised once
 RECON_TOL = 1e-10      # relative reconstruction error a decomposition may have
 KRYLOV_TOL = 1e-12     # bound on the Lanczos state error over an interval
 KRYLOV_MAX = 60        # largest Lanczos basis; past it the interval is cut short
-LOG_SKIP = math.log(2.0 * KRYLOV_TOL)  # log error floor above which a step skips eigh
+LOG_SKIP = math.log(2.0 * KRYLOV_TOL)  # log error floor above which a step skips its eigensolve
 ORTHO_TOL = 1e-12      # largest |V^H V - I| a bare Lanczos basis may keep
 DGKS_RATIO = math.sqrt(0.5)   # a second Gram-Schmidt pass when ||w|| falls below this
 ROOT_RTOL = 1e-14      # relative accuracy of the survival at the jump time
@@ -155,12 +157,12 @@ def _survival_slope(rates, coef, tau: float):
 
 def _jump_time(survival_slope, r: float, tau_max: float, start=None):
     """(tau, rate): the time the survival falls to r and its decay rate
-    -dP/dtau there, or (tau_max, None) if it stays above r until then.
+    -dP/dtau there, or (tau_max, NaN) if it stays above r until then.
     survival_slope(tau) gives the survival and its tau-derivative.
     Newton on log(survival), which is linear for a single decay rate, from
     `start` (default 0), safeguarded by bisection of the bracket."""
     if survival_slope(tau_max)[0] >= r:
-        return tau_max, None
+        return tau_max, math.nan
     lo, hi, log_r = 0.0, tau_max, math.log(r)
     tau = start if start is not None and 0.0 < start < tau_max else 0.0
     while True:
@@ -253,6 +255,14 @@ class DenseExp:
         return [Interval(self.V, self.lam, c) for c in coef], tau, rate, phi
 
 
+def _batched(solved):
+    """`DenseExp.intervals`'s (intervals, tau, rate, states at tau) from
+    every member's own (interval, tau, rate)."""
+    ivs, tau, rate = zip(*solved)
+    return (list(ivs), np.array(tau), np.array(rate),
+            np.array([iv.states(x) for iv, x in zip(ivs, tau)]))
+
+
 class ExpmExp:
     """exp(-G tau) from scipy's expm at every evaluation: the fallback for
     a non-Hermitian G with no usable eigenbasis (at or near an
@@ -263,9 +273,15 @@ class ExpmExp:
     def __init__(self, G):
         self.G = G.toarray() if sp.issparse(G) else np.asarray(G)
 
-    def interval(self, psi, r, tau_max):
-        iv = ExpmInterval(self.G, psi)
-        return (iv, *_jump_time(functools.partial(self._survival_slope, iv), r, tau_max))
+    def intervals(self, psi, r, tau_max):
+        """`DenseExp.intervals`, solved member by member with one expm
+        per tau."""
+        solved = []
+        for x, r_m, tau_max_m in zip(psi, r.tolist(), tau_max.tolist()):
+            iv = ExpmInterval(self.G, x)
+            solved.append((iv, *_jump_time(functools.partial(self._survival_slope, iv),
+                                           r_m, tau_max_m)))
+        return _batched(solved)
 
     def _survival_slope(self, iv, tau: float):
         """The survival ||x||^2 of x = iv.states(tau) and its tau-derivative
@@ -333,54 +349,62 @@ class KrylovExp:
     def __init__(self, A):
         self.A = sp.csr_matrix(A)
 
-    def interval(self, psi, r, tau_max):
-        iv, tau, rate = self._lanczos(psi, r, tau_max, reorth=False)
-        V = iv.basis        # Fortran-ordered, so one gemm forms V^H V
-        gram = _blas(V.dtype)[1](1.0, V, V, trans_a=2)
-        if np.abs(gram - np.eye(len(gram))).max() > ORTHO_TOL:
-            iv, tau, rate = self._lanczos(psi, r, tau_max, reorth=True)
-            iv.reorthogonalised = True
-        return iv, tau, rate
+    def intervals(self, psi, r, tau_max):
+        """`DenseExp.intervals`, solved member by member, each with its
+        own Lanczos basis; a basis that fails its orthogonality check is
+        rebuilt with reorthogonalisation."""
+        solved = []
+        for member in zip(psi, r.tolist(), tau_max.tolist()):
+            iv, tau, rate = self._lanczos(*member, reorth=False)
+            V = iv.basis        # Fortran-ordered, so one gemm forms V^H V
+            gram = _lapack(V.dtype)[1](1.0, V, V, trans_a=2)
+            gram.flat[::len(gram) + 1] -= 1.0
+            if np.abs(gram).max() > ORTHO_TOL:
+                iv, tau, rate = self._lanczos(*member, reorth=True)
+                iv.reorthogonalised = True
+            solved.append((iv, tau, rate))
+        return _batched(solved)
 
     def _lanczos(self, psi, r, tau_max, reorth):
         norm = math.sqrt(np.vdot(psi, psi).real)
         Q = np.empty((KRYLOV_MAX, psi.size), dtype=psi.dtype)
         np.divide(psi, norm, out=Q[0])
-        axpy = _blas(Q.dtype)[0]
-        T = np.zeros((KRYLOV_MAX, KRYLOV_MAX))
+        axpy, _, stev = _lapack(Q.dtype)
+        alpha, beta = np.empty(KRYLOV_MAX), np.empty(KRYLOV_MAX)    # T's diagonals
         tau, log_scale, d = None, math.log(norm), 0.0
         for j in range(KRYLOV_MAX):
             if j:
-                np.divide(w, beta, out=Q[j])
-                T[j - 1, j] = T[j, j - 1] = beta
+                np.divide(w, beta[j - 1], out=Q[j])
             w = self.A @ Q[j]
-            T[j, j] = alpha = np.vdot(Q[j], w).real
-            w = axpy(Q[j], w, a=-alpha)         # in place
+            alpha[j] = a = np.vdot(Q[j], w).real
+            w = axpy(Q[j], w, a=-a)         # in place
             if j:
-                w = axpy(Q[j - 1], w, a=-beta)
+                w = axpy(Q[j - 1], w, a=-beta[j - 1])
             basis = Q[:j + 1]
-            beta = math.sqrt(np.vdot(w, w).real)
+            b = math.sqrt(np.vdot(w, w).real)
             if reorth:
                 for _ in range(2):      # a second pass only on cancellation
-                    before = beta
+                    before = b
                     w -= (basis @ w.conj()).conj() @ basis
-                    beta = math.sqrt(np.vdot(w, w).real)
-                    if beta >= before * DGKS_RATIO:
+                    b = math.sqrt(np.vdot(w, w).real)
+                    if b >= before * DGKS_RATIO:
                         break
-            log_scale += math.log(beta) if beta > 0.0 else -math.inf
-            d = max(d, alpha)
+            beta[j] = b
+            log_scale += math.log(b) if b > 0.0 else -math.inf
+            d = max(d, a)
             k = j + 1
             if (tau is not None and k < KRYLOV_MAX
                     and _log_error_floor(log_scale, k, tau, d) > LOG_SKIP):
                 continue
-            if k == 1:
-                theta, S = np.array([max(alpha, 0.0)]), np.ones((1, 1))
-            else:
-                theta, S = np.linalg.eigh(T[:k, :k])
-                theta = np.maximum(theta, 0.0)
+            # T_k is real symmetric tridiagonal, for complex states too
+            # (stev wants its off-diagonal padded to one entry at k = 1)
+            theta, S, info = stev(alpha[:k], beta[:max(k - 1, 1)])
+            if info:
+                raise np.linalg.LinAlgError(f"eigensolve of T_{k} did not converge")
+            theta = np.maximum(theta, 0.0)
             iv = Interval(basis.T, theta, norm * S[0], rotation=S)
             survival = functools.partial(_survival_slope, theta, iv.coef)
-            weight = beta * S[-1] * iv.coef
+            weight = b * S[-1] * iv.coef
             # solve for tau only once the bound holds at the previous tau
             if tau is None or _lanczos_error(weight, theta, tau) <= KRYLOV_TOL:
                 tau, rate = _jump_time(survival, r, tau_max, start=tau)
@@ -394,13 +418,15 @@ class KrylovExp:
 
 
 @functools.cache
-def _blas(dtype):
-    """BLAS (axpy, gemm) for arrays of `dtype`, looked up at the first
-    Lanczos interval: importing scipy.linalg at module load would slow
-    every run that never needs it."""
+def _lapack(dtype):
+    """BLAS (axpy, gemm) for arrays of `dtype` and LAPACK's real
+    tridiagonal eigensolver dstev, looked up at the first Lanczos
+    interval: importing scipy.linalg at module load would slow every run
+    that never needs it."""
     from scipy.linalg import get_blas_funcs
+    from scipy.linalg.lapack import dstev
 
-    return get_blas_funcs(("axpy", "gemm"), dtype=dtype)
+    return (*get_blas_funcs(("axpy", "gemm"), dtype=dtype), dstev)
 
 
 def _log_error_floor(log_scale, k, tau, d):
@@ -485,51 +511,11 @@ class JumpChannels:
                            return_eigenvectors=False)[0])
 
 
-def _bond_weights(phi: np.ndarray, stacked):
-    """(outputs, weights) of the row blocks of `stacked` on phi: the
-    outputs one row per channel, the weights ||b_k phi||^2."""
-    out = (stacked @ phi).reshape(-1, phi.size)
-    return out, np.einsum("ij,ij->i", out.conj(), out).real
-
-
 def _bad_total(total):
     """The error for a total channel weight (a scalar or one per member)
     that is not a positive finite number: no jump can be drawn from it."""
     return NumericGuardError(f"jump selected at a total channel rate of {total}, "
                              f"not a positive finite number")
-
-
-def select_jump(phi: np.ndarray, stacked, diagonal: np.ndarray, u: float, total: float):
-    """Inverse-CDF channel choice with the uniform draw u.  Returns
-    (channel, normalised post-jump state).
-
-    The channels are the row blocks of `stacked`, weighed by the product
-    `stacked @ phi`, then the columns of `diagonal`: each holds the rates
-    |c_j|^2 of a diagonal jump operator c_j with nonnegative entries,
-    weighed as |phi|^2 @ diagonal with no operator product.  total is the
-    summed weight of every channel: the survival's decay rate -dP/dtau
-    at the jump, which the propagator returns (2 phi^H A phi for the
-    no-jump generator A).  Weights at or below CHANNEL_EPS of it are
-    dead.  The bonds are weighed only if u * total falls below the share
-    the sites leave them, and if every bond turns out dead, the sites
-    take the draw.
-    """
-    if not 0.0 < total < math.inf:
-        raise _bad_total(total)
-    sites = (phi.conj() * phi).real @ diagonal
-    sites[sites <= CHANNEL_EPS * total] = 0.0
-    target, bond_share = u * total, total - sites.sum()
-    if target < bond_share:
-        out, bonds = _bond_weights(phi, stacked)
-        bonds[bonds <= CHANNEL_EPS * total] = 0.0
-        k = _inverse_cdfs(bonds[None], np.array([target]))[0]
-        if k >= 0:
-            return k, out[k] / math.sqrt(bonds[k])
-    j = _inverse_cdfs(sites[None], np.array([target - bond_share]))[0]
-    if j < 0:
-        raise NumericGuardError("jump selected but every channel amplitude is zero")
-    post = np.sqrt(diagonal[:, j]) * phi
-    return stacked.shape[0] // phi.size + j, post / math.sqrt(sites[j])
 
 
 def _bond_weights_rows(phi: np.ndarray, stacked):
@@ -545,61 +531,61 @@ def _bond_weights_rows(phi: np.ndarray, stacked):
 def _inverse_cdfs(weights: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Per row, the channel whose CDF interval over `weights` (dead ones
     already zero) holds target, clamped onto the first and last live
-    channel; -1 where no channel is live."""
-    cum = np.cumsum(weights, axis=-1)
-    n = weights.shape[-1]
-    # the number of CDF values <= target: a live channel's index, since
-    # the CDF rises there, unless the target is at or past its end (or NaN)
-    k = n - (cum > np.maximum(target, 0.0)[:, None]).sum(axis=-1)
-    for i in np.flatnonzero(k == n).tolist():
-        live = np.flatnonzero(weights[i] > 0.0)
-        k[i] = live[-1] if live.size else -1
-    return k
+    channel; -1 where no channel is live.  The CDF is summed in channel
+    order, as np.cumsum sums it."""
+    k = []
+    for w, t in zip(weights.tolist(), np.maximum(target, 0.0).tolist()):
+        cdf, choice = 0.0, -1
+        for i, x in enumerate(w):
+            cdf += x
+            if x > 0.0:
+                choice = i
+            if cdf > t:         # never, for a target at or past the end (or NaN)
+                break
+        k.append(choice)
+    return np.array(k, dtype=np.intp)
 
 
 def _select_rows(phi: np.ndarray, stacked, diagonal: np.ndarray, u: np.ndarray,
                  total: np.ndarray):
-    """`select_jump` for every row of phi at once, each with its own draw
-    in u and total: the same weights, dead-channel clamp, bond-share
-    shortcut and inverse CDF, vectorised over the members, with the bonds
-    of the members that need them weighed by one sparse product.  Returns
-    (channels, normalised post-jump states); each member's choice is
-    bitwise what it gets alone."""
-    if not ((0.0 < total) & (total < math.inf)).all():
+    """Inverse-CDF channel choice for every row of phi, each with its own
+    uniform draw in u and total weight.  Returns (channels, normalised
+    post-jump states); each row's choice is bitwise what it gets alone.
+
+    The channels are the row blocks of `stacked`, weighed by the product
+    `stacked @ phi`, then the columns of `diagonal`: each holds the rates
+    |c_j|^2 of a diagonal jump operator c_j with nonnegative entries,
+    weighed as |phi|^2 @ diagonal with no operator product.  A row's total
+    is its summed weight over every channel: the survival's decay rate
+    -dP/dtau at the jump, which the propagator returns (2 phi^H A phi for
+    the no-jump generator A).  Weights at or below CHANNEL_EPS of it are
+    dead.  A row's bonds are weighed only if u * total falls below the
+    share its sites leave them, by one sparse product for all such rows,
+    and if every bond turns out dead, the sites take the draw.
+    """
+    if not all(0.0 < x < math.inf for x in total.tolist()):     # NaN fails too
         raise _bad_total(total)
+    floor = CHANNEL_EPS * total[:, None]
     sites = _rows(_abs2(phi), diagonal)
-    sites[sites <= CHANNEL_EPS * total[:, None]] = 0.0
+    sites[sites <= floor] = 0.0
     target = u * total
     bond_share = total - sites.sum(axis=-1)
     k, post = np.full(len(phi), -1), np.empty_like(phi)
-    rows = np.flatnonzero(target < bond_share)
+    rows = (target < bond_share).nonzero()[0]
     if rows.size:
         out, bonds = _bond_weights_rows(phi[rows], stacked)
-        bonds[bonds <= CHANNEL_EPS * total[rows, None]] = 0.0
+        bonds[bonds <= floor[rows]] = 0.0
         k[rows] = kb = _inverse_cdfs(bonds, target[rows])
-        i = np.flatnonzero(kb >= 0)
+        i = (kb >= 0).nonzero()[0]
         post[rows[i]] = out[i, kb[i]] / np.sqrt(bonds[i, kb[i]])[:, None]
-    rows = np.flatnonzero(k < 0)
+    rows = (k < 0).nonzero()[0]
     if rows.size:
         j = _inverse_cdfs(sites[rows], target[rows] - bond_share[rows])
-        if (j < 0).any():
+        if min(j.tolist()) < 0:
             raise NumericGuardError("jump selected but every channel amplitude is zero")
         k[rows] = stacked.shape[0] // phi.shape[1] + j
         post[rows] = np.sqrt(diagonal.T[j]) * phi[rows] / np.sqrt(sites[rows, j])[:, None]
     return k, post
-
-
-def _step(psi: np.ndarray, channels, t: float, t_stop: float, r: float, rng):
-    """One member's interval with its propagator's own `interval`: the
-    round of a propagator whose members share no basis."""
-    iv, tau, rate = channels.propagator.interval(psi, r, t_stop - t)
-    phi = iv.states(tau)
-    if rate is None:
-        p = float(np.vdot(phi, phi).real)
-        t_new = t_stop if tau == t_stop - t else t + tau
-        return phi / math.sqrt(p), t_new, r / p, -1, iv
-    k, out = select_jump(phi, channels.stacked, channels.diagonal, rng.random(), rate)
-    return out, t + tau, 1.0 - rng.random(), k, iv
 
 
 def _advance(psi: np.ndarray, channels, t, t_stop, r, rngs):
@@ -609,22 +595,15 @@ def _advance(psi: np.ndarray, channels, t, t_stop, r, rngs):
     r is the survival probability each pending jump waits for.  At a
     jump, the member's rng draws the channel and then the next jump's r;
     at a stop the pending jump carries over with r/p, p the survival over
-    the interval.  The dense propagator solves the round for all members
-    at once and their channels are chosen together; the others (Lanczos,
-    expm) share no basis between members, so each member takes `_step`.
-    Returns (states, times reached, r, channel per member (-1 for none),
-    Interval per member of the no-jump evolution from psi).
+    the interval.  The propagator solves the round's intervals and the
+    jumping members' channels are chosen together.  Returns (states,
+    times reached, r, channel per member (-1 for none), Interval per
+    member of the no-jump evolution from psi).
     """
-    if channels.propagator.kind != "dense":
-        steps = [_step(p, channels, *member) for p, *member in zip(psi, t.tolist(),
-                                                                   t_stop.tolist(),
-                                                                   r.tolist(), rngs)]
-        out, t_new, r_new, k, ivs = zip(*steps)
-        return np.array(out), np.array(t_new), np.array(r_new), np.array(k), list(ivs)
     tau_max = t_stop - t
     ivs, tau, rate, phi = channels.propagator.intervals(psi, r, tau_max)
-    jumped = ~np.isnan(rate)
-    stay, hit = np.flatnonzero(~jumped), np.flatnonzero(jumped)
+    stopped = np.isnan(rate)
+    stay, hit = stopped.nonzero()[0], (~stopped).nonzero()[0]
     out, t_new, r_new, k = np.empty_like(phi), t + tau, r.copy(), np.full(len(psi), -1)
     if stay.size:
         p = _abs2(phi[stay]).sum(axis=-1)
@@ -632,10 +611,11 @@ def _advance(psi: np.ndarray, channels, t, t_stop, r, rngs):
         t_new[stay] = np.where(tau[stay] == tau_max[stay], t_stop[stay], t_new[stay])
         r_new[stay] = r[stay] / p
     if hit.size:
-        u = np.array([rngs[m].random() for m in hit.tolist()])
+        hit_rngs = [rngs[m] for m in hit.tolist()]
+        u = np.array([rng.random() for rng in hit_rngs])
         k[hit], out[hit] = _select_rows(phi[hit], channels.stacked, channels.diagonal, u,
                                         rate[hit])
-        r_new[hit] = [1.0 - rngs[m].random() for m in hit.tolist()]
+        r_new[hit] = [1.0 - rng.random() for rng in hit_rngs]
     return out, t_new, r_new, k, ivs
 
 
@@ -673,7 +653,7 @@ def unravel_batch(psi: np.ndarray, channels, t_max: float, rngs, stops=(),
     channels supplies `propagator` (exp(-G tau) for the no-jump
     generator G) and the jump operators in channel order: `stacked`, one
     block of rows per channel, then the diagonal ones as the columns of
-    `diagonal` (see `select_jump`).
+    `diagonal` (see `_select_rows`).
     """
     ends = np.array([*stops, t_max], dtype=float)
     # the live members' rows, compacted as members leave; no array is

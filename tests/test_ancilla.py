@@ -122,9 +122,9 @@ class TestPhaselockCircuit:
         prop = propagator(jordan, hermitian=False)
         assert isinstance(prop, ExpmExp)
         psi = np.array([0.6, 0.8])
-        iv, tau, rate = prop.interval(psi, 0.3, 10.0)
-        phi = iv.states(tau)
-        assert rate is not None and phi @ phi == pytest.approx(0.3, abs=1e-12)
+        ivs, taus, rates, phis = prop.intervals(psi[None], np.array([0.3]), np.array([10.0]))
+        iv, tau, phi = ivs[0], taus[0], phis[0]
+        assert not math.isnan(rates[0]) and phi @ phi == pytest.approx(0.3, abs=1e-12)
         np.testing.assert_allclose(iv.states(tau), expm(-jordan * tau) @ psi,
                                    atol=1e-12)
         for taus in (np.linspace(0.1, 3.0, 30), np.array([0.0, 0.2, 1.5])):

@@ -32,7 +32,7 @@ from bosetraj import (
 )
 from bosetraj import trajectory
 from bosetraj.fock import NumericGuardError
-from bosetraj.trajectory import DenseExp, KrylovExp, trajectory_rng
+from bosetraj.trajectory import DenseExp, ExpmExp, KrylovExp, trajectory_rng
 from oracles import unravel_oracle
 
 
@@ -69,10 +69,10 @@ class TestStep:
                 else make(channels.decay))
         psi = default_initial_state(basis)
 
-        def interval(r, tau_max):   # the dense one as a one-row batch
-            if make is KrylovExp:
-                return prop.interval(psi, r, tau_max)
-            ivs, tau, rate, _ = prop.intervals(psi[None], np.array([r]), np.array([tau_max]))
+        def interval(r, tau_max):   # a one-row batch
+            ivs, tau, rate, phi = prop.intervals(psi[None], np.array([r]),
+                                                 np.array([tau_max]))
+            np.testing.assert_allclose(phi[0], ivs[0].states(tau[0]), rtol=0, atol=1e-14)
             return ivs[0], float(tau[0]), None if math.isnan(rate[0]) else float(rate[0])
 
         for r in (0.9, 0.5, 0.1, 1e-3):
@@ -224,8 +224,12 @@ class TestStep:
         weights = np.array([np.vdot(o, o).real for o in outs])
         total = 2.0 * np.vdot(phi, channels.decay @ phi).real
         assert total == pytest.approx(weights.sum(), rel=1e-13)
-        select = lambda u: trajectory.select_jump(
-            phi, channels.stacked, channels.diagonal, u, total)
+
+        def select(u):      # a one-row batch
+            k, post = trajectory._select_rows(phi[None], channels.stacked, channels.diagonal,
+                                              np.array([u]), np.array([total]))
+            return k[0], post[0]
+
         cum = np.cumsum(weights) / weights.sum()
         for k, (lo, hi) in enumerate(zip(np.r_[0.0, cum[:-1]], cum)):
             got_k, post = select(0.5 * (lo + hi))
@@ -238,7 +242,7 @@ class TestStep:
         assert select(cum[bonds - 1] - 1e-12)[0] == bonds - 1
         assert select(cum[bonds - 1] + 1e-12)[0] == bonds
         # a site is chosen without any bond product
-        monkeypatch.setattr(trajectory, "_bond_weights",
+        monkeypatch.setattr(trajectory, "_bond_weights_rows",
                             lambda *a: pytest.fail("bond product formed"))
         assert select(0.5 * (cum[bonds - 1] + 1.0))[0] >= bonds
 
@@ -254,10 +258,11 @@ class TestStep:
         rate = 2.0 * np.vdot(phi, channels.decay @ phi).real
         given = {"rate": rate, "above": rate * (1.0 + 1e-9)}[total]
         for u in [0.0, 1e-300, 1e-16, 1e-10, 0.5, 1.0 - 1e-16]:
-            k, post = trajectory.select_jump(phi, channels.stacked, channels.diagonal,
-                                             u, given)
-            assert channels.labels[k][0] is JumpKind.DEPHASE
-            assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-12)
+            k, post = trajectory._select_rows(phi[None], channels.stacked,
+                                              channels.diagonal, np.array([u]),
+                                              np.array([given]))
+            assert channels.labels[k[0]][0] is JumpKind.DEPHASE
+            assert np.linalg.norm(post[0]) == pytest.approx(1.0, abs=1e-12)
         # through the event loop: r = 1 - 1e-12 fires the jump at tau ~
         # 1e-13, where the bond weights are still ~1e-26 of the total
         for u in [0.0, 0.5]:
@@ -274,12 +279,11 @@ class TestStep:
         basis = build_basis(L=3, N=3, n_max=3)
         channels = JumpChannels(basis, 1.0, 0.5)
         phi = default_initial_state(basis)
-        with pytest.raises(NumericGuardError, match="total channel rate"):
-            trajectory.select_jump(phi, channels.stacked, channels.diagonal, 0.5, total)
-        with pytest.raises(NumericGuardError, match="total channel rate"):
-            trajectory._select_rows(np.tile(phi, (3, 1)), channels.stacked,
-                                    channels.diagonal, np.full(3, 0.5),
-                                    np.array([1.0, total, 1.0]))
+        for totals in ([total], [1.0, total, 1.0]):
+            with pytest.raises(NumericGuardError, match="total channel rate"):
+                trajectory._select_rows(np.tile(phi, (len(totals), 1)), channels.stacked,
+                                        channels.diagonal, np.full(len(totals), 0.5),
+                                        np.array(totals))
 
     def test_dead_channel_never_selected(self):
         # Gamma = 0: the dephasing channels are absent altogether.  From
@@ -303,7 +307,7 @@ class TestStep:
                             min_size=1, max_size=8))
     @settings(max_examples=500, deadline=None)
     def test_inverse_cdf_of_one_row(self, data, weights):
-        # `select_jump` takes its channel from a one-row `_inverse_cdfs`:
+        # a one-row `_select_rows` takes its channel from a one-row `_inverse_cdfs`:
         # against searchsorted over the CDF, clamped onto [0, last channel]
         # and walked back off dead channels, -1 when none is live
         weights = np.array(weights)
@@ -382,7 +386,8 @@ class TestLanczos:
         intervals = [ev.interval for events in trajectory.unravel_batch(
             psi0[None], channels, 0.5, [trajectory_rng(3, 0)], stops=(0.25,))
                      for ev in events]
-        long = channels.propagator.interval(psi0, 1e-8, 100.0)[0]
+        long = channels.propagator.intervals(psi0[None], np.array([1e-8]),
+                                             np.array([100.0]))[0][0]
         for iv in intervals + [long]:
             V = iv.basis
             assert V.dtype == psi0.dtype
@@ -616,12 +621,42 @@ class TestLockstepBatch:
         if rates == (0.0, 1.0):
             assert {j.kind for traj in batch for j in traj.jumps} == {JumpKind.DEPHASE}
 
+    @pytest.mark.parametrize("kind", ["lanczos", "expm"])
+    def test_member_by_member_rows_are_their_one_row_intervals(self, kind):
+        # the propagators that solve member by member give every row of a
+        # batch bitwise its one-row result: a jump, a stop, and (Lanczos)
+        # a long interval whose bare basis is rebuilt with
+        # reorthogonalisation
+        if kind == "lanczos":
+            basis = build_basis(L=7, N=7, n_max=3)
+            channels = JumpChannels(basis, 1.0, 0.5)
+            prop, psi = channels.propagator, default_initial_state(basis)
+            assert isinstance(prop, KrylovExp)
+            r, tau_max = np.array([0.5, 1e-6, 1e-8]), np.array([50.0, 0.3, 100.0])
+        else:       # a Jordan block has no eigenbasis
+            prop = trajectory.propagator(np.array([[0.5, 1.0], [0.0, 0.5]]), hermitian=False)
+            psi = np.array([0.6, 0.8])
+            assert isinstance(prop, ExpmExp)
+            r, tau_max = np.array([0.3, 1e-6]), np.array([10.0, 0.3])
+        rows = np.tile(psi, (len(r), 1))
+        ivs, tau, rate, phi = prop.intervals(rows, r, tau_max)
+        assert not math.isnan(rate[0])
+        assert math.isnan(rate[1]) and tau[1] == tau_max[1]
+        if kind == "lanczos":
+            assert ivs[2].reorthogonalised and not ivs[0].reorthogonalised
+        for m in range(len(r)):
+            one = prop.intervals(rows[m:m + 1], r[m:m + 1], tau_max[m:m + 1])
+            np.testing.assert_array_equal(tau[m:m + 1], one[1])
+            np.testing.assert_array_equal(rate[m:m + 1], one[2])
+            np.testing.assert_array_equal(phi[m:m + 1], one[3])
+            assert ivs[m].reorthogonalised == one[0][0].reorthogonalised
+            np.testing.assert_array_equal(ivs[m].states(tau[m]), one[0][0].states(tau[m]))
+
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_batched_choice_is_the_scalar_choice(self, dtype):
-        # the dense rounds choose every jumping member's channel at once:
-        # the same channel as `select_jump` for each row, the condensate's
-        # dead bonds among the rows included, and the same post-jump state
-        # to rounding
+        # a round chooses every jumping member's channel at once: for
+        # each row bitwise the channel and post-jump state of its own
+        # one-row call, the condensate's dead bonds among the rows included
         basis = build_basis(L=4, N=4, n_max=4)
         channels = JumpChannels(basis, 1.0, 0.5)
         rng = np.random.default_rng(5)
@@ -635,10 +670,11 @@ class TestLockstepBatch:
             k, post = trajectory._select_rows(rows, channels.stacked, channels.diagonal,
                                               np.full(5, u), totals)
             for m, x in enumerate(rows):
-                km, pm = trajectory.select_jump(x, channels.stacked, channels.diagonal, u,
-                                                totals[m])
-                assert k[m] == km
-                np.testing.assert_allclose(post[m], pm, rtol=0, atol=1e-14)
+                km, pm = trajectory._select_rows(x[None], channels.stacked,
+                                                 channels.diagonal, np.array([u]),
+                                                 totals[m:m + 1])
+                assert k[m] == km[0]
+                np.testing.assert_array_equal(post[m], pm[0])
 
     def test_ensemble_members_are_run_trajectory(self, monkeypatch):
         # blocks of one, two and all seven members give the same ensemble,
