@@ -8,8 +8,10 @@ integrator stage.  For a Hermitian state the generator is K rho + (K rho)†
 with a half-generator K, one cached sparse matrix per cutoff and rates;
 dephasing is the number-operator dissipator inside it.  The state is a
 plain (n_max + 1)-square density matrix and RK4 runs in its dtype.
-evolve_batch advances several dephasing rates in lockstep, one sparse
-product per RK4 stage for all of them; evolve is a batch of one.
+evolve_batch advances several dephasing rates in lockstep; evolve is a
+batch of one.  The batch's generator holds each member's rows together,
+so an RK4 stage is one sparse product for all members and one stacked
+product that weights each member's blocks by its moments.
 steady_state solves for a fixed point directly, by Newton's method over
 real symmetric density matrices.  The sweep evolves its grid as one
 batch, then continues the ordered steady-state branch in gamma from an
@@ -62,6 +64,8 @@ class GwConfig:
                                  f"{'positive' if positive else 'nonnegative'}, got {v}")
         if self.filling > self.n_max:
             raise ValueError("filling exceeds the local cutoff")
+        if 0 < self.t_max < self.dt:      # not one step would fit before t_max
+            raise ValueError(f"dt must not exceed t_max, got dt={self.dt} > t_max={self.t_max}")
 
 
 def sandwich(A, B):
@@ -112,44 +116,45 @@ def _generator(n_max: int, rate_phaselock: float, filling: float, rates_dephase:
     """Sparse matrix of the half-generator K of the B = len(rates_dephase)
     members, on their stacked vec(rho), built on first use: the RHS of a
     Hermitian rho is K rho + (K rho)†, since D[b] rho = H[b] rho + (H[b] rho)†
-    and the partner of <X> Le rho is its adjoint <X>* Le† rho.  Rows: the
-    four moment rows member by member, then 2 Lambda Le_j rho (j = 0, 1, 2)
-    and the member's fixed part 2 Lambda (f H[a†] + (f + 1) H[a] + H[n]) +
-    Gamma H[n], each for all members in turn.  A member's rows, and the
-    order their entries are added in, do not depend on the batch."""
+    and the partner of <X> Le rho is its adjoint <X>* Le† rho.  Its rows are
+    member-major, one diagonal block per member: the four moment rows, then
+    2 Lambda Le_j rho (j = 0, 1, 2) and the member's fixed part
+    2 Lambda (f H[a†] + (f + 1) H[a] + H[n]) + Gamma H[n].  A member's
+    rows, and the order their entries are added in, do not depend on the
+    batch."""
     moments, le, (h_ad, h_a, h_n) = _site_maps(n_max)
     lam2 = 2.0 * rate_phaselock
-    eye = sp.identity(len(rates_dephase), format="csr")
+    shared = [moments, *(lam2 * x for x in le)]
     fixed = lam2 * (filling * h_ad + (filling + 1.0) * h_a + h_n)
-    return sp.vstack([sp.kron(eye, moments, format="csr"),
-                      *(sp.kron(eye, lam2 * x, format="csr") for x in le),
-                      sp.block_diag([fixed + g * h_n for g in rates_dephase], format="csr")],
-                     format="csr")
+    return sp.block_diag([sp.vstack([*shared, fixed + g * h_n], format="csr")
+                          for g in rates_dephase], format="csr")
 
 
 def meanfield_rhs(rho, ops, cfg: GwConfig, rates_dephase=None, moments=None):
     """2 Lambda (f D[a†] + (f + 1) D[a] + D[n] + Le + Le†) + Gamma D[n] at
-    filling f, for a Hermitian rho, as W + W†: one sparse product gives the
-    moments and the blocks of the half-generator, and W is the Le blocks
-    weighted by their moments plus the fixed block.
+    filling f, for a Hermitian rho, as W + W†: one sparse product gives
+    each member's moments and the four blocks of its half-generator, and
+    one stacked product weights a member's blocks by (<X_0>, <X_1>, <X_2>, 1)
+    into W: the Le blocks by their moments, the fixed block by one.
 
     rho is one (d, d) density matrix, or a (B, d^2) batch whose rows are
     the vec(rho) of B members with the dephasing rates rates_dephase
     (default cfg.rate_dephase).  Every member is computed on its own: the
-    sparse kernel, the sum over the block axis and the elementwise
-    operations add in a fixed order, so a member's result does not depend
-    on the batch it is in.  A (B, 4) array `moments` receives each member's
-    moments and trace: <a> in column 2, the trace in column 3."""
+    sparse kernel, the weighting and the elementwise operations add in a
+    fixed order, so a member's result does not depend on the batch it is
+    in.  A (B, 4) array `moments` receives each member's moments and trace:
+    <a> in column 2, the trace in column 3."""
     d = len(ops.a)
-    x = rho.reshape(-1, d * d)
     rates = (cfg.rate_dephase,) if rates_dephase is None else tuple(rates_dephase)
-    y = _generator(d - 1, cfg.rate_phaselock, cfg.filling, rates) @ x.reshape(-1)
-    m = y[:4 * len(x)].reshape(-1, 4)
+    y = _generator(d - 1, cfg.rate_phaselock, cfg.filling, rates) @ rho.reshape(-1)
+    y = y.reshape(len(rates), -1)   # one row per member: 4 moments, then 4 blocks
     if moments is not None:
-        moments[...] = m
-    blocks = y[4 * len(x):].reshape(4, len(x), -1)
-    w = ((m.T[:3, :, None] * blocks[:3]).sum(0) + blocks[3]).reshape(-1, d, d)
-    return (w + w.transpose(0, 2, 1).conj()).reshape(rho.shape)
+        moments[...] = y[:, :4]
+    weights = y[:, None, :4].copy()
+    weights[:, :, 3] = 1.0
+    w = np.matmul(weights, y[:, 4:].reshape(len(rates), 4, -1)).reshape(-1, d, d)
+    wt = w.transpose(0, 2, 1)
+    return (w + (wt.conj() if w.dtype.kind == "c" else wt)).reshape(rho.shape)
 
 
 def coherent_dm(alpha: complex, n_max: int) -> np.ndarray:
@@ -227,6 +232,7 @@ def evolve_batch(template: GwConfig, rates_dephase, rho0: np.ndarray = None,
     # from, so the checks of step k run at the top of step k + 1
     m = np.empty((n, 4), dtype=X.dtype)
     stages = np.empty((4, *X.shape), dtype=X.dtype)
+    inputs = np.empty_like(X)       # the state each of stages 1 to 3 is taken at
     while True:
         stages[0] = meanfield_rhs(X, ops, template, gam, moments=m)
         if k:
@@ -251,16 +257,18 @@ def evolve_batch(template: GwConfig, rates_dephase, rho0: np.ndarray = None,
                 leave(stop, converged=True)
                 keep = np.ones(live.size, dtype=bool)
                 keep[stop] = False
-                live, X, m, stages = live[keep], X[keep], m[keep], stages[:, keep]
+                live, X, m, stages, inputs = (live[keep], X[keep], m[keep],
+                                              stages[:, keep], inputs[keep])
                 gam = tuple(g for g, kept in zip(gam, keep) if kept)
                 hists = [h for h, kept in zip(hists, keep) if kept]
                 if not live.size:
                     break
         if k == n_steps:
             break
-        stages[1] = meanfield_rhs(X + 0.5 * dt * stages[0], ops, template, gam)
-        stages[2] = meanfield_rhs(X + 0.5 * dt * stages[1], ops, template, gam)
-        stages[3] = meanfield_rhs(X + dt * stages[2], ops, template, gam)
+        for s, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
+            np.multiply(stages[s - 1], h, out=inputs)
+            inputs += X
+            stages[s] = meanfield_rhs(inputs, ops, template, gam)
         X = X + (weights * stages).sum(0)
         t += dt
         k += 1
@@ -343,11 +351,12 @@ def steady_state(cfg: GwConfig, rho0: np.ndarray) -> SteadyState:
     fixed = maps[3] + cfg.rate_dephase * dephase
     upper = np.triu_indices(d)
     u, last = np.asarray(rho0, dtype=float)[upper], math.inf
+    stacked = maps[:3].reshape(3, -1)     # the moment-weighted maps, one row each
     for k in range(1, NEWTON_MAX + 1):
         m = moments @ u
         weighted = maps[:3] @ u
         f = m[:3] @ weighted + fixed @ u
-        jac = np.tensordot(m[:3], maps[:3], 1) + fixed + weighted.T @ moments[:3]
+        jac = (m[:3] @ stacked).reshape(u.size, -1) + fixed + weighted.T @ moments[:3]
         f[0], jac[0] = m[3] - 1.0, moments[3]
         step = np.linalg.solve(jac, f)
         u = u - step

@@ -71,6 +71,27 @@ def test_traced_round_reads_every_layer_metric(monkeypatch, tmp_path, name):
     assert not bad, (name, bad)
 
 
+def test_traced_meanfield_sweep_counts_every_rk4_stage(monkeypatch, tmp_path):
+    # each lockstep RK4 step calls meanfield_rhs once per stage, and the
+    # checks after the last step take one call more: a stage that went
+    # round it would leave gutzwiller.rhs_calls short, yet finite
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    import workloads
+
+    workload = workloads.WORKLOADS["meanfield_sweep"]
+    call, = workload.calls(1, workload.sizes["tiny"])
+    tr = tracer.Tracer()
+    round_ = tr.install()
+    try:
+        assert cli.main([*call.argv, "--outdir", str(tmp_path)]) in call.ok_exits
+    finally:
+        tr.uninstall()
+    steps = json.loads((tmp_path / "manifest.json").read_text())["lockstep_steps"]
+    assert steps > 0
+    assert tracer.layer_metrics([round_])["gutzwiller.rhs_calls"] == 4 * steps + 1
+
+
 @pytest.mark.parametrize("size", ["full", "tiny"])
 def test_small_systems_oracle_takes_the_dense_path(monkeypatch, tmp_path, size):
     # the workload's lindblad-check is sized for the oracle's dense expm:

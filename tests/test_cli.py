@@ -540,6 +540,15 @@ class TestValidateBeforeManifest:
         assert code == EXIT_VALIDATION and not outdir.exists()
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dt", ["15", "20"])
+    def test_gutzwiller_step_longer_than_t_max_names_dt(self, tmp_path, capsys, dt):
+        # dt 20 would record the seed at t = 0 for every gamma, dt 15 one
+        # step past t_max
+        code, outdir = run_cli_config(tmp_path, "gutzwiller", "--gamma-grid", "0,6",
+                                      "--n-max", "4", "--dt", dt, "--t-max", "10")
+        assert code == EXIT_VALIDATION and not outdir.exists()
+        assert f"dt={float(dt)}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("content", ["gamma,L,t\n1.0,3,0.5\n",
                                          ",".join(cli.PROFILE_HEADER) + "\n", "",
                                          ",".join(cli.PROFILE_HEADER) + "\n0.5,4,1.0,1\n"],

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bosetraj import gutzwiller
 from bosetraj.gutzwiller import (
@@ -161,6 +162,15 @@ class TestSparseGenerator:
         assert peak < 8e6
         # four moment rows, three Le blocks and the fixed block
         assert G.shape == (4 + 4 * 41 ** 2, 41 ** 2)
+
+    def test_batch_holds_each_member_as_one_diagonal_block(self):
+        # member-major rows: a batch's generator is its members' generators
+        # on the diagonal, entry for entry, so a stage weights each member's
+        # rows on their own and _symmetric_maps slices a batch of one
+        rates = (0.0, 1.5, 4.0)
+        members = [gutzwiller._generator(5, 0.7, 1.0, (g,)) for g in rates]
+        np.testing.assert_array_equal(gutzwiller._generator(5, 0.7, 1.0, rates).toarray(),
+                                      sp.block_diag(members).toarray())
 
     def test_real_seed_evolves_in_real_arithmetic(self):
         cfg = GwConfig(rate_dephase=1.5, n_max=8, dt=0.01, t_max=2.0)
@@ -317,11 +327,13 @@ class TestSweep:
             GwConfig(dt=0.0)
         with pytest.raises(ValueError):
             GwConfig(filling=9.0, n_max=4)
+        # dt may exceed only a zero horizon, at which no step is taken
+        assert evolve(GwConfig(dt=20.0, t_max=0.0, n_max=4)).steps == 0
 
     @pytest.mark.parametrize("field, value", [
         ("dt", 0.0), ("dt", math.inf), ("dt", math.nan), ("t_max", -1.0),
         ("t_max", math.nan), ("rate_phaselock", -1.0), ("rate_dephase", math.inf),
-        ("filling", -0.5), ("n_max", 0)])
+        ("filling", -0.5), ("n_max", 0), ("dt", 500.0)])
     def test_bad_config_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             GwConfig(**{field: value})
