@@ -114,7 +114,7 @@ def phaselock_hamiltonian(cfg: CircuitConfig):
         p0 = np.kron(np.kron(eye, eye), P_GROUND)
         stark = (a1 - a2) @ (a1.conj().T - a2.conj().T) @ p0
         H = H + cfg.h_eff * (stark + stark.conj().T)
-    return H, sm, a1, a2
+    return H, sm
 
 
 def dephasing_hamiltonian(cfg: CircuitConfig):
@@ -130,7 +130,7 @@ def _circuit(hamiltonian, cfg: CircuitConfig):
     """The event loop's view of one circuit: exp(-i H_nh tau) and the
     click operator, its one channel (none diagonal).  Cached per config
     (seed and t_max zeroed), so each generator is diagonalised once."""
-    H, sm = hamiltonian(cfg)[:2]
+    H, sm = hamiltonian(cfg)
     H_nh = H - 0.5j * DECAY_SCALE * cfg.kappa * (sm.conj().T @ sm)
     return SimpleNamespace(propagator=propagator(1j * H_nh, hermitian=False),
                            stacked=sp.csr_matrix(math.sqrt(DECAY_SCALE * cfg.kappa) * sm),

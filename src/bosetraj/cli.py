@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -172,7 +171,8 @@ def cmd_trajectories(spec: dict, outdir: Path) -> int:
     write_manifest(outdir, spec)
     ensemble = run_ensemble(basis, psi0, cfg, M, workers)
     _write_observables(outdir, ensemble_expectations(ensemble, default_observables(basis)))
-    gamma = cfg.reduced_dephasing if cfg.rate_phaselock else -1.0  # -1: Lambda = 0
+    # gamma = Gamma / Lambda, written -1.0 when Lambda = 0
+    gamma = cfg.rate_dephase / cfg.rate_phaselock if cfg.rate_phaselock else -1.0
     prof_rows = []
     for t in ensemble.snapshot_times:
         prof = average_profile(ensemble.states_at(t), basis, gamma, t)
@@ -259,18 +259,6 @@ def cmd_lindblad_check(spec: dict, outdir: Path) -> int:
     return EXIT_OK if report.passed else EXIT_COMPARISON
 
 
-def _default_divisor(spec: dict, name: str, default: float, fills: tuple) -> float:
-    """The option `name`, required finite and positive when it divides
-    into the default of any option in `fills` left unset."""
-    value = float(spec.get(name, default))
-    unset = [key for key in fills if key not in spec]
-    if unset and not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} = {value} cannot set the default "
-                         f"{' and '.join(unset)}; give a positive {name} "
-                         f"or set {' and '.join(unset)}")
-    return value
-
-
 def cmd_ancilla(spec: dict, outdir: Path) -> int:
     scheme = spec.get("scheme", "dephasing")
     seed = int(spec.get("seed", 0))
@@ -279,16 +267,10 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
     # block of trajectories that returns (run result, outcome fields) per
     # trajectory
     if scheme == "dephasing":
-        if {"rate_dephase", "kappa", "t_max"} <= spec.keys():
-            raise ValueError("rate_dephase only sets the defaults of kappa and t_max; "
-                             "with both given it is not read")
-        target = _default_divisor(spec, "rate_dephase", 1.0, ("kappa", "t_max"))
-        kappa = float(spec["kappa"]) if "kappa" in spec else 500.0 * g ** 2 / target
         n1, n2 = int(spec.get("n1", 1)), int(spec.get("n2", 3))
-        cfg = anc.CircuitConfig(g_eff=g, kappa=kappa, seed=seed,
-                                n_max=int(spec.get("n_max", max(n2 + 1, 4))),
-                                t_max=float(spec["t_max"]) if "t_max" in spec
-                                else 10.0 / target)
+        cfg = anc.CircuitConfig(g_eff=g, kappa=float(spec.get("kappa", 500.0 * g ** 2)),
+                                seed=seed, n_max=int(spec.get("n_max", max(n2 + 1, 4))),
+                                t_max=float(spec.get("t_max", 10.0)))
         psi0 = anc.superposition_cavity_state(n1, n2, cfg.n_max)
         hamiltonian = anc.dephasing_hamiltonian
 
@@ -298,7 +280,9 @@ def cmd_ancilla(spec: dict, outdir: Path) -> int:
                            "click_count": out.click_count})
                     for out in anc.run_dephasing_circuits(cfg, psi0, indices)]
     elif scheme == "phaselock":
-        _default_divisor(spec, "g_eff", 1.0, ("t_max",))
+        if "t_max" not in spec and not g > 0:     # the default t_max is 2 kappa / g^2
+            raise ValueError(f"g_eff = {g} cannot set the default t_max; "
+                             "give a positive g_eff or set t_max")
         kappa = float(spec.get("kappa", 50.0 * g))
         cfg = anc.CircuitConfig(g_eff=g, kappa=kappa, seed=seed,
                                 h_eff=float(spec.get("h_eff", 0.0)),
@@ -408,7 +392,7 @@ ACCEPTED = {
     "gutzwiller": {"gamma_grid", "rate_phaselock", "n_max", "dt", "t_max",
                    "alpha_threshold"},
     "fit": {"profile_csv", "fit_l_min", "fit_l_max"},
-    "ancilla --scheme dephasing": _CIRCUIT | {"rate_dephase", "n1", "n2"},
+    "ancilla --scheme dephasing": _CIRCUIT | {"n1", "n2"},
     "ancilla --scheme phaselock": _CIRCUIT | {"h_eff"},
 }
 

@@ -40,7 +40,6 @@ from .fock import NumericGuardError
 
 TRACE_TOL = 1e-6
 ALPHA_TOL = 1e-8      # steady-state criterion on |alpha| drift over 1/Lambda
-RECORD_EVERY = 20     # steps between recorded (t, alpha) points
 NEWTON_TOL = 1e-10    # steady state: the largest entry of the last Newton step
 NEWTON_MAX = 50       # Newton iterations per steady-state solve
 GAMMA_STEP = 0.25     # first continuation step in gamma
@@ -64,8 +63,9 @@ class GwConfig:
                                  f"{'positive' if positive else 'nonnegative'}, got {v}")
         if self.filling > self.n_max:
             raise ValueError("filling exceeds the local cutoff")
-        if 0 < self.t_max < self.dt:      # not one step would fit before t_max
-            raise ValueError(f"dt must not exceed t_max, got dt={self.dt} > t_max={self.t_max}")
+        if abs(round(self.t_max / self.dt) * self.dt - self.t_max) > 1e-9 * self.t_max:
+            raise ValueError(f"t_max must be a whole number of dt steps, "
+                             f"got dt={self.dt}, t_max={self.t_max}")
 
 
 def sandwich(A, B):
@@ -175,19 +175,18 @@ def default_initial_dm(cfg: GwConfig) -> np.ndarray:
 
 @dataclass
 class GwEvolution:
-    times: np.ndarray
-    alphas: np.ndarray
+    t: float                   # the time of the last step
+    alpha: complex             # <a> of final
     final: np.ndarray          # (d, d) density matrix at the last step
     converged: bool
-    steps: int = 0             # RK4 steps taken
+    steps: int                 # RK4 steps taken
 
 
 def evolve(cfg: GwConfig, rho0: np.ndarray = None,
            stop_when_steady: bool = True) -> GwEvolution:
     """Fixed-step RK4 of meanfield_rhs (moments refreshed every stage) from
     the (d, d) density matrix rho0, d = cfg.n_max + 1, in its dtype (a
-    real seed stays real: every map is), recording (t, alpha) every
-    RECORD_EVERY steps and on the last step.
+    real seed stays real: every map is), to the state of its last step.
     With stop_when_steady it stops once |alpha| varied by < ALPHA_TOL over
     the last 1/Lambda; a trace drift > TRACE_TOL raises NumericGuardError.
     A batch of one of evolve_batch."""
@@ -199,8 +198,8 @@ def evolve_batch(template: GwConfig, rates_dephase, rho0: np.ndarray = None,
     """evolve of replace(template, rate_dephase=Gamma) for every Gamma in
     rates_dephase, advanced in lockstep from the same seed: the members'
     vec(rho) are the rows of one (B, d^2) array, so each RK4 stage is one
-    meanfield_rhs call for all of them.  Each member keeps its own stop,
-    records and trace guard, and leaves the batch when it converges.  Every
+    meanfield_rhs call for all of them.  Each member keeps its own stop
+    and trace guard, and leaves the batch when it converges.  Every
     member is computed on its own (see meanfield_rhs), so its GwEvolution
     is bitwise the one a batch of one gives."""
     gam = tuple(replace(template, rate_dephase=g).rate_dephase
@@ -212,9 +211,7 @@ def evolve_batch(template: GwConfig, rates_dephase, rho0: np.ndarray = None,
     ops, n = SiteOperators(template.n_max), len(gam)
     if not n:
         return []
-    alpha0 = np.trace(rho @ ops.a)
-    runs = [GwEvolution(times=[0.0], alphas=[alpha0], final=None, converged=False)
-            for _ in range(n)]
+    runs = [None] * n
     live = np.arange(n)             # the member in each row of X
     X = np.repeat(rho.reshape(1, -1), n, axis=0)
     dt, t, k = template.dt, 0.0, 0  # k: RK4 steps taken
@@ -225,8 +222,8 @@ def evolve_batch(template: GwConfig, rates_dephase, rho0: np.ndarray = None,
 
     def leave(rows, converged):     # the members in rows stop at step k
         for j in rows:
-            run = runs[live[j]]
-            run.final, run.steps, run.converged = X[j].reshape(d, d).copy(), k, converged
+            final = X[j].reshape(d, d).copy()
+            runs[live[j]] = GwEvolution(t, np.trace(final @ ops.a), final, converged, k)
 
     # a step's first stage also gives the moments of the state it starts
     # from, so the checks of step k run at the top of step k + 1
@@ -248,11 +245,6 @@ def evolve_batch(template: GwConfig, rates_dephase, rho0: np.ndarray = None,
                     if (k >= window and abs(hist[-1] - hist[0]) < ALPHA_TOL
                             and max(hist) - min(hist) < ALPHA_TOL):
                         stop.append(j)
-            # the step a member stops on is always recorded
-            for j in (range(live.size) if k % RECORD_EVERY == 0 or k == n_steps else stop):
-                run = runs[live[j]]
-                run.times.append(t)
-                run.alphas.append(np.trace(X[j].reshape(d, d) @ ops.a))
             if stop:
                 leave(stop, converged=True)
                 keep = np.ones(live.size, dtype=bool)
@@ -273,8 +265,6 @@ def evolve_batch(template: GwConfig, rates_dephase, rho0: np.ndarray = None,
         t += dt
         k += 1
     leave(range(live.size), converged=False)
-    for run in runs:
-        run.times, run.alphas = np.array(run.times), np.array(run.alphas)
     return runs
 
 
@@ -415,7 +405,7 @@ def order_parameter_sweep(gammas, template: GwConfig,
     gammas = sorted(gammas)
     check_sweep(gammas, template, alpha_threshold)
     evs = evolve_batch(template, [g * template.rate_phaselock for g in gammas])
-    points = [SweepPoint(g, abs(ev.alphas[-1]), ev.converged, ev.times[-1])
+    points = [SweepPoint(g, abs(ev.alpha), ev.converged, ev.t)
               for g, ev in zip(gammas, evs)]
     counters = {"evolves": len(evs), "rk4_steps": sum(ev.steps for ev in evs),
                 "unconverged": sum(not ev.converged for ev in evs),

@@ -79,13 +79,6 @@ class MonitoringConfig:
             raise ValueError(f"snapshot times must lie in [0, t_max = {self.t_max}]")
         object.__setattr__(self, "snapshot_times", times)
 
-    @property
-    def reduced_dephasing(self) -> float:
-        """gamma = Gamma / Lambda."""
-        if self.rate_phaselock == 0:
-            return math.inf
-        return self.rate_dephase / self.rate_phaselock
-
 
 @dataclass(frozen=True)
 class JumpRecord:

@@ -38,7 +38,6 @@ from bosetraj.entropy import (
     von_neumann,
 )
 from bosetraj.gutzwiller import (
-    RECORD_EVERY,
     GwConfig,
     default_initial_dm,
     evolve,
@@ -281,12 +280,12 @@ def test_criterion_07_meanfield_critical_point():
     template = GwConfig(rate_phaselock=1.0, n_max=8, dt=0.01, t_max=100.0)
     ev_low = evolve(GwConfig(rate_dephase=0.1, n_max=8, dt=0.01, t_max=100.0))
     ev_high = evolve(GwConfig(rate_dephase=5.0, n_max=8, dt=0.01, t_max=100.0))
-    a_low = abs(ev_low.alphas[-1])
-    a_high = abs(ev_high.alphas[-1])
+    a_low = abs(ev_low.alpha)
+    a_high = abs(ev_high.alpha)
     sweep = order_parameter_sweep(np.linspace(0.0, 6.0, 9), template)
-    # the states of one evolve to t = 20 every RECORD_EVERY steps, each
-    # segment going on from the last one's final state
-    cfg_res = GwConfig(rate_dephase=1.0, n_max=8, dt=0.01, t_max=RECORD_EVERY * 0.01)
+    # the states of one evolve to t = 20 every 20 steps, each segment
+    # going on from the last one's final state
+    cfg_res = GwConfig(rate_dephase=1.0, n_max=8, dt=0.01, t_max=20 * 0.01)
     rhos = [default_initial_dm(cfg_res)]
     for _ in range(round(20.0 / cfg_res.t_max)):
         rhos.append(evolve(cfg_res, rhos[-1], stop_when_steady=False).final)

@@ -46,13 +46,13 @@ class TestConfig:
 class TestPhaselockHamiltonian:
     def test_hermitian(self):
         cfg = CircuitConfig(g_eff=1.0, h_eff=0.3, kappa=100.0, n_max=2)
-        H, sm, a1, a2 = phaselock_hamiltonian(cfg)
+        H, sm = phaselock_hamiltonian(cfg)
         np.testing.assert_allclose(H, H.conj().T, atol=1e-12)
 
     def test_coupling_matrix_element(self):
         # <0,2;e|H|1,1;g> = g <0,2|d|1,1> = g*sqrt(2)
         cfg = CircuitConfig(g_eff=1.5, kappa=100.0, n_max=2)
-        H, _, _, _ = phaselock_hamiltonian(cfg)
+        H, _ = phaselock_hamiltonian(cfg)
         d1 = cfg.n_max + 1
         bra = np.zeros(d1 * d1 * 2, dtype=complex)
         bra[(0 * d1 + 2) * 2 + 1] = 1.0      # |0,2>|e>
@@ -137,7 +137,7 @@ class TestPhaselockCircuit:
         # the first click fires where ||exp(-i H_nh t) psi0||^2 falls to
         # the trajectory's first draw
         cfg = CircuitConfig(g_eff=1.0, kappa=20.0, n_max=2, t_max=50.0, seed=3)
-        H, sm, _, _ = phaselock_hamiltonian(cfg)
+        H, sm = phaselock_hamiltonian(cfg)
         H_nh = H - 0.5j * DECAY_SCALE * cfg.kappa * (sm.conj().T @ sm)
         d1 = cfg.n_max + 1
         psi0 = np.zeros(d1 * d1 * 2, dtype=complex)

@@ -114,6 +114,17 @@ class TestTrajectories:
         for tot in by_key.values():
             assert tot == pytest.approx(3.0, abs=1e-9)
 
+    @pytest.mark.parametrize("rates, gamma", [(("0", "1"), -1.0), (("2", "3"), 1.5)],
+                             ids=["no_phaselock", "both"])
+    def test_profile_records_the_reduced_dephasing(self, tmp_path, rates, gamma):
+        # gamma = Gamma / Lambda, and -1.0 where Lambda = 0 leaves it undefined
+        code, outdir = run_cli(tmp_path, "trajectories", "--L", "3", "--M", "2",
+                               "--t-max", "0.5", "--rate-phaselock", rates[0],
+                               "--rate-dephase", rates[1])
+        assert code == EXIT_OK
+        prof = read_csv(outdir / "profile.csv")
+        assert prof and all(float(r["gamma"]) == gamma for r in prof)
+
     def test_validation_error_exit_code(self, tmp_path):
         code, _ = run_cli(tmp_path, "trajectories", "--initial-state", "nope")
         assert code == EXIT_VALIDATION
@@ -333,8 +344,7 @@ class TestLindbladCheck:
 class TestAncilla:
     def test_dephasing_scheme_outputs(self, tmp_path):
         code, outdir = run_cli(tmp_path, "ancilla", "--scheme", "dephasing",
-                               "--M", "3", "--rate-dephase", "1.0",
-                               "--t-max", "10.0", "--seed", "1")
+                               "--M", "3", "--t-max", "10.0", "--seed", "1")
         assert code == EXIT_OK
         outcomes = json.loads((outdir / "outcomes.json").read_text())
         assert len(outcomes) == 3
@@ -369,7 +379,7 @@ class TestAncilla:
         assert {o["collapsed_to"] for o in outcomes} <= {1, 3}
 
     @pytest.mark.parametrize("scheme,args,hamiltonian,expected", [
-        ("dephasing", ("--rate-dephase", "1.0", "--t-max", "10.0"),
+        ("dephasing", ("--t-max", "10.0"),
          ancilla.dephasing_hamiltonian, "dense"),
         ("phaselock", ("--kappa", "100.0", "--t-max", "50.0", "--n-max", "2"),
          ancilla.phaselock_hamiltonian, "dense"),
@@ -386,7 +396,7 @@ class TestAncilla:
         manifest = json.loads((outdir / "manifest.json").read_text())
         # recount from the event loop itself, with the config the run recorded
         spec = manifest["spec"]
-        if scheme == "dephasing":         # kappa = 500 g^2 / rate_dephase by default
+        if scheme == "dephasing":         # kappa = 500 g^2 by default
             cfg = ancilla.CircuitConfig(g_eff=1.0, kappa=spec.get("kappa", 500.0),
                                         t_max=spec["t_max"], seed=4, n_max=4)
             psi = np.kron(ancilla.superposition_cavity_state(1, 3, 4), [1.0, 0.0])
@@ -402,7 +412,7 @@ class TestAncilla:
         assert clicks == len(read_csv(outdir / "clicks.csv"))
         assert {k: manifest[k] for k in ("propagator", "intervals", "clicks")} == {
             "propagator": expected, "intervals": len(events), "clicks": clicks}
-        H, sm = hamiltonian(cfg)[:2]
+        H, sm = hamiltonian(cfg)
         H_nh = H - 0.5j * ancilla.DECAY_SCALE * cfg.kappa * (sm.conj().T @ sm)
         assert isinstance(trajectory.propagator(1j * H_nh, hermitian=False),
                           trajectory.ExpmExp if expected == "expm" else trajectory.DenseExp)
@@ -533,19 +543,23 @@ class TestValidateBeforeManifest:
          "rate_dephase"),
         (("ancilla", "--M", "2", {"rate_dephase": 3, "kappa": 500, "t_max": 0.5}),
          "rate_dephase"),
+        # the dephasing scheme reads rate_dephase for no default either
+        (("ancilla", "--rate-dephase", "1", "--M", "2"), "rate_dephase"),
     ], ids=["rate_dephase", "rate_dephase-t_max", "g_eff", "unread_zero",
-            "unread_positive", "unread_config"])
+            "unread_positive", "unread_config", "unread_default"])
     def test_ancilla_default_names_its_divisor(self, tmp_path, capsys, args, named):
         code, outdir = run_cli_config(tmp_path, *args)
         assert code == EXIT_VALIDATION and not outdir.exists()
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dt", ["15", "20"])
-    def test_gutzwiller_step_longer_than_t_max_names_dt(self, tmp_path, capsys, dt):
-        # dt 20 would record the seed at t = 0 for every gamma, dt 15 one
-        # step past t_max
+    @pytest.mark.parametrize("dt, t_max", [("15", "10"), ("20", "10"), ("0.03", "1")],
+                             ids=["15", "20", "0.03"])
+    def test_gutzwiller_step_longer_than_t_max_names_dt(self, tmp_path, capsys, dt, t_max):
+        # t_max must be a whole number of steps: dt 20 would record the
+        # seed at t = 0 for every gamma, dt 15 one step past t_max, and
+        # dt 0.03 would end at t = 0.99
         code, outdir = run_cli_config(tmp_path, "gutzwiller", "--gamma-grid", "0,6",
-                                      "--n-max", "4", "--dt", dt, "--t-max", "10")
+                                      "--n-max", "4", "--dt", dt, "--t-max", t_max)
         assert code == EXIT_VALIDATION and not outdir.exists()
         assert f"dt={float(dt)}" in capsys.readouterr().err
 
@@ -624,6 +638,12 @@ class TestRejectsUnreadOptions:
         assert code == EXIT_VALIDATION
         assert not outdir.exists()
         assert f"does not read {key!r}" in capsys.readouterr().err
+
+
+def test_every_option_is_accepted_by_some_command():
+    # an option no command accepts, or an accepted one with no type, is
+    # dead weight that a reader would take for a working knob
+    assert set(cli.OPTIONS) == set().union(*cli.ACCEPTED.values())
 
 
 class TestConfigFile:

@@ -183,7 +183,8 @@ class TestSparseGenerator:
         assert cplx.final.dtype == np.complex128
         np.testing.assert_allclose(real.final, cplx.final,
                                    rtol=0, atol=1e-13)
-        np.testing.assert_allclose(real.alphas, cplx.alphas, rtol=0, atol=1e-13)
+        assert abs(real.alpha - cplx.alpha) <= 1e-13
+        assert real.t == cplx.t and real.converged == cplx.converged
 
     def test_seed_of_another_cutoff_rejected(self):
         # the cutoff comes from the config: a seed of another size is an error
@@ -236,8 +237,8 @@ class TestDephasing:
         cfg = GwConfig(rate_phaselock=0.0, rate_dephase=gam,
                        n_max=n_max, dt=1e-3, t_max=t)
         ev = evolve(cfg, rho0, stop_when_steady=False)
-        a0 = abs(ev.alphas[0])
-        assert abs(ev.alphas[-1]) == pytest.approx(
+        a0 = abs(np.trace(rho0 @ SiteOperators(n_max).a))
+        assert abs(ev.alpha) == pytest.approx(
             a0 * math.exp(-0.5 * gam * t), rel=1e-4)
 
 
@@ -246,7 +247,7 @@ class TestEvolve:
         cfg = GwConfig(rate_phaselock=1.0, rate_dephase=0.0,
                        n_max=10, dt=0.005, t_max=100.0)
         ev = evolve(cfg, coherent_dm(0.4, 10))
-        assert abs(ev.alphas[-1]) == pytest.approx(1.0, abs=5e-3)
+        assert abs(ev.alpha) == pytest.approx(1.0, abs=5e-3)
 
     def test_step_halving_agreement(self):
         n_max = 8
@@ -261,15 +262,15 @@ class TestEvolve:
 
     @pytest.mark.parametrize("gamma", [0.0, 6.0])
     def test_reports_the_stopping_step(self, gamma):
-        # an early convergence stop still records the state it stopped on
+        # an early convergence stop reports the state it stopped on
         cfg = GwConfig(rate_phaselock=1.0, rate_dephase=gamma, n_max=8,
                        dt=0.01, t_max=100.0)
         ev = evolve(cfg)
         assert ev.converged
         a = SiteOperators(8).a
-        assert abs(ev.alphas[-1]) == abs(np.trace(ev.final @ a))
-        # rerunning to times[-1] without the stop reaches the same state
-        rerun = evolve(replace(cfg, t_max=ev.times[-1]), stop_when_steady=False)
+        assert abs(ev.alpha) == abs(np.trace(ev.final @ a))
+        # rerunning to the stopping time without the stop reaches the same state
+        rerun = evolve(replace(cfg, t_max=ev.t), stop_when_steady=False)
         np.testing.assert_array_equal(rerun.final, ev.final)
 
     @pytest.mark.parametrize("gamma, alpha_abs, converged, t_reached", [
@@ -280,9 +281,9 @@ class TestEvolve:
         # pinned: the same RK4 run on the matrix-form generator
         # (oracles.meanfield_generator) gives these to 1e-14
         ev = evolve(GwConfig(rate_dephase=gamma, n_max=8, dt=0.01, t_max=10.0))
-        assert abs(abs(ev.alphas[-1]) - alpha_abs) < 1e-10
+        assert abs(abs(ev.alpha) - alpha_abs) < 1e-10
         assert ev.converged is converged
-        assert ev.times[-1] == pytest.approx(t_reached, abs=1e-9)
+        assert ev.t == pytest.approx(t_reached, abs=1e-9)
 
     def test_trace_guard_trips_on_absurd_step(self):
         cfg = GwConfig(rate_phaselock=1.0, rate_dephase=0.0,
@@ -330,13 +331,18 @@ class TestSweep:
         # dt may exceed only a zero horizon, at which no step is taken
         assert evolve(GwConfig(dt=20.0, t_max=0.0, n_max=4)).steps == 0
 
-    @pytest.mark.parametrize("field, value", [
-        ("dt", 0.0), ("dt", math.inf), ("dt", math.nan), ("t_max", -1.0),
-        ("t_max", math.nan), ("rate_phaselock", -1.0), ("rate_dephase", math.inf),
-        ("filling", -0.5), ("n_max", 0), ("dt", 500.0)])
-    def test_bad_config_names_its_field(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            GwConfig(**{field: value})
+    @pytest.mark.parametrize("fields", [
+        {"dt": 0.0}, {"dt": math.inf}, {"dt": math.nan}, {"t_max": -1.0},
+        {"t_max": math.nan}, {"rate_phaselock": -1.0}, {"rate_dephase": math.inf},
+        {"filling": -0.5}, {"n_max": 0}, {"dt": 500.0},
+        # t_max is not a whole number of steps: round(t_max / dt) steps
+        # would end at 0.12 and at 0.08
+        {"dt": 0.06, "t_max": 0.1}, {"dt": 0.04, "t_max": 0.1}],
+        ids=lambda fields: "-".join(f"{k}-{v}" for k, v in fields.items()))
+    def test_bad_config_names_its_field(self, fields):
+        with pytest.raises(ValueError) as err:
+            GwConfig(**fields)
+        assert all(field in str(err.value) for field in fields)
 
     def test_evolve_without_phaselock_stays_legal(self):
         ev = evolve(GwConfig(rate_phaselock=0.0, rate_dephase=1.0, n_max=4,
@@ -446,7 +452,7 @@ class TestSteadyState:
         assert ev.converged
         ss = steady_state(replace(template, rate_dephase=gamma), default_initial_dm(template))
         assert ss.converged and ss.iterations < 10
-        assert abs(abs(ss.alpha) - abs(ev.alphas[-1])) < 1e-6
+        assert abs(abs(ss.alpha) - abs(ev.alpha)) < 1e-6
         assert np.abs(ss.rho - ev.final).max() < 1e-6
 
     @pytest.mark.parametrize("n_max, gamma", [(6, 0.5), (8, 4.25), (12, 3.0)])
@@ -520,10 +526,9 @@ class TestBatch:
         assert batch[0].converged and not batch[-1].converged   # both kinds of stop
         for gamma, ev in zip(rates, batch):
             one = evolve(replace(template, rate_dephase=gamma))
-            np.testing.assert_array_equal(ev.alphas, one.alphas)
-            np.testing.assert_array_equal(ev.times, one.times)
             np.testing.assert_array_equal(ev.final, one.final)
-            assert (ev.steps, ev.converged) == (one.steps, one.converged)
+            assert (ev.alpha, ev.t, ev.steps, ev.converged) == (
+                one.alpha, one.t, one.steps, one.converged)
 
     def test_complex_seed_keeps_its_dtype(self):
         template = GwConfig(n_max=6, dt=0.01, t_max=0.5)

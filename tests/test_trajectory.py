@@ -770,14 +770,6 @@ class TestConfigAndHelpers:
             MonitoringConfig(rate_phaselock=1.0, rate_dephase=0.0, t_max=1.0,
                              snapshot_times=(0.5, 1.5))
 
-    def test_reduced_dephasing(self):
-        cfg = MonitoringConfig(rate_phaselock=2.0, rate_dephase=3.0,
-                               t_max=1.0)
-        assert cfg.reduced_dephasing == pytest.approx(1.5)
-        cfg = MonitoringConfig(rate_phaselock=0.0, rate_dephase=3.0,
-                               t_max=1.0)
-        assert cfg.reduced_dephasing == math.inf
-
     def test_max_total_rate_deterministic_above_dense_cutoff(self):
         # dim 336 takes the sparse eigsh path; repeated calls must give
         # the same float
