@@ -13,7 +13,9 @@ propagator of the no-jump generator i H_nh per circuit config
 (`trajectory.propagator`): a dense eigendecomposition,
 or expm at every evaluation where i H_nh sits at or near an exceptional
 point and the decomposition fails its reconstruction check.  Click
-times are exact and the stiff ancilla decay costs no steps.
+times are exact and the stiff ancilla decay costs no steps.  The
+phase-lock circuit's click rate out of |1,1> (`first_click_rate`) is
+read off the same eigendecomposition, with no sampling.
 
 A run keeps the `trajectory.Event`s its diagnostics need (every
 interval for the dephasing circuit, the clicks for the phase-lock one)
@@ -31,6 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
+from .fock import NumericGuardError
 from .gutzwiller import SiteOperators
 from .trajectory import batch_size, blocks, propagator, trajectory_rng, unravel_batch
 
@@ -43,6 +46,8 @@ DECAY_SCALE = 4.0
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 P_GROUND = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)  # |0><0|
+GROUND = np.array([1.0, 0.0], dtype=complex)
+RATE_N_MAX = 2   # first clicks out of |1,1> never leave the two-particle sector
 
 
 @dataclass(frozen=True)
@@ -149,32 +154,31 @@ def circuit_blocks(hamiltonian, cfg: CircuitConfig, M: int) -> list:
     return blocks(M, batch_size(circuit.propagator, circuit.stacked.shape[1]))
 
 
-def _unravel_circuits(hamiltonian, cfg: CircuitConfig, psi, indices, max_clicks=None):
+def _unravel_circuits(hamiltonian, cfg: CircuitConfig, psi, indices):
     """The rounds of the circuit's event loop for the trajectories
     `indices`, all from psi."""
     circuit = _circuit(hamiltonian, replace(cfg, seed=0, t_max=0.0))
     psi = psi / np.linalg.norm(psi)
     return unravel_batch(np.tile(psi, (len(indices), 1)), circuit, cfg.t_max,
-                         [trajectory_rng(cfg.seed, i) for i in indices],
-                         max_jumps=max_clicks)
+                         [trajectory_rng(cfg.seed, i) for i in indices])
 
 
-def run_phaselock_circuits(cfg: CircuitConfig, indices, psi_cav0: np.ndarray = None,
-                           stop_after_clicks: int = None) -> list:
+def _one_one(n_max: int) -> np.ndarray:
+    """The phase-lock circuit's default start: cavities |1,1>, ancilla ground."""
+    psi_cav = np.zeros((n_max + 1) ** 2, dtype=complex)
+    psi_cav[(n_max + 1) * 1 + 1] = 1.0
+    return np.kron(psi_cav, GROUND)
+
+
+def run_phaselock_circuits(cfg: CircuitConfig, indices, psi_cav0: np.ndarray = None) -> list:
     """Unravel the two-cavity/ancilla system for the trajectories `indices`
-    in lockstep; clicks are ancilla decays.  A trajectory ends at t_max or
-    at its stop_after_clicks-th click, if given.
+    in lockstep, each up to t_max; clicks are ancilla decays.
 
     Default initial state: cavities |1,1>, ancilla ground.
     """
-    dim_c = (cfg.n_max + 1) ** 2
-    if psi_cav0 is None:
-        psi_cav0 = np.zeros(dim_c, dtype=complex)
-        psi_cav0[(cfg.n_max + 1) * 1 + 1] = 1.0  # |1,1>
-    psi = np.kron(psi_cav0, np.array([1.0, 0.0], dtype=complex))
+    psi = _one_one(cfg.n_max) if psi_cav0 is None else np.kron(psi_cav0, GROUND)
     clicks, intervals, final = [[] for _ in indices], [0] * len(indices), [psi] * len(indices)
-    for events in _unravel_circuits(phaselock_hamiltonian, cfg, psi, indices,
-                                    stop_after_clicks):
+    for events in _unravel_circuits(phaselock_hamiltonian, cfg, psi, indices):
         for ev in events:
             intervals[ev.member] += 1
             final[ev.member] = ev.psi
@@ -186,10 +190,9 @@ def run_phaselock_circuits(cfg: CircuitConfig, indices, psi_cav0: np.ndarray = N
 
 
 def run_phaselock_circuit(cfg: CircuitConfig, psi_cav0: np.ndarray = None,
-                          traj_index: int = 0,
-                          stop_after_clicks: int = None) -> CircuitTrajectory:
+                          traj_index: int = 0) -> CircuitTrajectory:
     """`run_phaselock_circuits` for one trajectory."""
-    return run_phaselock_circuits(cfg, (traj_index,), psi_cav0, stop_after_clicks)[0]
+    return run_phaselock_circuits(cfg, (traj_index,), psi_cav0)[0]
 
 
 @dataclass
@@ -228,8 +231,7 @@ def run_dephasing_circuits(cfg: CircuitConfig, psi_cav0: np.ndarray, indices) ->
     The ancilla occupation is sampled, when read, on the grid of spacing
     1/(200 Gamma n_max^2).
     """
-    psi = np.kron(np.asarray(psi_cav0, dtype=complex),
-                  np.array([1.0, 0.0], dtype=complex))
+    psi = np.kron(np.asarray(psi_cav0, dtype=complex), GROUND)
     spacing = 0.005 / max(cfg.reduced_rate * cfg.n_max ** 2, 1e-12)
     per_member = [[] for _ in indices]
     for events in _unravel_circuits(dephasing_hamiltonian, cfg, psi, indices):
@@ -265,78 +267,47 @@ def superposition_cavity_state(n1: int, n2: int, n_max: int) -> np.ndarray:
 @dataclass
 class RatePoint:
     kappa: float
-    fitted_rate: float
+    click_rate: float
     predicted_rate: float
-    n_clicks: int
 
     @property
     def relative_error(self) -> float:
-        return abs(self.fitted_rate / self.predicted_rate - 1.0)
+        return abs(self.click_rate / self.predicted_rate - 1.0)
 
 
-def _censored_exponential_mle(click_times, n_censored, horizon,
-                              rate_guess):
-    """Fit f(t) = A exp(-b t) (with censoring beyond the horizon) and
-    return the initial rate A.
+def first_click_rate(cfg: CircuitConfig) -> RatePoint:
+    """Exact initial click rate of the slow sector out of |1,1>, from the
+    phase-lock circuit's eigendecomposition G = i H_nh = V diag(mu) V^-1.
 
-    The no-click evolution purifies onto the decay-free subspace, so the
-    survival probability saturates instead of vanishing; the total mass
-    of f is below one and the initial rate A, not the shape parameter b,
-    is the physical click rate out of the initial state.
+    With psi = V c the click density is ||L exp(-G t) psi||^2, L the click
+    operator 2 sqrt(kappa) sigma-.  Fast modes (Re mu above g, the geometric
+    mean of the slow rate g^2/kappa and kappa) die within the ancilla's
+    lifetime; dark modes (Re mu at rounding, ~eps kappa, below sqrt(eps) g
+    up to kappa/g ~ 1e7) never click.  The slow modes' density at t = 0,
+    ||L V_slow c_slow||^2, is the eliminated chain jump's rate, predicted
+    as 4 g^2/kappa (the squared norm of the phase-lock jump on |1,1>).
+    Raises NumericGuardError on the expm fallback: it has no eigenbasis.
     """
-    from scipy.optimize import minimize
-
-    t = np.asarray(click_times, dtype=float)
-    T = float(horizon)
-
-    def negloglik(params):
-        log_a, log_b = params
-        A, b = math.exp(log_a), math.exp(log_b)
-        mass = (A / b) * (1.0 - math.exp(-b * T))
-        if mass >= 1.0:
-            return 1e12 + 1e12 * (mass - 1.0)
-        ll = len(t) * log_a - b * t.sum()
-        if n_censored:
-            ll += n_censored * math.log1p(-mass)
-        return -ll
-
-    x0 = np.array([math.log(rate_guess), math.log(2.0 * rate_guess)])
-    res = minimize(negloglik, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000})
-    return float(math.exp(res.x[0]))
+    if not cfg.g_eff > 0:
+        raise ValueError(f"need g_eff > 0 for a click rate, got {cfg.g_eff}")
+    circuit = _circuit(phaselock_hamiltonian, replace(cfg, seed=0, t_max=0.0))
+    prop = circuit.propagator
+    if prop.kind != "dense":
+        raise NumericGuardError(
+            f"the phase-lock circuit at kappa = {cfg.kappa}, g_eff = {cfg.g_eff}, "
+            f"n_max = {cfg.n_max} has no eigendecomposition ({prop.kind} propagator)")
+    decay = prop.lam.real
+    slow = (decay > math.sqrt(np.finfo(float).eps) * cfg.g_eff) & (decay < cfg.g_eff)
+    c = np.linalg.solve(prop.V, _one_one(cfg.n_max))
+    rate = float(np.linalg.norm(circuit.stacked @ (prop.V[:, slow] @ c[slow])) ** 2)
+    return RatePoint(kappa=cfg.kappa, click_rate=rate, predicted_rate=4.0 * cfg.reduced_rate)
 
 
-def first_click_rate(cfg: CircuitConfig, n_traj: int):
-    """Initial first-ancilla-click rate from |1,1>, from a censored
-    exponential fit of the first-click times.
-
-    The Born-Markov prediction is 4 * g^2/kappa (the squared norm of the
-    phase-lock jump applied to |1,1>).
-    """
-    predicted = 4.0 * cfg.reduced_rate
-    horizon = 8.0 / predicted   # censor after eight predicted mean waits
-    run_cfg = replace(cfg, t_max=horizon)
-    runs = run_phaselock_circuits(run_cfg, range(n_traj), stop_after_clicks=1)
-    click_times = [traj.clicks[0] for traj in runs if traj.clicks]
-    n_censored = n_traj - len(click_times)
-    if not click_times:
-        return RatePoint(kappa=cfg.kappa, fitted_rate=math.nan,
-                         predicted_rate=predicted, n_clicks=0)
-    fitted = _censored_exponential_mle(click_times, n_censored, horizon,
-                                       rate_guess=predicted)
-    return RatePoint(kappa=cfg.kappa, fitted_rate=fitted,
-                     predicted_rate=predicted, n_clicks=len(click_times))
-
-
-def born_markov_rate_check(g_eff: float, kappas, n_traj: int = 200,
-                           seed: int = 0, n_max: int = 2) -> list:
-    """Fitted vs predicted click rates across an ancilla-decay sweep.
-
-    n_max = 2 suffices for first clicks out of |1,1>: the pre-click
-    dynamics never leaves the two-particle sector.
-    """
-    points = []
-    for kappa in sorted(kappas):
-        cfg = CircuitConfig(g_eff=g_eff, kappa=kappa, seed=seed, n_max=n_max)
-        points.append(first_click_rate(cfg, n_traj))
-    return points
+def born_markov_rate_check(g_eff: float, kappas) -> list:
+    """Exact against predicted click rates across an ancilla-decay sweep,
+    in ascending kappa, at n_max = RATE_N_MAX."""
+    kappas = sorted(kappas)
+    if not kappas:
+        raise ValueError("need at least one kappa")
+    return [first_click_rate(CircuitConfig(g_eff=g_eff, kappa=kappa, n_max=RATE_N_MAX))
+            for kappa in kappas]

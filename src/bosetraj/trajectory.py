@@ -633,16 +633,15 @@ class Event:
     member: int = 0            # row of the batch
 
 
-def unravel_batch(psi: np.ndarray, channels, t_max: float, rngs, stops=(),
-                  max_jumps: int = None):
+def unravel_batch(psi: np.ndarray, channels, t_max: float, rngs, stops=()):
     """Exact event loop for a batch of trajectories in lockstep: each round
     advances every live member by one interval and yields the round's
     Events, in member order.
 
     psi holds one start state per row and rngs one stream per member.
     Intervals end exactly at every stop time (ascending, in [0, t_max])
-    and at t_max; a member leaves the batch at t_max, or after its
-    max_jumps-th jump if given.
+    and at t_max; a member leaves the batch at t_max.  A batch of no
+    members yields no round.
     channels supplies `propagator` (exp(-G tau) for the no-jump
     generator G) and the jump operators in channel order: `stacked`, one
     block of rows per channel, then the diagonal ones as the columns of
@@ -653,23 +652,21 @@ def unravel_batch(psi: np.ndarray, channels, t_max: float, rngs, stops=(),
     # written after a round yields it, so an Event's state stays as it was
     live, t = np.arange(len(psi)), np.zeros(len(psi))
     r = np.array([1.0 - rng.random() for rng in rngs])
-    jumps = np.zeros(len(psi), dtype=int)
-    limit = math.inf if max_jumps is None else max_jumps
     while True:
         # each member's next stop: the first one after its time
         stop = np.searchsorted(ends, t, side="right")
-        going = (stop < len(ends)) & (jumps < limit)
+        going = stop < len(ends)
         if not going.all():
-            live, psi, t, r, jumps, stop = (x[going] for x in (live, psi, t, r, jumps, stop))
-            if not live.size:
-                return
+            live, psi, t, r, stop = (x[going] for x in (live, psi, t, r, stop))
+        if not live.size:
+            return
         members = live.tolist()
         out, t_new, r, k, ivs = _advance(psi, channels, t, ends[stop], r,
                                          [rngs[m] for m in members])
         yield [Event(a, b, None if c < 0 else c, p, iv, m)
                for a, b, c, p, iv, m in zip(t.tolist(), t_new.tolist(), k.tolist(),
                                             out, ivs, members)]
-        psi, t, jumps = out, t_new, jumps + (k >= 0)
+        psi, t = out, t_new
         del ivs     # a Lanczos interval holds its whole basis: free it before the next round
 
 

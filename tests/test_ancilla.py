@@ -85,8 +85,7 @@ class TestPhaselockCircuit:
                             t_max=200.0, seed=2)
         traj = None
         for idx in range(10):
-            cand = run_phaselock_circuit(cfg, traj_index=idx,
-                                         stop_after_clicks=1)
+            cand = run_phaselock_circuit(cfg, traj_index=idx)
             if cand.clicks:
                 traj = cand
                 break
@@ -99,7 +98,7 @@ class TestPhaselockCircuit:
         target[0 * d1 + 2] = 1.0 / math.sqrt(2.0)
         target[2 * d1 + 0] = -1.0 / math.sqrt(2.0)
         target_full = np.kron(target, np.array([1.0, 0.0], dtype=complex))
-        fid = abs(np.vdot(target_full, traj.final_state)) ** 2
+        fid = abs(np.vdot(target_full, traj.click_events[0].psi)) ** 2
         assert fid > 0.95
 
     def test_determinism(self):
@@ -144,7 +143,7 @@ class TestPhaselockCircuit:
         psi0[(1 * d1 + 1) * 2] = 1.0                 # |1,1>|g>
         checked = 0
         for idx in range(6):
-            traj = run_phaselock_circuit(cfg, traj_index=idx, stop_after_clicks=1)
+            traj = run_phaselock_circuit(cfg, traj_index=idx)
             if not traj.clicks:
                 continue
             r = 1.0 - trajectory_rng(cfg.seed, idx).random()
@@ -164,17 +163,58 @@ class TestClickRates:
     def test_first_click_rate_matches_reduction(self):
         # In the Born-Markov regime the first-click rate from |1,1> is
         # 4 g^2/kappa within 15%.
-        cfg = CircuitConfig(g_eff=1.0, kappa=200.0, n_max=2, seed=11)
-        point = first_click_rate(cfg, n_traj=200)
-        assert point.n_clicks > 50
+        cfg = CircuitConfig(g_eff=1.0, kappa=200.0, n_max=2)
+        point = first_click_rate(cfg)
+        assert point.predicted_rate == 4.0 * cfg.reduced_rate
         assert point.relative_error < 0.15
 
     def test_rate_error_larger_outside_markov_regime(self):
         # kappa/g = 5 sits outside the Born-Markov regime: the reduction
         # error there must exceed the deep-regime error.
-        points = born_markov_rate_check(1.0, [5.0, 500.0], n_traj=1000)
+        points = born_markov_rate_check(1.0, [5.0, 500.0])
         by_kappa = {p.kappa: p for p in points}
         assert by_kappa[500.0].relative_error < by_kappa[5.0].relative_error
+
+    def test_error_falls_as_g2_over_kappa2(self):
+        # the exact rate misses the elimination by its next order,
+        # 8 g^2/kappa^2 relative (8.16, 8.03, 8.00, 8.00 times g^2/kappa^2)
+        kappas = [20.0, 50.0, 200.0, 500.0]
+        for p in born_markov_rate_check(1.0, kappas):
+            assert p.relative_error * p.kappa ** 2 == pytest.approx(8.0, rel=0.1)
+
+    def test_slow_modes_stay_apart_from_dark_ones_deep_in_the_regime(self):
+        # at kappa/g = 1e6 the slow modes decay at ~g^2/kappa = 1e-6 g,
+        # 1e-12 of the spectrum's scale 2 kappa; they must not be taken
+        # for dark ones, which decay at rounding
+        for p in born_markov_rate_check(1.0, [1e5, 1e6, 1e7]):
+            assert p.relative_error < 1e-3
+
+    def test_wrong_decay_scale_fails_the_gate(self, monkeypatch):
+        # a click operator sqrt(2 kappa) sigma- in place of 2 sqrt(kappa)
+        # sigma- doubles the eliminated rate: criterion 8's 0.15 gate must
+        # catch it at kappa/g = 20 and 200 (errors 1.17 and 1.00)
+        monkeypatch.setattr(ancilla, "DECAY_SCALE", 2.0)
+        ancilla._circuit.cache_clear()
+        try:
+            points = born_markov_rate_check(1.0, [20.0, 200.0])
+        finally:
+            ancilla._circuit.cache_clear()
+        assert all(p.relative_error > 0.15 for p in points)
+
+    def test_expm_fallback_raises(self):
+        # kappa = 5 at n_max = 4 sits near an exceptional point: no
+        # eigenbasis to read the rate from, so no guess either
+        cfg = CircuitConfig(g_eff=1.0, kappa=5.0, n_max=4)
+        assert ancilla.circuit_propagator(phaselock_hamiltonian, cfg) == "expm"
+        with pytest.raises(NumericGuardError, match="no eigendecomposition"):
+            first_click_rate(cfg)
+
+    @pytest.mark.parametrize("g_eff,kappas", [
+        (0.0, [20.0]), (-1.0, [20.0]), (1.0, []), (1.0, [20.0, 0.0]), (1.0, [-5.0]),
+    ], ids=["g_zero", "g_negative", "no_kappa", "kappa_zero", "kappa_negative"])
+    def test_bad_input_is_rejected(self, g_eff, kappas):
+        with pytest.raises(ValueError):
+            born_markov_rate_check(g_eff, kappas)
 
 
 class TestDephasingCircuit:
@@ -200,6 +240,12 @@ class TestDephasingCircuit:
         out = run_dephasing_circuit(cfg, psi0)
         assert out.click_count == 0
         assert out.collapsed_to == 0
+
+    def test_empty_batch_returns_at_once(self):
+        cfg = CircuitConfig(g_eff=1.0, kappa=500.0, n_max=3, t_max=50.0, seed=4)
+        psi0 = superposition_cavity_state(1, 3, cfg.n_max)
+        assert run_dephasing_circuits(cfg, psi0, []) == []
+        assert run_phaselock_circuits(cfg, []) == []
 
     def test_collapse_statistics_follow_born_rule(self):
         # Equal superposition: both outcomes occur over an ensemble.
@@ -261,26 +307,22 @@ class TestExceptionalPoint:
 
 class TestLockstepBatch:
     """All trajectories of a circuit run advance in lockstep; each is bitwise
-    its own batch of one, including a stop after some clicks and the expm
-    fallback at an exceptional point."""
+    its own batch of one, including the expm fallback at an exceptional
+    point."""
 
-    @pytest.mark.parametrize("cfg,stop", [
-        (CircuitConfig(g_eff=1.0, kappa=50.0, n_max=4, t_max=100.0, seed=1), None),
-        (CircuitConfig(g_eff=1.0, kappa=50.0, n_max=4, t_max=100.0, seed=1), 1),
-        (CircuitConfig(g_eff=1.0, kappa=20.0, n_max=2, t_max=50.0, seed=3), 2),
-        (CircuitConfig(g_eff=1.0, kappa=5.0, n_max=4, t_max=20.0, seed=3), None),
-    ], ids=["phaselock", "stop_after_one", "stop_after_two", "expm"])
+    @pytest.mark.parametrize("cfg", [
+        CircuitConfig(g_eff=1.0, kappa=50.0, n_max=4, t_max=100.0, seed=1),
+        CircuitConfig(g_eff=1.0, kappa=5.0, n_max=4, t_max=20.0, seed=3),
+    ], ids=["phaselock", "expm"])
     @pytest.mark.parametrize("B", [1, 3, 7])
-    def test_phaselock_members_match_their_batch_of_one(self, cfg, stop, B):
+    def test_phaselock_members_match_their_batch_of_one(self, cfg, B):
         expected = "expm" if cfg.kappa == 5.0 else "dense"
         assert ancilla.circuit_propagator(phaselock_hamiltonian, cfg) == expected
-        batch = run_phaselock_circuits(cfg, range(2, 2 + B), stop_after_clicks=stop)
+        batch = run_phaselock_circuits(cfg, range(2, 2 + B))
         assert B == 1 or sum(len(traj.clicks) for traj in batch) > 0
         for i, traj in enumerate(batch):
-            alone = run_phaselock_circuit(cfg, traj_index=2 + i, stop_after_clicks=stop)
+            alone = run_phaselock_circuit(cfg, traj_index=2 + i)
             assert traj.clicks == alone.clicks and traj.intervals == alone.intervals
-            if stop is not None:
-                assert len(traj.clicks) <= stop
             np.testing.assert_array_equal(traj.final_state, alone.final_state)
             for a, b in zip(traj.click_events, alone.click_events):
                 assert (a.t0, a.t) == (b.t0, b.t)
@@ -340,7 +382,7 @@ def _eager_dephasing_occupation(cfg, psi_cav0, traj_index):
     return max_na
 
 
-def _eager_click_entropies(cfg, traj_index, stop_after_clicks=None):
+def _eager_click_entropies(cfg, traj_index):
     """(t, S_before, S_after) per click, computed at each click while the
     run unravels from |1,1>|g>."""
     d1 = cfg.n_max + 1
@@ -352,8 +394,6 @@ def _eager_click_entropies(cfg, traj_index, stop_after_clicks=None):
             before = ev.interval.states(ev.t - ev.t0)
             steps.append((ev.t, _pair_entropy(before / np.linalg.norm(before), cfg.n_max),
                           _pair_entropy(ev.psi, cfg.n_max)))
-        if stop_after_clicks is not None and len(steps) >= stop_after_clicks:
-            break
     return steps
 
 
@@ -419,25 +459,19 @@ class TestLazyDiagnostics:
             assert out.max_ancilla_occupation is value     # computed once
             counts["grid_states"] = 0
 
-    @pytest.mark.parametrize("cfg,indices,stop", [
-        (CircuitConfig(g_eff=1.0, kappa=200.0, n_max=2, t_max=200.0, seed=2),
-         range(4), 1),
-        (CircuitConfig(g_eff=1.0, kappa=100.0, n_max=2, t_max=30.0, seed=5),
-         range(6, 8), None),
-        (CircuitConfig(g_eff=1.0, kappa=100.0, n_max=2, t_max=20.0, seed=7),
-         range(3), None),
-        (CircuitConfig(g_eff=1.0, kappa=50.0, n_max=4, t_max=100.0, seed=1),
-         range(3), 2),
-    ], ids=["first_click", "determinism", "norm", "stopped_after_two"])
-    def test_click_entropies_are_bitwise_the_eager_values(self, cfg, indices, stop,
-                                                          counts):
+    @pytest.mark.parametrize("cfg,indices", [
+        (CircuitConfig(g_eff=1.0, kappa=200.0, n_max=2, t_max=200.0, seed=2), range(4)),
+        (CircuitConfig(g_eff=1.0, kappa=100.0, n_max=2, t_max=30.0, seed=5), range(6, 8)),
+        (CircuitConfig(g_eff=1.0, kappa=100.0, n_max=2, t_max=20.0, seed=7), range(3)),
+    ], ids=["first_click", "determinism", "norm"])
+    def test_click_entropies_are_bitwise_the_eager_values(self, cfg, indices, counts):
         clicked = 0
         for idx in indices:
-            traj = run_phaselock_circuit(cfg, traj_index=idx, stop_after_clicks=stop)
+            traj = run_phaselock_circuit(cfg, traj_index=idx)
             assert counts["pair_entropy"] == 0
             steps = traj.click_entropy_steps
             assert counts["pair_entropy"] == 2 * len(traj.clicks)
-            assert steps == _eager_click_entropies(cfg, idx, stop)
+            assert steps == _eager_click_entropies(cfg, idx)
             assert [t for t, _, _ in steps] == traj.clicks
             assert traj.click_entropy_steps is steps       # computed once
             counts["pair_entropy"] = 0

@@ -621,6 +621,17 @@ class TestLockstepBatch:
         if rates == (0.0, 1.0):
             assert {j.kind for traj in batch for j in traj.jumps} == {JumpKind.DEPHASE}
 
+    def test_empty_batch_returns_at_once(self):
+        # zero members: the event loop yields no round (checked on the
+        # generator first, so a loop that spins fails instead of hanging)
+        basis = build_basis(L=3, N=3, n_max=3)
+        psi0 = default_initial_state(basis)
+        cfg = MonitoringConfig(rate_phaselock=1.0, rate_dephase=1.0, t_max=1.0, seed=1)
+        channels = JumpChannels(basis, 1.0, 1.0)
+        rounds = trajectory.unravel_batch(np.empty((0, basis.dim)), channels, cfg.t_max, [])
+        assert next(rounds, None) is None
+        assert trajectory.run_batch(basis, psi0, cfg, ()) == []
+
     @pytest.mark.parametrize("kind", ["lanczos", "expm"])
     def test_member_by_member_rows_are_their_one_row_intervals(self, kind):
         # the propagators that solve member by member give every row of a
