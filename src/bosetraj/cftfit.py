@@ -33,14 +33,15 @@ def chord_regressor(L: int, l) -> np.ndarray:
 
 def fit_window(L: int, l_min: int = None, l_max: int = None, ls=None) -> tuple:
     """The cuts [l_min, l_max] a fit of an L-site profile uses.  The
-    default drops l = 1 and l = L-1 (boundary contamination) whenever
-    enough cuts remain.  Among the profile's cuts `ls` (default 1..L-1)
-    the window must hold two with different chord lengths: l and L - l
-    have the same one, so mirror pairs alone leave the fit degenerate."""
+    default drops l = 1 and l = L-1 (boundary contamination) from L = 6
+    on, where cuts of two chord lengths remain; below it keeps every cut.
+    Among the profile's cuts `ls` (default 1..L-1) the window must hold
+    two with different chord lengths: l and L - l have the same one, so
+    mirror pairs alone leave the fit degenerate."""
     if l_min is None:
-        l_min = 2 if L >= 5 else 1
+        l_min = 2 if L >= 6 else 1
     if l_max is None:
-        l_max = L - 2 if L >= 5 else L - 1
+        l_max = L - 2 if L >= 6 else L - 1
     ls = np.arange(1, L) if ls is None else np.asarray(ls)
     inside = ls[(ls >= max(l_min, 1)) & (ls <= min(l_max, L - 1))]
     if len(set(np.minimum(inside, L - inside).tolist())) < 2:

@@ -196,6 +196,8 @@ def cmd_entropy_scan(spec: dict, outdir: Path) -> int:
     M, workers = count_option(spec, "M", 100), count_option(spec, "workers", 1)
     kinds = [("vn", None)] + [("renyi", _order("renyi", a))
                               for a in spec.get("renyi_orders", [])]
+    if len(set(kinds)) < len(kinds):
+        raise ValueError(f"renyi_orders repeats an order: {spec['renyi_orders']}")
     fit_window(basis.L, spec.get("fit_l_min"), spec.get("fit_l_max"))
     write_manifest(outdir, spec)
     prof_rows, fits, counters = [], [], []
@@ -335,10 +337,14 @@ def cmd_fit(spec: dict, outdir: Path) -> int:
     profiles = []
     for (gamma, L, t, kind, alpha), rs in groups.items():
         rs = sorted(rs, key=lambda r: int(r["l"]))
+        ls = [int(r["l"]) for r in rs]
+        if len(set(ls)) < len(ls):
+            raise ValueError(f"{src} repeats a cut of one profile: gamma={gamma}, "
+                             f"L={L}, t={t}, kind={kind}, alpha={alpha}")
         profiles.append(EntropyProfile(
             gamma=gamma, L=L, t=t, kind=kind,
             alpha=float(alpha) if alpha else None,
-            ls=np.array([int(r["l"]) for r in rs]),
+            ls=np.array(ls),
             mean=np.array([float(r["mean"]) for r in rs]),
             stderr=np.array([float(r["stderr"]) for r in rs]),
             M=int(rs[0]["M"])))

@@ -6,12 +6,16 @@ neighboring sites, to a nonlinear single-site generator whose moment
 coefficients are refreshed from the current density matrix at every
 integrator stage.  For a Hermitian state the generator is K rho + (K rho)†
 with a half-generator K, one cached sparse matrix per cutoff and rates;
-dephasing is the number-operator dissipator inside it.  The state is a
-plain (n_max + 1)-square density matrix and RK4 runs in its dtype.
-evolve_batch advances several dephasing rates in lockstep; evolve is a
-batch of one.  The batch's generator holds each member's rows together,
-so an RK4 stage is one sparse product for all members and one stacked
-product that weights each member's blocks by its moments.
+dephasing is the number-operator dissipator inside it.  meanfield_rhs of
+one (n_max + 1)-square density matrix applies it in that matrix's dtype.
+RK4 runs on the d(d+1)/2 upper-triangle entries of a real symmetric
+density matrix (the state stays real from a real seed; a complex seed is
+rejected), where the generator is restricted to those entries and gives
+the upper triangle of the RHS at once.  evolve_batch advances several
+dephasing rates in lockstep; evolve is a batch of one.  The batch's
+generator holds each member's rows together, so an RK4 stage is one
+sparse product for all members and one stacked product that weights each
+member's blocks by its moments.
 steady_state solves for a fixed point directly, by Newton's method over
 real symmetric density matrices.  The sweep evolves its grid as one
 batch, then continues the ordered steady-state branch in gamma from an
@@ -111,6 +115,17 @@ def _site_maps(n_max: int):
     return moments, le, halves
 
 
+def _member_maps(n_max: int, rate_phaselock: float, filling: float):
+    """A member's rows at Gamma = 0, on vec(rho): the four moment rows,
+    2 Lambda Le_j (j = 0, 1, 2) and the fixed part
+    2 Lambda (f H[a†] + (f + 1) H[a] + H[n]); and H[n], which Gamma
+    weights."""
+    moments, le, (h_ad, h_a, h_n) = _site_maps(n_max)
+    lam2 = 2.0 * rate_phaselock
+    fixed = lam2 * (filling * h_ad + (filling + 1.0) * h_a + h_n)
+    return [moments, *(lam2 * x for x in le), fixed], h_n
+
+
 @lru_cache(maxsize=4)
 def _generator(n_max: int, rate_phaselock: float, filling: float, rates_dephase: tuple):
     """Sparse matrix of the half-generator K of the B = len(rates_dephase)
@@ -118,15 +133,41 @@ def _generator(n_max: int, rate_phaselock: float, filling: float, rates_dephase:
     Hermitian rho is K rho + (K rho)†, since D[b] rho = H[b] rho + (H[b] rho)†
     and the partner of <X> Le rho is its adjoint <X>* Le† rho.  Its rows are
     member-major, one diagonal block per member: the four moment rows, then
-    2 Lambda Le_j rho (j = 0, 1, 2) and the member's fixed part
-    2 Lambda (f H[a†] + (f + 1) H[a] + H[n]) + Gamma H[n].  A member's
-    rows, and the order their entries are added in, do not depend on the
-    batch."""
-    moments, le, (h_ad, h_a, h_n) = _site_maps(n_max)
-    lam2 = 2.0 * rate_phaselock
-    shared = [moments, *(lam2 * x for x in le)]
-    fixed = lam2 * (filling * h_ad + (filling + 1.0) * h_a + h_n)
+    2 Lambda Le_j rho (j = 0, 1, 2) and the member's fixed part plus
+    Gamma H[n].  A member's rows, and the order their entries are added
+    in, do not depend on the batch."""
+    (*shared, fixed), h_n = _member_maps(n_max, rate_phaselock, filling)
     return sp.block_diag([sp.vstack([*shared, fixed + g * h_n], format="csr")
+                          for g in rates_dephase], format="csr")
+
+
+@cache
+def _spread(n_max: int):
+    """S, the (d^2, p) map that spreads the upper triangle u of a symmetric
+    rho (its p = d(d+1)/2 entries in np.triu_indices order) over vec(rho)."""
+    d = n_max + 1
+    i, j = np.triu_indices(d)
+    k, off = np.arange(i.size), i != j
+    return sp.csr_matrix((np.ones(i.size + off.sum()),
+                          (np.concatenate([i * d + j, (j * d + i)[off]]),
+                           np.concatenate([k, k[off]]))), shape=(d * d, i.size))
+
+
+@lru_cache(maxsize=4)
+def _upper_generator(n_max: int, rate_phaselock: float, filling: float,
+                     rates_dephase: tuple):
+    """_generator on the upper triangles u of real symmetric rho, whose RHS
+    W + W^T is real symmetric too: the moment rows become moments S, and
+    each block X becomes F X S, where F = D S^T folds vec(W) into the upper
+    triangle of W + W^T (S^T adds W_ij and W_ji, D doubles the diagonal
+    rows).  A member's rows are the four moment rows, then p rows for each
+    of its four blocks, and do not depend on the batch."""
+    (moments, *le, fixed), h_n = _member_maps(n_max, rate_phaselock, filling)
+    spread = _spread(n_max)
+    i, j = np.triu_indices(n_max + 1)
+    fold = sp.diags(np.where(i == j, 2.0, 1.0)) @ spread.T
+    shared = [moments @ spread, *(fold @ x @ spread for x in le)]
+    return sp.block_diag([sp.vstack([*shared, fold @ (fixed + g * h_n) @ spread], format="csr")
                           for g in rates_dephase], format="csr")
 
 
@@ -137,24 +178,31 @@ def meanfield_rhs(rho, ops, cfg: GwConfig, rates_dephase=None, moments=None):
     one stacked product weights a member's blocks by (<X_0>, <X_1>, <X_2>, 1)
     into W: the Le blocks by their moments, the fixed block by one.
 
-    rho is one (d, d) density matrix, or a (B, d^2) batch whose rows are
-    the vec(rho) of B members with the dephasing rates rates_dephase
-    (default cfg.rate_dephase).  Every member is computed on its own: the
-    sparse kernel, the weighting and the elementwise operations add in a
-    fixed order, so a member's result does not depend on the batch it is
-    in.  A (B, 4) array `moments` receives each member's moments and trace:
+    rho is one (d, d) density matrix, of any dtype, on the full generator
+    (rates_dephase, if given, holds its one rate); or a real (B, p) batch
+    whose rows are the upper triangles u of B real symmetric density
+    matrices with the dephasing rates rates_dephase (default
+    cfg.rate_dephase), on _upper_generator, which gives the upper triangle
+    of W + W^T directly.  Every member is computed on its own: the sparse
+    kernel, the weighting and the elementwise operations add in a fixed
+    order, so a member's result does not depend on the batch it is in.
+    A (B, 4) array `moments` receives each member's moments and trace:
     <a> in column 2, the trace in column 3."""
     d = len(ops.a)
     rates = (cfg.rate_dephase,) if rates_dephase is None else tuple(rates_dephase)
-    y = _generator(d - 1, cfg.rate_phaselock, cfg.filling, rates) @ rho.reshape(-1)
+    full = rho.shape == (d, d)
+    build = _generator if full else _upper_generator
+    y = build(d - 1, cfg.rate_phaselock, cfg.filling, rates) @ rho.reshape(-1)
     y = y.reshape(len(rates), -1)   # one row per member: 4 moments, then 4 blocks
     if moments is not None:
         moments[...] = y[:, :4]
     weights = y[:, None, :4].copy()
     weights[:, :, 3] = 1.0
-    w = np.matmul(weights, y[:, 4:].reshape(len(rates), 4, -1)).reshape(-1, d, d)
-    wt = w.transpose(0, 2, 1)
-    return (w + (wt.conj() if w.dtype.kind == "c" else wt)).reshape(rho.shape)
+    w = np.matmul(weights, y[:, 4:].reshape(len(rates), 4, -1))
+    if not full:
+        return w.reshape(rho.shape)
+    w = w.reshape(d, d)
+    return w + w.conj().T
 
 
 def coherent_dm(alpha: complex, n_max: int) -> np.ndarray:
@@ -185,11 +233,12 @@ class GwEvolution:
 def evolve(cfg: GwConfig, rho0: np.ndarray = None,
            stop_when_steady: bool = True) -> GwEvolution:
     """Fixed-step RK4 of meanfield_rhs (moments refreshed every stage) from
-    the (d, d) density matrix rho0, d = cfg.n_max + 1, in its dtype (a
-    real seed stays real: every map is), to the state of its last step.
-    With stop_when_steady it stops once |alpha| varied by < ALPHA_TOL over
-    the last 1/Lambda; a trace drift > TRACE_TOL raises NumericGuardError.
-    A batch of one of evolve_batch."""
+    the real symmetric (d, d) density matrix rho0, d = cfg.n_max + 1, on
+    its upper triangle, to the state of its last step.  A complex rho0 is
+    rejected.  With stop_when_steady it stops once |alpha| varied by
+    < ALPHA_TOL over the last 1/Lambda (a window the run cannot fill never
+    stops it); a trace drift > TRACE_TOL raises NumericGuardError.  A
+    batch of one of evolve_batch."""
     return evolve_batch(cfg, [cfg.rate_dephase], rho0, stop_when_steady)[0]
 
 
@@ -197,43 +246,48 @@ def evolve_batch(template: GwConfig, rates_dephase, rho0: np.ndarray = None,
                  stop_when_steady: bool = True) -> list:
     """evolve of replace(template, rate_dephase=Gamma) for every Gamma in
     rates_dephase, advanced in lockstep from the same seed: the members'
-    vec(rho) are the rows of one (B, d^2) array, so each RK4 stage is one
-    meanfield_rhs call for all of them.  Each member keeps its own stop
-    and trace guard, and leaves the batch when it converges.  Every
-    member is computed on its own (see meanfield_rhs), so its GwEvolution
-    is bitwise the one a batch of one gives."""
+    upper triangles are the rows of one real (B, p) array, so each RK4
+    stage is one meanfield_rhs call for all of them.  Each member keeps
+    its own stop and trace guard, and leaves the batch when it converges.
+    Every member is computed on its own (see meanfield_rhs), so its
+    GwEvolution is bitwise the one a batch of one gives; its final is the
+    real symmetric (d, d) matrix of its last upper triangle."""
     gam = tuple(replace(template, rate_dephase=g).rate_dephase
                 for g in rates_dephase)     # each one checked
-    rho = np.array(default_initial_dm(template) if rho0 is None else rho0)
+    rho = default_initial_dm(template) if rho0 is None else rho0
     d = template.n_max + 1
-    if rho.shape != (d, d):
-        raise ValueError(f"rho0 of shape {rho.shape} does not fit n_max={template.n_max}")
+    if np.shape(rho) != (d, d):
+        raise ValueError(f"rho0 of shape {np.shape(rho)} does not fit n_max={template.n_max}")
+    if np.iscomplexobj(rho):
+        raise ValueError("rho0 must be real: the RK4 runs on the upper triangle "
+                         "of a real symmetric density matrix")
     ops, n = SiteOperators(template.n_max), len(gam)
     if not n:
         return []
     runs = [None] * n
     live = np.arange(n)             # the member in each row of X
-    X = np.repeat(rho.reshape(1, -1), n, axis=0)
+    X = np.repeat(np.asarray(rho, dtype=float)[np.triu_indices(d)][None], n, axis=0)
     dt, t, k = template.dt, 0.0, 0  # k: RK4 steps taken
     weights = (np.array([dt, 2.0 * dt, 2.0 * dt, dt]) / 6.0)[:, None, None]
-    window = max(1, int(round(1.0 / max(template.rate_phaselock, 1e-12) / dt)))
-    hists = [deque(maxlen=window) for _ in range(n)]    # |alpha| over the window
     n_steps = int(round(template.t_max / dt))
+    # steps in 1/Lambda, capped where the run cannot fill the window anyway
+    window = max(1, round(min(1.0 / max(template.rate_phaselock, 1e-12) / dt, n_steps + 1)))
+    hists = [deque(maxlen=window) for _ in range(n)]    # |alpha| over the window
 
     def leave(rows, converged):     # the members in rows stop at step k
         for j in rows:
-            final = X[j].reshape(d, d).copy()
+            final = _from_upper(X[j], d)
             runs[live[j]] = GwEvolution(t, np.trace(final @ ops.a), final, converged, k)
 
     # a step's first stage also gives the moments of the state it starts
     # from, so the checks of step k run at the top of step k + 1
-    m = np.empty((n, 4), dtype=X.dtype)
-    stages = np.empty((4, *X.shape), dtype=X.dtype)
+    m = np.empty((n, 4))
+    stages = np.empty((4, *X.shape))
     inputs = np.empty_like(X)       # the state each of stages 1 to 3 is taken at
     while True:
         stages[0] = meanfield_rhs(X, ops, template, gam, moments=m)
         if k:
-            for j, trace in enumerate(m[:, 3].real.tolist()):
+            for j, trace in enumerate(m[:, 3].tolist()):
                 if not abs(trace - 1.0) <= TRACE_TOL:
                     raise NumericGuardError(f"trace drift {abs(trace - 1.0):.3g} at t={t:.3g}, "
                                             f"rate_dephase={gam[j]:g}: integration step too large")
@@ -291,29 +345,31 @@ def order_parameter_consistency(rho, cfg: GwConfig) -> float:
                - order_parameter_ode(rho, ops, cfg))
 
 
+def _from_upper(u, d: int) -> np.ndarray:
+    """The real symmetric (d, d) matrix whose upper triangle is u."""
+    rho = np.zeros((d, d))
+    rho[np.triu_indices(d)] = u
+    return rho + np.triu(rho, 1).T
+
+
 @lru_cache(maxsize=4)
 def _symmetric_maps(n_max: int, rate_phaselock: float, filling: float):
-    """The blocks of _generator at Gamma = 0 restricted to real symmetric
-    rho, as dense maps on its upper triangle u (np.triu_indices order):
-    the (4, p) moment and trace rows, the (4, p, p) stack of the three
+    """A member's rows at Gamma = 0 restricted to real symmetric rho, as
+    dense maps on its upper triangle u (np.triu_indices order): the (4, p)
+    moment and trace rows, the (4, p, p) stack of the three
     moment-weighted maps and the fixed part, and the (p, p) map Gamma
-    weights.  A block X becomes S^T X S: S spreads u over vec(rho), and
-    S^T takes the upper triangle of W + W^T from vec(W), halved on the
-    diagonal, a scaling of equations that leaves Newton's steps as
-    they are."""
-    d = n_max + 1
-    i, j = np.triu_indices(d)
-    k, off = np.arange(i.size), i != j
-    spread = sp.csr_matrix((np.ones(i.size + off.sum()),
-                            (np.concatenate([i * d + j, (j * d + i)[off]]),
-                             np.concatenate([k, k[off]]))), shape=(d * d, i.size))
+    weights.  A block X becomes S^T X S: S (_spread) spreads u over
+    vec(rho), and S^T takes the upper triangle of W + W^T from vec(W),
+    halved on the diagonal, a scaling of equations that leaves Newton's
+    steps as they are."""
+    spread = _spread(n_max)
 
     def restrict(x):
         return (spread.T @ x @ spread).toarray()
 
-    G = _generator(n_max, rate_phaselock, filling, (0.0,))
-    maps = [restrict(G[4 + b * d * d:4 + (b + 1) * d * d]) for b in range(4)]
-    return (G[:4] @ spread).toarray(), np.array(maps), restrict(_site_maps(n_max)[2][2])
+    (moments, *blocks), h_n = _member_maps(n_max, rate_phaselock, filling)
+    return ((moments @ spread).toarray(), np.array([restrict(x) for x in blocks]),
+            restrict(h_n))
 
 
 @dataclass
@@ -354,10 +410,7 @@ def steady_state(cfg: GwConfig, rho0: np.ndarray) -> SteadyState:
         if size < NEWTON_TOL or not size < last:
             break
         last = size
-    rho = np.zeros((d, d))
-    rho[upper] = u
-    rho += np.triu(rho, 1).T
-    return SteadyState(rho, float(moments[2] @ u), bool(size < NEWTON_TOL), k)
+    return SteadyState(_from_upper(u, d), float(moments[2] @ u), bool(size < NEWTON_TOL), k)
 
 
 @dataclass

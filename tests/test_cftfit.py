@@ -81,6 +81,12 @@ class TestFitRoundTrip:
         fit4 = fit_profile(prof4)
         assert (fit4.l_min, fit4.l_max) == (1, 3)
 
+    def test_default_window_keeps_every_cut_below_six_sites(self):
+        # at L = 5 the inner cuts 2 and 3 are mirror images of one chord
+        # length, so the boundary cuts stay
+        assert fit_window(5) == (1, 4)
+        assert fit_window(6) == (2, 4)
+
     def test_window_too_small_rejected(self):
         prof = synthetic_profile(L=10, c=1.0, s0=0.0)
         with pytest.raises(ValueError):

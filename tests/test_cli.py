@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bosetraj import ancilla, cli, entropy, fock, lindblad, trajectory
+from bosetraj import ancilla, cli, entropy, fock, gutzwiller, lindblad, trajectory
 from bosetraj.cli import (
     EXIT_COMPARISON,
     EXIT_GUARD,
@@ -24,6 +24,9 @@ from bosetraj.cli import (
     main,
     resolve_rates,
 )
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(tmp_path, *args):
@@ -173,6 +176,22 @@ class TestDeterminism:
             assert b1 == (out2 / name).read_bytes()
             assert b1 == (out3 / name).read_bytes()
 
+    def test_meanfield_sweep_reruns_byte_identical_in_one_process(self, tmp_path,
+                                                                  monkeypatch):
+        # the benchmark's gutzwiller argv twice: the first run builds the
+        # cached generators, the second reuses them and must write the same
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+        workload = workloads.WORKLOADS["meanfield_sweep"]
+        call, = workload.calls(1, workload.sizes["full"])
+        for cached in (gutzwiller._generator, gutzwiller._upper_generator,
+                       gutzwiller._symmetric_maps):
+            cached.cache_clear()
+        _, out1 = run_cli(tmp_path / "a", *call.argv)
+        _, out2 = run_cli(tmp_path / "b", *call.argv)
+        for name in ("sweep.csv", "manifest.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_lanczos_counters_repeat_across_workers(self, tmp_path):
         # L = 7 (dim 1520) runs on the Lanczos propagator: its basis
         # sizes reach the manifest, identical for any worker count
@@ -252,6 +271,23 @@ class TestEntropyScanAndFit:
         assert code == EXIT_VALIDATION
         assert not outdir.exists()
 
+    def test_fit_rejects_a_profile_that_repeats_a_cut(self, tmp_path):
+        # two copies of one profile would count every cut twice and shrink
+        # the standard errors by sqrt(2)
+        path = tmp_path / "profile.csv"
+        rows = [(0.5, 6, 1.0, l, "renyi", 2.0, 0.3 + 0.1 * l, 0.01, 10) for l in range(1, 6)]
+        cli.write_csv(path, cli.PROFILE_HEADER, rows + rows)
+        code, outdir = run_cli(tmp_path, "fit", "--profile-csv", str(path))
+        assert code == EXIT_VALIDATION
+        assert not outdir.exists()
+
+    def test_five_sites_fit_with_the_default_window(self, tmp_path):
+        code, outdir = run_cli(tmp_path, "entropy-scan", "--L", "5", "--gamma-grid", "1",
+                               "--M", "2", "--t-max", "0.2")
+        assert code == EXIT_OK
+        fit, = json.loads((outdir / "fits.json").read_text())
+        assert (fit["l_min"], fit["l_max"]) == (1, 4)
+
     def test_empty_renyi_orders_fit_only_von_neumann(self, tmp_path):
         # unlike an empty snapshot list, an empty order list asks for no
         # Renyi profile, not for a default
@@ -297,6 +333,15 @@ class TestGutzwiller:
                     3, 2535, 2, 1000, 98)
         assert manifest["branch_end"] == "vanishing"
         assert abs(manifest["gamma_c"] - 4.51) < 0.01
+
+    def test_window_past_the_run_does_not_overflow(self, tmp_path):
+        # 1/Lambda spans 1e19 steps of dt: the steady-state window is
+        # capped at the run's 10 steps
+        code, outdir = run_cli(tmp_path, "gutzwiller", "--gamma-grid", "1",
+                               "--rate-phaselock", "1e-9", "--dt", "1e-10",
+                               "--t-max", "1e-9", "--n-max", "2")
+        assert code == EXIT_OK
+        assert json.loads((outdir / "manifest.json").read_text())["rk4_steps"] == 10
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--t-max", "-1", "t_max"), ("--dt", "inf", "dt"), ("--dt", "nan", "dt"),
@@ -458,6 +503,9 @@ class TestValidateBeforeManifest:
         ("ancilla", "--rate-dephase", "0", "--M", "2"),
         ("ancilla", "--scheme", "phaselock", "--g-eff", "0", "--M", "2"),
         ("entropy-scan", "--L", "3", "--M", "2", "--gamma-grid", "1", "--t-max", "0.5"),
+        ("entropy-scan", "--L", "2", "--M", "2", "--gamma-grid", "1", "--t-max", "0.5"),
+        ("entropy-scan", "--L", "4", "--M", "2", "--t-max", "0.1", "--gamma-grid", "1",
+         "--renyi-orders", "2,2"),
         ("trajectories", "--L", "3", "--M", "2", "--t-max", "0.1", "--workers", "0"),
         ("trajectories", "--L", "3", "--M", "2", "--t-max", "0.1", "--workers=-3"),
         ("entropy-scan", "--L", "4", "--M", "2", "--gamma-grid", "1", "--t-max", "0.1",
@@ -510,6 +558,7 @@ class TestValidateBeforeManifest:
             "ancilla-n_max", "ancilla-negative_level", "ancilla-equal_levels",
             "lindblad_check-oracle_dim", "ancilla-zero_rate_dephase",
             "ancilla-zero_g_eff", "entropy_scan-mirror_window",
+            "entropy_scan-two_sites", "entropy_scan-repeated_renyi_order",
             "trajectories-zero_workers", "trajectories-negative_workers",
             "entropy_scan-zero_workers", "lindblad_check-negative_workers",
             "gutzwiller-nan_threshold", "gutzwiller-negative_threshold",

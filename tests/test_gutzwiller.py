@@ -39,6 +39,16 @@ def random_dm(n_max, support, seed):
     return rho / np.trace(rho)
 
 
+def random_real_dm(n_max, support, seed):
+    """A real symmetric density matrix of rank `support`, exactly symmetric."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n_max + 1, support))
+    X[support:] = 0.0
+    rho = X @ X.T
+    rho = 0.5 * (rho + rho.T)
+    return rho / np.trace(rho)
+
+
 def phaselock_only(n_max, filling=1.0):
     """Config whose meanfield_rhs is the bare phase-lock part (2 Lambda = 1)."""
     return GwConfig(rate_phaselock=0.5, filling=filling, n_max=n_max)
@@ -164,27 +174,22 @@ class TestSparseGenerator:
         assert G.shape == (4 + 4 * 41 ** 2, 41 ** 2)
 
     def test_batch_holds_each_member_as_one_diagonal_block(self):
-        # member-major rows: a batch's generator is its members' generators
-        # on the diagonal, entry for entry, so a stage weights each member's
-        # rows on their own and _symmetric_maps slices a batch of one
+        # member-major rows: a batch's generator, on vec(rho) or on upper
+        # triangles, is its members' generators on the diagonal, entry for
+        # entry, so a stage weights each member's rows on their own
         rates = (0.0, 1.5, 4.0)
-        members = [gutzwiller._generator(5, 0.7, 1.0, (g,)) for g in rates]
-        np.testing.assert_array_equal(gutzwiller._generator(5, 0.7, 1.0, rates).toarray(),
-                                      sp.block_diag(members).toarray())
+        for name in ("_generator", "_upper_generator"):
+            build = getattr(gutzwiller, name)
+            members = [build(5, 0.7, 1.0, (g,)) for g in rates]
+            np.testing.assert_array_equal(build(5, 0.7, 1.0, rates).toarray(),
+                                          sp.block_diag(members).toarray())
 
     def test_real_seed_evolves_in_real_arithmetic(self):
         cfg = GwConfig(rate_dephase=1.5, n_max=8, dt=0.01, t_max=2.0)
-        seed = coherent_dm(0.8, 8)
-        real = evolve(cfg, seed, stop_when_steady=False)
-        cplx = evolve(cfg, seed.astype(complex),
-                      stop_when_steady=False)
-        assert real.steps == cplx.steps == 200
+        real = evolve(cfg, coherent_dm(0.8, 8), stop_when_steady=False)
+        assert real.steps == 200
         assert real.final.dtype == np.float64
-        assert cplx.final.dtype == np.complex128
-        np.testing.assert_allclose(real.final, cplx.final,
-                                   rtol=0, atol=1e-13)
-        assert abs(real.alpha - cplx.alpha) <= 1e-13
-        assert real.t == cplx.t and real.converged == cplx.converged
+        np.testing.assert_array_equal(real.final, real.final.T)
 
     def test_seed_of_another_cutoff_rejected(self):
         # the cutoff comes from the config: a seed of another size is an error
@@ -193,6 +198,34 @@ class TestSparseGenerator:
             with pytest.raises(ValueError, match="n_max=8"):
                 evolve(cfg, coherent_dm(0.8, n_max))
         assert evolve(cfg, coherent_dm(0.8, 8)).final.shape == (9, 9)
+
+
+class TestUpperGenerator:
+    @pytest.mark.parametrize("n_max", [1, 3, 8, 12])
+    @pytest.mark.parametrize("rate_phaselock, rates", [
+        (1.0, (0.0, 0.7, 3.0)), (0.0, (0.0, 1.3)), (0.4, (0.0,))],
+        ids=["three_members", "no_phaselock", "one_member"])
+    def test_matches_the_upper_triangle_of_the_matrix_form(self, n_max, rate_phaselock,
+                                                           rates):
+        # each member of a batch of upper triangles against its own (d, d)
+        # matrix-form RHS, moments and trace rows included
+        d = n_max + 1
+        upper = np.triu_indices(d)
+        ops = SiteOperators(n_max)
+        cfg = GwConfig(rate_phaselock=rate_phaselock, n_max=n_max)
+        rhos = [random_real_dm(n_max, support=d, seed=10 * n_max + b)
+                for b in range(len(rates))]
+        m = np.empty((len(rates), 4))
+        batch = meanfield_rhs(np.array([r[upper] for r in rhos]), ops, cfg, rates,
+                              moments=m)
+        assert batch.shape == (len(rates), upper[0].size)
+        for rho, gamma, row, mrow in zip(rhos, rates, batch, m):
+            m_full = np.empty((1, 4))
+            full = meanfield_rhs(rho, ops, replace(cfg, rate_dephase=gamma),
+                                 moments=m_full)
+            assert np.abs(row - full[upper]).max() <= 1e-13 * np.abs(full).max()
+            np.testing.assert_allclose(mrow, m_full[0], rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(m[:, 3], 1.0, rtol=1e-13)
 
 
 class TestCoherentDarkState:
@@ -220,8 +253,7 @@ class TestDephasing:
     def test_coherence_decay_rates(self):
         # rho_nm(t) = rho_nm(0) exp(-Gamma (n-m)^2 t / 2), populations fixed.
         n_max = 4
-        ops = SiteOperators(n_max)
-        rho0 = random_dm(n_max, support=4, seed=7)
+        rho0 = random_real_dm(n_max, support=4, seed=7)
         gam, t = 1.3, 0.8
         cfg = GwConfig(rate_phaselock=0.0, rate_dephase=gam,
                        n_max=n_max, dt=1e-3, t_max=t)
@@ -284,6 +316,13 @@ class TestEvolve:
         assert abs(abs(ev.alpha) - alpha_abs) < 1e-10
         assert ev.converged is converged
         assert ev.t == pytest.approx(t_reached, abs=1e-9)
+
+    def test_window_the_run_cannot_fill_never_stops_it(self):
+        # 1/Lambda spans 1e19 steps here: the window is capped at the run
+        # and the run goes on to t_max
+        ev = evolve(GwConfig(rate_phaselock=0, rate_dephase=1, n_max=4, dt=1e-7,
+                             t_max=1e-6))
+        assert ev.steps == 10 and not ev.converged
 
     def test_trace_guard_trips_on_absurd_step(self):
         cfg = GwConfig(rate_phaselock=1.0, rate_dephase=0.0,
@@ -530,14 +569,15 @@ class TestBatch:
             assert (ev.alpha, ev.t, ev.steps, ev.converged) == (
                 one.alpha, one.t, one.steps, one.converged)
 
-    def test_complex_seed_keeps_its_dtype(self):
+    def test_complex_seed_rejected(self):
+        # the RK4 runs on the upper triangle of a real symmetric state
         template = GwConfig(n_max=6, dt=0.01, t_max=0.5)
-        seed = coherent_dm(0.7 * np.exp(0.4j), 6)
-        batch = evolve_batch(template, (0.5, 2.0), seed)
-        for gamma, ev in zip((0.5, 2.0), batch):
-            assert ev.final.dtype == np.complex128
-            one = evolve(replace(template, rate_dephase=gamma), seed)
-            np.testing.assert_array_equal(ev.final, one.final)
+        for seed in (coherent_dm(0.7 * np.exp(0.4j), 6),
+                     coherent_dm(0.7, 6).astype(complex)):
+            with pytest.raises(ValueError, match="rho0"):
+                evolve_batch(template, (0.5, 2.0), seed)
+            with pytest.raises(ValueError, match="rho0"):
+                evolve(template, seed)
 
     def test_trace_guard_names_the_rate(self):
         with pytest.raises(RuntimeError, match="rate_dephase=0.25"):
